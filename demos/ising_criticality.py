@@ -16,10 +16,9 @@ import numpy as np
 from gphase import (
     IsingBathParams,
     SystemParams,
+    baseline_subtracted_phase,
     brute_force_oracle,
-    build_trace,
     decoherence_product,
-    geometric_phase,
     gp_approx_ising,
 )
 from gphase.perturbative import ising_closed_forms
@@ -30,9 +29,7 @@ N, DELTA, OMEGA_J = 100, 5e-5, 1.0
 def exact_dphi(lam, n_spins=N):
     sysp = SystemParams(omega=OMEGA_J, theta=np.pi / 4)
     p = IsingBathParams(n_spins, 1.0, lam, DELTA)
-    tr = build_trace(lambda t: decoherence_product(p, t), sysp, 4096)
-    ones = build_trace(lambda t: np.ones_like(t, dtype=complex), sysp, 4096)
-    return geometric_phase(tr, sysp).phi_total - geometric_phase(ones, sysp).phi_total
+    return baseline_subtracted_phase(lambda t: decoherence_product(p, t), sysp, 4096)
 
 
 def main():

@@ -3,9 +3,11 @@
 Library layout:
 
 - :mod:`gphase.qmat`: small dense complex linear algebra (propagators,
-  tensor products, partial trace, 2x2 eigendecomposition).
+  tensor products, partial trace).
 - :mod:`gphase.gp`: geometric phase from a sampled decoherence factor
-  (closed form) and from the density-matrix trajectory (parallel transport).
+  (closed form) and from the density-matrix trajectory (parallel transport),
+  and the correction against an uncoupled reference run
+  (``baseline_subtracted_phase``).
 - :mod:`gphase.two_level`: two-level model of a critical environment.
 - :mod:`gphase.ising`: transverse-field Ising chain environment via the
   free-fermion mode product, with a dense small-N oracle.
@@ -13,13 +15,15 @@ Library layout:
   Ising closed forms with complete elliptic integrals.
 - :mod:`gphase.protocol`: software replica of the Trotterized two-qubit
   simulation protocol, including the baseline-subtracted phase correction.
-- :mod:`gphase.cli`: parameter sweeps, presets and CSV/JSON output.
+- :mod:`gphase.cli`: one table of experiments driving parameter sweeps,
+  presets and CSV/JSON output.
 """
 
 from .gp import (
     DecoherenceTrace,
     GpResult,
     SystemParams,
+    baseline_subtracted_phase,
     bloch_plus_angle,
     build_trace,
     density_trajectory,
@@ -31,11 +35,8 @@ from .gp import (
 )
 from .ising import (
     IsingBathParams,
-    ModeFactors,
     brute_force_oracle,
     decoherence_product,
-    mode_amplitude,
-    mode_factors,
 )
 from .perturbative import (
     ExpansionCoefficients,
@@ -63,7 +64,6 @@ from .two_level import (
     bath_eigenenergies,
     decoherence_factor_analytic,
     decoherence_factor_oracle,
-    gp_correction_curve,
     ground_state,
 )
 

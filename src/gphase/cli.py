@@ -10,6 +10,11 @@ ising-sweep   exact chain pipeline vs 2nd/3rd order approximations over lambda
 ising-approx  2nd/3rd order approximations only (fast)
 trotter-check minimum fidelity over the field range per step count
 
+Each experiment is one ``Experiment`` record in ``EXPERIMENTS``: defaults
+(which name the only flags it accepts), output columns, ``--sweep`` axes,
+point grid, point function and failure-row label.  Every point is validated
+before any point runs.  Presets name an experiment and run its defaults.
+
 Outputs are deterministic: identical configurations produce byte-identical
 files regardless of worker count, and every row carries the configuration
 hash.  Wall-clock information goes to the stderr log only, never into the
@@ -25,6 +30,7 @@ import json
 import logging
 import os
 import sys
+from collections.abc import Callable
 from dataclasses import dataclass
 from datetime import datetime, timezone
 
@@ -32,7 +38,7 @@ import numpy as np
 
 from . import __version__
 from .errors import ConfigParseError, GphaseError, ValidationError
-from .gp import SystemParams, build_trace, geometric_phase
+from .gp import MIN_SAMPLES, SystemParams, baseline_subtracted_phase, build_trace, geometric_phase
 from .ising import IsingBathParams, decoherence_product
 from .perturbative import gp_approx_ising
 from .protocol import (
@@ -44,57 +50,6 @@ from .protocol import (
 from .two_level import CouplingConvention, TwoLevelBathParams, decoherence_factor_oracle
 
 log = logging.getLogger("gphase")
-
-EXPERIMENTS = ("trace", "gp-curve", "ising-sweep", "ising-approx", "trotter-check", "correction")
-
-_OMEGA_REF = 100.0 * np.pi  # rad/s; all other reference scales are ratios of this
-
-# Bundled parameter sets.  Frequencies are angular (rad/s); since every other
-# scale is a ratio of omega the physics output is invariant under rescaling.
-PRESETS: dict[str, dict] = {
-    "paper-fig1c": {
-        "experiment": "correction",
-        "omega": _OMEGA_REF,
-        "theta": np.pi / 4.0,
-        "delta_gap": 0.02 * _OMEGA_REF,
-        "coupling": 0.1 * _OMEGA_REF,
-        "b_min": -0.2 * _OMEGA_REF,
-        "b_max": 0.2 * _OMEGA_REF,
-        "b_points": 21,
-        "trotter_steps": 64,
-        "decomposition": "exact",
-        "samples": 64,
-    },
-    "paper-figA": {
-        "experiment": "ising-sweep",
-        "n_spins": 100,
-        "j_coupling": 1.0,
-        "coupling": 5e-5,
-        "omega_over_j": 1.0,
-        "theta": np.pi / 4.0,
-        "lambda_min": 0.0,
-        "lambda_max": 2.0,
-        "lambda_points": 41,
-        "samples": 4096,
-    },
-    "trotter-claim": {
-        "experiment": "trotter-check",
-        "omega": _OMEGA_REF,
-        "theta": np.pi / 4.0,
-        "delta_gap": 0.02 * _OMEGA_REF,
-        "coupling": 0.1 * _OMEGA_REF,
-        "b_min": -0.2 * _OMEGA_REF,
-        "b_max": 0.2 * _OMEGA_REF,
-        "b_points": 21,
-        "fidelity_threshold": 0.997,
-        "max_steps": 512,
-    },
-}
-
-
-def presets() -> list[str]:
-    """Names of the bundled parameter presets."""
-    return list(PRESETS)
 
 
 @dataclass(frozen=True)
@@ -121,252 +76,267 @@ class RunConfig:
         return hashlib.sha256(blob).hexdigest()[:16]
 
 
-_DEFAULTS: dict[str, dict] = {
-    "trace": {
-        "omega": _OMEGA_REF, "theta": np.pi / 4.0, "delta_gap": 0.02 * _OMEGA_REF,
-        "coupling": 0.1 * _OMEGA_REF, "b_field": 0.05 * _OMEGA_REF, "znu": 1.0,
-        "convention": "zz", "samples": 256,
-    },
-    "gp-curve": {
-        "omega": _OMEGA_REF, "theta": np.pi / 4.0, "delta_gap": 0.02 * _OMEGA_REF,
-        "coupling": 0.1 * _OMEGA_REF, "b_field": 0.05 * _OMEGA_REF, "znu": 1.0,
-        "convention": "zz", "samples": 1024,
-    },
-    "correction": {
-        "omega": _OMEGA_REF, "theta": np.pi / 4.0, "delta_gap": 0.02 * _OMEGA_REF,
-        "coupling": 0.1 * _OMEGA_REF, "b_min": -0.2 * _OMEGA_REF,
-        "b_max": 0.2 * _OMEGA_REF, "b_points": 21, "trotter_steps": 64,
-        "decomposition": "exact", "samples": 64, "znu": 1.0, "convention": "zz",
-    },
-    "ising-sweep": {
-        "n_spins": 100, "j_coupling": 1.0, "coupling": 5e-5, "omega_over_j": 1.0,
-        "theta": np.pi / 4.0, "lambda_min": 0.0, "lambda_max": 2.0,
-        "lambda_points": 41, "samples": 4096,
-    },
-    "ising-approx": {
-        "n_spins": 100, "j_coupling": 1.0, "coupling": 5e-5, "omega_over_j": 1.0,
-        "theta": np.pi / 4.0, "lambda_min": 0.0, "lambda_max": 2.0,
-        "lambda_points": 41,
-    },
-    "trotter-check": {
-        "omega": _OMEGA_REF, "theta": np.pi / 4.0, "delta_gap": 0.02 * _OMEGA_REF,
-        "coupling": 0.1 * _OMEGA_REF, "b_min": -0.2 * _OMEGA_REF,
-        "b_max": 0.2 * _OMEGA_REF, "b_points": 21, "fidelity_threshold": 0.997,
-        "max_steps": 512,
-    },
-}
+# ---------------------------------------------------------------------------
+# parameter objects of one point; each constructor validates its ranges
 
-_COLUMNS: dict[str, list[str]] = {
-    "trace": ["t", "re_r", "im_r", "abs_r", "phase", "config_hash"],
-    "gp-curve": ["phi_total", "phi_unitary", "correction", "integral_part",
-                 "arctan_part", "eps_plus_final", "config_hash"],
-    "correction": ["b_over_omega", "dphi_protocol", "dphi_theory", "config_hash"],
-    "ising-sweep": ["lambda", "dphi_exact_norm", "dphi_order2_norm",
-                    "dphi_order3_norm", "config_hash"],
-    "ising-approx": ["lambda", "dphi_order2_norm", "dphi_order3_norm", "config_hash"],
-    "trotter-check": ["n_steps", "min_fidelity", "config_hash"],
-}
+def _linspace(lo: float, hi: float, n: int, what: str) -> np.ndarray:
+    if int(n) < 1:
+        raise ValidationError(f"{what} must be >= 1, got {n}")
+    return np.linspace(lo, hi, int(n))
 
 
-def _two_level_bath(params: dict) -> TwoLevelBathParams:
-    conv = (CouplingConvention.PROJECTOR if params.get("convention", "zz") == "projector"
-            else CouplingConvention.ZZ_TARGET)
-    base = TwoLevelBathParams(
-        delta_gap=params["delta_gap"], lam=0.0, coupling=params["coupling"],
-        znu=params.get("znu", 1.0), convention=conv,
+def _span(p: dict, name: str) -> np.ndarray:
+    """Grid of ``--{name}-min/max/points``."""
+    return _linspace(p[f"{name}_min"], p[f"{name}_max"], p[f"{name}_points"], f"{name}_points")
+
+
+def _samples(p: dict) -> int:
+    n = int(p["samples"])
+    if n < MIN_SAMPLES:
+        raise ValidationError(f"samples must be >= {MIN_SAMPLES}, got {n}")
+    return n
+
+
+def _two_level(p: dict) -> tuple[SystemParams, TwoLevelBathParams]:
+    """System cycle and two-level bath at field ``b_field`` (0 if absent)."""
+    bath = TwoLevelBathParams(
+        delta_gap=p["delta_gap"], lam=0.0, coupling=p["coupling"],
+        znu=p.get("znu", 1.0), convention=CouplingConvention(p.get("convention", "zz")),
     )
-    return base.with_b_field(params.get("b_field", 0.0))
+    return SystemParams(omega=p["omega"], theta=p["theta"]), bath.with_b_field(p.get("b_field", 0.0))
 
 
-def _validate(config: RunConfig) -> None:
-    """Fail fast: construct every parameter object the run will need."""
-    p = config.parameters
-    if config.experiment in ("trace", "gp-curve", "correction", "trotter-check"):
-        SystemParams(omega=p["omega"], theta=p["theta"])
-        _two_level_bath({**p, "b_field": p.get("b_field", p.get("b_min", 0.0))})
-    if config.experiment in ("ising-sweep", "ising-approx"):
-        IsingBathParams(
-            n_spins=int(p["n_spins"]), j_coupling=p["j_coupling"],
-            lam=p["lambda_min"], coupling=p["coupling"],
-        )
-        if p["omega_over_j"] <= 0:
-            raise ValidationError("omega_over_j must be positive")
-    if config.sweep is not None and config.sweep[3] < 1:
-        raise ValidationError("sweep points must be >= 1")
-    for key in ("b_points", "lambda_points", "samples"):
-        if key in p and int(p[key]) < 1:
-            raise ValidationError(f"{key} must be >= 1")
+def _chain(p: dict) -> tuple[IsingBathParams, SystemParams]:
+    if not p["omega_over_j"] > 0:
+        raise ValidationError(f"omega_over_j must be positive, got {p['omega_over_j']}")
+    bath = IsingBathParams(
+        n_spins=int(p["n_spins"]), j_coupling=p["j_coupling"],
+        lam=p["lambda"], coupling=p["coupling"],
+    )
+    return bath, SystemParams(omega=p["omega_over_j"] * p["j_coupling"], theta=p["theta"])
+
+
+def _protocol(p: dict) -> tuple[ProtocolParams, float]:
+    sysp, bath = _two_level(p)
+    proto = ProtocolParams(
+        sys=sysp, bath=bath, trotter_steps=int(p["trotter_steps"]),
+        decomposition=Decomposition(p["decomposition"]),
+    )
+    return proto, p["b_field"]
+
+
+def _trotter_protocols(p: dict) -> tuple[int, list[ProtocolParams]]:
+    sysp, bath = _two_level(p)
+    n = int(p["n_steps"])
+    return n, [
+        ProtocolParams(sys=sysp, bath=bath.with_b_field(b), trotter_steps=n,
+                       decomposition=Decomposition.COARSE_TROTTER)
+        for b in _span(p, "b")
+    ]
+
+
+def _doublings(max_steps: int) -> list[int]:
+    if int(max_steps) < 1:
+        raise ValidationError(f"max_steps must be >= 1, got {max_steps}")
+    return [2**i for i in range(int(max_steps).bit_length())]
 
 
 # ---------------------------------------------------------------------------
-# per-sweep-point workers (top level: picklable for process pools)
+# point functions: point arguments -> payload rows (top level: picklable for
+# process pools)
 
-def _ising_exact_dphi_norm(params: dict, lam: float) -> float:
-    bath = IsingBathParams(
-        n_spins=int(params["n_spins"]), j_coupling=params["j_coupling"],
-        lam=lam, coupling=params["coupling"],
-    )
-    sysp = SystemParams(omega=params["omega_over_j"] * params["j_coupling"], theta=params["theta"])
-    samples = int(params["samples"])
-    trace = build_trace(lambda t: decoherence_product(bath, t), sysp, samples)
-    phi = geometric_phase(trace, sysp).phi_total
-    ones = build_trace(lambda t: np.ones_like(t, dtype=complex), sysp, samples)
-    baseline = geometric_phase(ones, sysp).phi_total
-    return (phi - baseline) / (bath.n_spins * bath.coupling**2)
-
-
-def _ising_orders_norm(params: dict, lam: float) -> tuple[float, float]:
-    bath = IsingBathParams(
-        n_spins=int(params["n_spins"]), j_coupling=params["j_coupling"],
-        lam=lam, coupling=params["coupling"],
-    )
-    sysp = SystemParams(omega=params["omega_over_j"] * params["j_coupling"], theta=params["theta"])
-    phi0 = np.pi * (1.0 - np.cos(sysp.theta))
-    norm = bath.n_spins * bath.coupling**2
-    o2 = (gp_approx_ising(bath, sysp, order=2) - phi0) / norm
-    o3 = (gp_approx_ising(bath, sysp, order=3) - phi0) / norm
-    return o2, o3
-
-
-def _point_ising_sweep(args) -> list[float]:
-    params, lam = args
-    o2, o3 = _ising_orders_norm(params, lam)
-    return [lam, _ising_exact_dphi_norm(params, lam), o2, o3]
-
-
-def _point_ising_approx(args) -> list[float]:
-    params, lam = args
-    o2, o3 = _ising_orders_norm(params, lam)
-    return [lam, o2, o3]
-
-
-def _point_correction(args) -> list[float]:
-    params, b = args
-    sysp = SystemParams(omega=params["omega"], theta=params["theta"])
-    bath = _two_level_bath({**params, "b_field": b})
-    proto = ProtocolParams(
-        sys=sysp, bath=bath, trotter_steps=int(params["trotter_steps"]),
-        decomposition=Decomposition(params["decomposition"]),
-    )
-    rec = correction_experiment(proto, [b])[0]
-    if rec.error is not None:
-        raise GphaseError(rec.error)
-    return [b / params["omega"], rec.dphi, rec.dphi_theory]
-
-
-def _point_trotter(args) -> list[float]:
-    params, n = args
-    sysp = SystemParams(omega=params["omega"], theta=params["theta"])
-    bath = _two_level_bath(params)
-    worst = 1.0
-    for b in np.linspace(params["b_min"], params["b_max"], int(params["b_points"])):
-        proto = ProtocolParams(
-            sys=sysp, bath=bath.with_b_field(b), trotter_steps=int(n),
-            decomposition=Decomposition.COARSE_TROTTER,
-        )
-        worst = min(worst, cycle_fidelity(proto))
-    return [float(n), worst]
-
-
-def _point_gp_curve(args) -> list[float]:
-    params, _ = args
-    sysp = SystemParams(omega=params["omega"], theta=params["theta"])
-    bath = _two_level_bath(params)
-    trace = build_trace(lambda t: decoherence_factor_oracle(bath, t), sysp, int(params["samples"]))
-    g = geometric_phase(trace, sysp)
-    return [g.phi_total, g.phi_unitary, g.correction, g.integral_part,
-            g.arctan_part, g.eps_plus_final]
-
-
-_POINT_FUNCS = {
-    "ising-sweep": _point_ising_sweep,
-    "ising-approx": _point_ising_approx,
-    "correction": _point_correction,
-    "trotter-check": _point_trotter,
-    "gp-curve": _point_gp_curve,
-}
-
-
-def _sweep_values(config: RunConfig) -> tuple[str | None, list]:
-    p = config.parameters
-    if config.sweep is not None:
-        axis, lo, hi, n = config.sweep
-        return axis, list(np.linspace(lo, hi, int(n)))
-    if config.experiment in ("ising-sweep", "ising-approx"):
-        return "lambda", list(np.linspace(p["lambda_min"], p["lambda_max"], int(p["lambda_points"])))
-    if config.experiment == "correction":
-        return "b_field", list(np.linspace(p["b_min"], p["b_max"], int(p["b_points"])))
-    if config.experiment == "trotter-check":
-        n, steps = 1, []
-        while n <= int(p["max_steps"]):
-            steps.append(n)
-            n *= 2
-        return "n_steps", steps
-    return None, [None]
-
-
-def _failure_row(config: RunConfig, params: dict, value) -> list[float]:
-    """Row emitted for a failed sweep point under --keep-going."""
-    width = len(_COLUMNS[config.experiment]) - 1  # config_hash appended later
-    if config.experiment == "correction":
-        return [float(value) / params["omega"]] + [np.nan] * (width - 1)
-    if config.experiment in ("ising-sweep", "ising-approx", "trotter-check"):
-        return [float(value)] + [np.nan] * (width - 1)
-    return [np.nan] * width
-
-
-def _run_points(config: RunConfig, axis: str | None, values: list) -> list[list[float]]:
-    func = _POINT_FUNCS[config.experiment]
-    tasks = []
-    for v in values:
-        params = dict(config.parameters)
-        if axis is not None and config.sweep is not None:
-            params[axis.replace("-", "_")] = v
-        tasks.append((params, v))
-
-    rows: list[list[float]] = []
-    failures: list[str] = []
-
-    def handle(result, params, value):
-        if isinstance(result, Exception):
-            msg = f"point {value!r}: {type(result).__name__}: {result}"
-            failures.append(msg)
-            log.warning("point failed: %s", msg)
-            rows.append(_failure_row(config, params, value))
-        else:
-            rows.append(result)
-
-    if config.workers > 1 and len(tasks) > 1:
-        with concurrent.futures.ProcessPoolExecutor(max_workers=config.workers) as pool:
-            futures = [pool.submit(func, t) for t in tasks]
-            for fut, (pp, v) in zip(futures, tasks):
-                try:
-                    handle(fut.result(), pp, v)
-                except concurrent.futures.process.BrokenProcessPool:
-                    raise
-                except Exception as exc:
-                    handle(exc, pp, v)
-    else:
-        for pp, v in tasks:
-            try:
-                handle(func((pp, v)), pp, v)
-            except Exception as exc:
-                handle(exc, pp, v)
-
-    if failures and not config.keep_going:
-        raise GphaseError(failures[0])
-    return rows
-
-
-def _run_trace(config: RunConfig) -> list[list[float]]:
-    p = config.parameters
-    sysp = SystemParams(omega=p["omega"], theta=p["theta"])
-    bath = _two_level_bath(p)
-    trace = build_trace(lambda t: decoherence_factor_oracle(bath, t), sysp, int(p["samples"]))
+def _trace_rows(args) -> list[list[float]]:
+    sysp, bath, samples = args
+    trace = build_trace(lambda t: decoherence_factor_oracle(bath, t), sysp, samples)
     return [
         [t, r.real, r.imag, m, ph]
         for t, r, m, ph in zip(trace.times, trace.r_values, trace.magnitude, trace.phase_unwrapped)
     ]
+
+
+def _gp_curve_rows(args) -> list[list[float]]:
+    sysp, bath, samples = args
+    trace = build_trace(lambda t: decoherence_factor_oracle(bath, t), sysp, samples)
+    g = geometric_phase(trace, sysp)
+    return [[g.phi_total, g.phi_unitary, g.correction, g.integral_part,
+             g.arctan_part, g.eps_plus_final]]
+
+
+def _correction_rows(args) -> list[list[float]]:
+    proto, b = args
+    rec = correction_experiment(proto, [b])[0]
+    if rec.error is not None:
+        raise GphaseError(rec.error)
+    return [[b / proto.sys.omega, rec.dphi, rec.dphi_theory]]
+
+
+def _ising_orders_norm(bath: IsingBathParams, sysp: SystemParams) -> list[float]:
+    phi0 = np.pi * (1.0 - np.cos(sysp.theta))
+    norm = bath.n_spins * bath.coupling**2
+    return [(gp_approx_ising(bath, sysp, order=k) - phi0) / norm for k in (2, 3)]
+
+
+def _ising_sweep_rows(args) -> list[list[float]]:
+    bath, sysp, samples = args
+    orders = _ising_orders_norm(bath, sysp)
+    exact = baseline_subtracted_phase(lambda t: decoherence_product(bath, t), sysp, samples)
+    return [[bath.lam, exact / (bath.n_spins * bath.coupling**2), *orders]]
+
+
+def _ising_approx_rows(args) -> list[list[float]]:
+    bath, sysp = args
+    return [[bath.lam, *_ising_orders_norm(bath, sysp)]]
+
+
+def _trotter_rows(args) -> list[list[float]]:
+    n, protos = args
+    return [[float(n), min([1.0] + [cycle_fidelity(p) for p in protos])]]
+
+
+# ---------------------------------------------------------------------------
+# the experiment table
+
+@dataclass(frozen=True)
+class Experiment:
+    """Everything the command line knows about one experiment.
+
+    A run builds the points with ``grid`` (crossed with the ``--sweep`` axis,
+    if any), turns every point's parameters into ``point`` arguments with
+    ``prepare``, which validates them, and only then runs ``point`` on each.
+    """
+
+    defaults: dict                          # parameters; their flags are the only ones accepted
+    columns: tuple[str, ...]                # payload columns before config_hash
+    prepare: Callable[[dict], tuple]        # point parameters -> point arguments
+    point: Callable[[tuple], list]          # point arguments -> payload rows
+    grid: Callable[[dict], list[dict]] = lambda p: [p]  # parameters of each point
+    axes: tuple[str, ...] = ()              # parameters --sweep may vary
+    label: Callable[[dict], list] = lambda p: []  # leading cells of a failed point's row
+
+
+# Frequencies are angular (rad/s); every two-level scale is a ratio of omega,
+# so the physics output is invariant under rescaling.
+_OMEGA_REF = 100.0 * np.pi
+_TWO_LEVEL = {"omega": _OMEGA_REF, "theta": np.pi / 4.0, "delta_gap": 0.02 * _OMEGA_REF,
+              "coupling": 0.1 * _OMEGA_REF}
+_FIELD = {"b_field": 0.05 * _OMEGA_REF, "znu": 1.0, "convention": "zz"}
+_B_RANGE = {"b_min": -0.2 * _OMEGA_REF, "b_max": 0.2 * _OMEGA_REF, "b_points": 21}
+_CHAIN = {"n_spins": 100, "j_coupling": 1.0, "coupling": 5e-5, "omega_over_j": 1.0,
+          "theta": np.pi / 4.0, "lambda_min": 0.0, "lambda_max": 2.0, "lambda_points": 41}
+
+EXPERIMENTS: dict[str, Experiment] = {
+    "trace": Experiment(
+        defaults={**_TWO_LEVEL, **_FIELD, "samples": 256},
+        columns=("t", "re_r", "im_r", "abs_r", "phase"),
+        prepare=lambda p: (*_two_level(p), _samples(p)),
+        point=_trace_rows,
+    ),
+    "gp-curve": Experiment(
+        defaults={**_TWO_LEVEL, **_FIELD, "samples": 1024},
+        columns=("phi_total", "phi_unitary", "correction", "integral_part",
+                 "arctan_part", "eps_plus_final"),
+        prepare=lambda p: (*_two_level(p), _samples(p)),
+        point=_gp_curve_rows,
+        axes=("omega", "theta", "delta_gap", "coupling", "b_field", "znu"),
+    ),
+    "correction": Experiment(
+        # samples is unused; it stays because it is part of the config hash
+        defaults={**_TWO_LEVEL, **_B_RANGE, "trotter_steps": 64, "decomposition": "exact",
+                  "samples": 64, "znu": 1.0, "convention": "zz"},
+        columns=("b_over_omega", "dphi_protocol", "dphi_theory"),
+        prepare=_protocol,
+        point=_correction_rows,
+        grid=lambda p: [{**p, "b_field": b} for b in _span(p, "b")],
+        label=lambda p: [p["b_field"] / p["omega"]],
+    ),
+    "ising-sweep": Experiment(
+        defaults={**_CHAIN, "samples": 4096},
+        columns=("lambda", "dphi_exact_norm", "dphi_order2_norm", "dphi_order3_norm"),
+        prepare=lambda p: (*_chain(p), _samples(p)),
+        point=_ising_sweep_rows,
+        grid=lambda p: [{**p, "lambda": lam} for lam in _span(p, "lambda")],
+        label=lambda p: [p["lambda"]],
+    ),
+    "ising-approx": Experiment(
+        defaults=dict(_CHAIN),
+        columns=("lambda", "dphi_order2_norm", "dphi_order3_norm"),
+        prepare=_chain,
+        point=_ising_approx_rows,
+        grid=lambda p: [{**p, "lambda": lam} for lam in _span(p, "lambda")],
+        label=lambda p: [p["lambda"]],
+    ),
+    "trotter-check": Experiment(
+        # fidelity_threshold is unused; it stays because it is part of the config hash
+        defaults={**_TWO_LEVEL, **_B_RANGE, "fidelity_threshold": 0.997, "max_steps": 512},
+        columns=("n_steps", "min_fidelity"),
+        prepare=_trotter_protocols,
+        point=_trotter_rows,
+        grid=lambda p: [{**p, "n_steps": n} for n in _doublings(p["max_steps"])],
+        label=lambda p: [float(p["n_steps"])],
+    ),
+}
+
+# Bundled parameter sets: each is its experiment's defaults.
+PRESETS: dict[str, str] = {
+    "paper-fig1c": "correction",
+    "paper-figA": "ising-sweep",
+    "trotter-claim": "trotter-check",
+}
+
+
+def presets() -> list[str]:
+    """Names of the bundled parameter presets."""
+    return list(PRESETS)
+
+
+def _capture(func, task):
+    """``func(task)``, or the exception it raised (top level: picklable)."""
+    try:
+        return func(task)
+    except Exception as exc:
+        return exc
+
+
+def _results(func, tasks: list[tuple], workers: int) -> list:
+    if workers > 1 and len(tasks) > 1:
+        with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
+            return list(pool.map(_capture, [func] * len(tasks), tasks))
+    return [_capture(func, t) for t in tasks]
+
+
+def _rows(config: RunConfig) -> tuple[list[str], list[list]]:
+    """Payload columns and rows; every point is validated before any runs."""
+    exp = EXPERIMENTS[config.experiment]
+    points = exp.grid(config.parameters)
+    axis: list[str] = []
+    if config.sweep is not None:
+        name, lo, hi, n = config.sweep
+        axis = [name]
+        points = [{**p, name: v} for v in _linspace(lo, hi, n, "sweep points") for p in points]
+    for p in points:
+        for key, val in p.items():
+            if isinstance(val, float) and not np.isfinite(val):
+                raise ValidationError(f"{key} must be finite, got {val}")
+    tasks = [exp.prepare(p) for p in points]
+    columns = axis + list(exp.columns)
+
+    digest = config.config_hash
+    rows: list[list] = []
+    failures: list[str] = []
+    for p, result in zip(points, _results(exp.point, tasks, config.workers)):
+        head = [p[a] for a in axis]
+        if isinstance(result, Exception):
+            label = exp.label(p)
+            where = "".join(f" {c}={x:.6g}" for c, x in zip(columns, head + label))
+            msg = f"point{where}: {type(result).__name__}: {result}"
+            failures.append(msg)
+            log.warning("point failed: %s", msg)
+            result = [label + [np.nan] * (len(exp.columns) - len(label))]
+        rows += [head + row + [digest] for row in result]
+
+    if failures and not config.keep_going:
+        raise GphaseError(failures[0])
+    return columns + ["config_hash"], rows
 
 
 def _fmt_cell(x) -> str:
@@ -400,23 +370,11 @@ def _render_json(config: RunConfig, columns: list[str], rows: list[list]) -> str
 
 
 def run(config: RunConfig) -> int:
-    """Execute a validated configuration and write its output. Returns exit code."""
-    _validate(config)
+    """Execute a configuration and write its output. Returns exit code."""
     log.info("run start experiment=%s hash=%s at %s",
              config.experiment, config.config_hash,
              datetime.now(timezone.utc).isoformat())
-
-    if config.experiment == "trace":
-        rows = _run_trace(config)
-    else:
-        axis, values = _sweep_values(config)
-        rows = _run_points(config, axis, values)
-
-    columns = list(_COLUMNS[config.experiment])
-    if config.experiment == "gp-curve" and config.sweep is not None:
-        columns = [config.sweep[0]] + columns
-        rows = [[v] + row for v, row in zip(np.linspace(*config.sweep[1:3], int(config.sweep[3])), rows)]
-    rows = [row + [config.config_hash] for row in rows]
+    columns, rows = _rows(config)
 
     text = (_render_csv(columns, rows) if config.fmt == "csv"
             else _render_json(config, columns, rows))
@@ -434,7 +392,7 @@ def _build_parser() -> argparse.ArgumentParser:
         prog="gphase",
         description="Geometric phase of a dephased qubit near a critical bath.",
     )
-    ap.add_argument("experiment", choices=EXPERIMENTS + ("presets",),
+    ap.add_argument("experiment", choices=[*EXPERIMENTS, "presets"],
                     help="experiment to run, or 'presets' to list bundled parameter sets")
     ap.add_argument("--preset", choices=list(PRESETS), help="start from a bundled parameter set")
     ap.add_argument("--output", help="output file (default: stdout)")
@@ -445,7 +403,9 @@ def _build_parser() -> argparse.ArgumentParser:
     ap.add_argument("--keep-going", action="store_true",
                     help="flag failed sweep points instead of aborting")
     ap.add_argument("--sweep", nargs=4, metavar=("AXIS", "MIN", "MAX", "POINTS"),
-                    help="sweep a named parameter axis")
+                    help="sweep one parameter axis; "
+                         + "; ".join(f"{name}: {', '.join(exp.axes)}"
+                                     for name, exp in EXPERIMENTS.items() if exp.axes))
     ap.add_argument("--verbose", action="store_true", help="log progress to stderr")
 
     phys = ap.add_argument_group("physical parameters")
@@ -474,43 +434,44 @@ def _build_parser() -> argparse.ArgumentParser:
     return ap
 
 
-_PARAM_KEYS = (
-    "omega", "theta", "delta_gap", "coupling", "b_field", "znu", "convention",
-    "samples", "b_min", "b_max", "b_points", "trotter_steps", "decomposition",
-    "n_spins", "j_coupling", "omega_over_j", "lambda_min", "lambda_max",
-    "lambda_points", "fidelity_threshold", "max_steps",
-)
+# every physical flag's dest; each experiment accepts those in its defaults
+_PARAM_KEYS = tuple(dict.fromkeys(k for exp in EXPERIMENTS.values() for k in exp.defaults))
 
 
 def parse_config(argv) -> RunConfig | None:
     """Resolve argv into a RunConfig (None for the 'presets' listing)."""
     args = _build_parser().parse_args(argv)
     if args.experiment == "presets":
-        for name, spec in PRESETS.items():
-            print(f"{name}: {spec['experiment']}  "
+        for name, experiment in PRESETS.items():
+            print(f"{name}: {experiment}  "
                   + " ".join(f"{k}={v:.6g}" if isinstance(v, float) else f"{k}={v}"
-                             for k, v in spec.items() if k != "experiment"))
+                             for k, v in EXPERIMENTS[experiment].defaults.items()))
         return None
 
     experiment = args.experiment
-    params = dict(_DEFAULTS[experiment])
-    if args.preset:
-        preset = dict(PRESETS[args.preset])
-        preset_exp = preset.pop("experiment")
-        if preset_exp != experiment:
-            raise ConfigParseError(
-                f"preset {args.preset!r} targets experiment {preset_exp!r}, not {experiment!r}"
-            )
-        params.update(preset)
+    if args.preset and PRESETS[args.preset] != experiment:
+        raise ConfigParseError(
+            f"preset {args.preset!r} targets experiment {PRESETS[args.preset]!r}, not {experiment!r}"
+        )
+    exp = EXPERIMENTS[experiment]
+    params = dict(exp.defaults)
     for key in _PARAM_KEYS:
-        val = getattr(args, key, None)
-        if val is not None:
-            params[key] = val
-    params = {k: v for k, v in params.items() if k in _DEFAULTS[experiment] or k in _PARAM_KEYS}
+        val = getattr(args, key)
+        if val is None:
+            continue
+        if key not in params:
+            raise ConfigParseError(f"{experiment} does not use --{key.replace('_', '-')}")
+        params[key] = val
 
     sweep = None
     if args.sweep:
         axis, lo, hi, n = args.sweep
+        axis = axis.replace("-", "_")
+        if axis not in exp.axes:
+            raise ConfigParseError(
+                f"{experiment} cannot sweep {axis!r}; "
+                + (f"--sweep axes: {', '.join(exp.axes)}" if exp.axes else "it has no --sweep axis")
+            )
         try:
             sweep = (axis, float(lo), float(hi), int(n))
         except ValueError as exc:

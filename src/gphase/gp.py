@@ -37,6 +37,7 @@ _POLE_TOL = 1e-12          # theta pinned to 0 or pi
 _DEGENERACY_TOL = 1e-14    # eigenvector direction undefined below this
 _UNWRAP_STEP_LIMIT = np.pi / 2
 _MAX_REFINEMENTS = 6
+MIN_SAMPLES = 64           # coarsest grid build_trace accepts
 
 
 @dataclass(frozen=True)
@@ -124,8 +125,8 @@ def build_trace(sampler, params: SystemParams, samples: int = 256) -> Decoherenc
     otherwise the grid is doubled, up to 2^6 times.  A persistent phase step
     near pi (e.g. r crossing zero) raises UnwrapFailure.
     """
-    if samples < 64:
-        raise ValidationError("samples must be >= 64")
+    if samples < MIN_SAMPLES:
+        raise ValidationError(f"samples must be >= {MIN_SAMPLES}, got {samples}")
     m = samples + (samples % 2)  # composite Simpson needs an even interval count
     for _ in range(_MAX_REFINEMENTS + 1):
         try:
@@ -242,6 +243,23 @@ def geometric_phase(trace: DecoherenceTrace, params: SystemParams) -> GpResult:
         arctan_part=arctan_part,
         eps_plus_final=float(ep[-1]),
     )
+
+
+def _uncoupled(t):
+    return np.ones_like(t, dtype=complex)
+
+
+def baseline_subtracted_phase(sampler, params: SystemParams, samples: int = 256) -> float:
+    """Phase correction Phi[sampler] - Phi[r = 1] over one cycle.
+
+    The uncoupled reference (r identically 1) runs through the same
+    ``build_trace`` / ``geometric_phase`` pipeline on the same grid, mirroring
+    an experiment that subtracts an uncoupled reference run, so discretization
+    error common to both runs cancels.
+    """
+    phi = geometric_phase(build_trace(sampler, params, samples), params).phi_total
+    baseline = geometric_phase(build_trace(_uncoupled, params, samples), params).phi_total
+    return phi - baseline
 
 
 def density_trajectory(trace: DecoherenceTrace, params: SystemParams) -> np.ndarray:

@@ -62,55 +62,6 @@ def bogoliubov_angle(lam, k):
     return np.arctan2(np.sin(k), lam - np.cos(k))
 
 
-@dataclass(frozen=True)
-class ModeFactors:
-    """Per-mode quantities entering one factor of the decoherence product."""
-
-    k: float
-    eps_k: float               # rad/s, at field lam
-    eps_tilde_k: float         # rad/s, at the shifted field lam + delta
-    alpha_k: float             # half the Bogoliubov angle difference
-    theta_k_lambda: float
-    theta_k_lambda_shift: float
-
-
-def mode_factors(p: IsingBathParams, k: float) -> ModeFactors:
-    """Dispersion and Bogoliubov data of one mode for the (lam, lam+delta) pair."""
-    if not (0.0 < k < np.pi):
-        raise ValidationError(f"momentum must lie in (0, pi), got {k}")
-    th = bogoliubov_angle(p.lam, k)
-    th_s = bogoliubov_angle(p.lam + p.coupling, k)
-    return ModeFactors(
-        k=float(k),
-        eps_k=float(dispersion(p.lam, k, p.j_coupling)),
-        eps_tilde_k=float(dispersion(p.lam + p.coupling, k, p.j_coupling)),
-        alpha_k=float(0.5 * (th_s - th)),
-        theta_k_lambda=float(th),
-        theta_k_lambda_shift=float(th_s),
-    )
-
-
-def mode_amplitude(mf: ModeFactors, t: float) -> tuple[float, float]:
-    """One mode's magnitude R_k and continuously tracked phase phi_k at time t.
-
-    The mode factor is R_k exp(i (phi_k - eps_k t)) with
-
-        z_k(t) = cos(eps~_k t) + i cos(2 alpha_k) sin(eps~_k t),
-        R_k = |z_k|,   phi_k = arg z_k continued from phi_k(0) = 0,
-
-    so that delta = 0 gives phi_k = eps_k t and a unit factor.  The branch of
-    arg z_k is tracked by substepping whenever eps~_k * t >= pi/4.
-    """
-    c2a = np.cos(2.0 * mf.alpha_k)
-    wt = mf.eps_tilde_k * t
-    r_k = float(np.sqrt(np.cos(wt) ** 2 + (c2a * np.sin(wt)) ** 2))
-    n_sub = max(1, int(np.ceil(abs(wt) / (np.pi / 4.0))))
-    wts = np.linspace(0.0, wt, n_sub + 1)
-    z = np.cos(wts) + 1j * c2a * np.sin(wts)
-    phi = float(np.sum(np.angle(z[1:] * z[:-1].conj())))
-    return r_k, phi
-
-
 def decoherence_product(p: IsingBathParams, t, shift: str = "one_sided"):
     """Decoherence factor as the product over positive momenta.
 

@@ -26,7 +26,7 @@ from .gp import (
     DecoherenceTrace,
     GpResult,
     SystemParams,
-    build_trace,
+    baseline_subtracted_phase,
     geometric_phase,
     trace_from_samples,
 )
@@ -274,20 +274,15 @@ def correction_experiment(p: ProtocolParams, b_grid, theory_samples: int = 1024)
     the protocol.  Per-point failures are flagged, not dropped.
     """
     records: list[CorrectionRecord] = []
-    theory_baseline = geometric_phase(
-        build_trace(lambda t: np.ones_like(t, dtype=complex), p.sys, theory_samples), p.sys
-    )
     for b in np.asarray(b_grid, dtype=float):
         bath_b = p.bath.with_b_field(b)
         try:
             coupled = run_protocol(replace(p, bath=bath_b))
             baseline = run_protocol(replace(p, bath=replace(bath_b, coupling=0.0)))
             dphi = coupled.gp.phi_total - baseline.gp.phi_total
-
-            theory_trace = build_trace(
+            dphi_th = baseline_subtracted_phase(
                 lambda t: decoherence_factor_oracle(bath_b, t), p.sys, theory_samples
             )
-            dphi_th = geometric_phase(theory_trace, p.sys).phi_total - theory_baseline.phi_total
             records.append(CorrectionRecord(float(b), dphi, dphi_th))
         except Exception as exc:
             records.append(

@@ -78,31 +78,3 @@ def partial_trace_env(rho, validate: bool = True) -> np.ndarray:
         raise DimensionMismatch(f"expected 4x4, got {rho.shape}")
     r = rho.reshape(2, 2, 2, 2)
     return np.trace(r, axis1=1, axis2=3)
-
-
-def eigh_2x2(h):
-    """Eigendecomposition of a 2x2 Hermitian matrix with a fixed phase gauge.
-
-    Returns ``(w, v)`` with eigenvalues ascending and each eigenvector's first
-    nonzero component made real positive (reproducible global phase).
-    """
-    h = check_hermitian(h)
-    if h.shape != (2, 2):
-        raise DimensionMismatch(f"expected 2x2, got {h.shape}")
-    w, v = np.linalg.eigh(h)
-    for j in range(2):
-        col = v[:, j]
-        idx = np.argmax(np.abs(col) > 1e-14)
-        ph = col[idx] / abs(col[idx])
-        v[:, j] = col / ph
-    return w, v
-
-
-def apply_unitary(u, psi) -> np.ndarray:
-    """u @ psi with a norm-preservation check."""
-    psi = np.asarray(psi, dtype=complex)
-    out = u @ psi
-    n = np.linalg.norm(out)
-    if abs(n - np.linalg.norm(psi)) > 1e-12:
-        raise NonHermitianInput("propagator failed to preserve the state norm")
-    return out

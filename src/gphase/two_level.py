@@ -22,7 +22,6 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import ValidationError
-from .gp import SystemParams, build_trace, geometric_phase
 
 _TWO_PI = 2.0 * np.pi
 
@@ -178,41 +177,3 @@ def analytic_formula_report(p: TwoLevelBathParams, samples: int = 512) -> dict:
         "lambda": p.lam,
         "shift": d,
     }
-
-
-@dataclass(frozen=True)
-class CorrectionPoint:
-    """One point of a coupling-induced geometric-phase correction sweep."""
-
-    b_field: float
-    dphi: float
-    error: str | None = None
-
-
-def gp_correction_curve(
-    bath: TwoLevelBathParams,
-    b_values,
-    sys: SystemParams,
-    samples: int = 1024,
-) -> list[CorrectionPoint]:
-    """Geometric-phase correction dPhi(B) = Phi[coupled] - Phi[uncoupled].
-
-    ``bath`` fixes Delta, delta and the convention; lambda is overridden per
-    sweep point so that the bath field equals each requested B.  The baseline
-    is evaluated through the same engine with the coupling switched off,
-    mirroring an experiment that subtracts an uncoupled reference run.
-    Failed points are flagged in the output instead of being dropped.
-    """
-    baseline = geometric_phase(
-        build_trace(lambda t: np.ones_like(t, dtype=complex), sys, samples), sys
-    )
-    points: list[CorrectionPoint] = []
-    for b in np.asarray(b_values, dtype=float):
-        p = bath.with_b_field(b)
-        try:
-            trace = build_trace(lambda t: decoherence_factor_oracle(p, t), sys, samples)
-            gp = geometric_phase(trace, sys)
-            points.append(CorrectionPoint(float(b), gp.phi_total - baseline.phi_total))
-        except Exception as exc:  # per-point failures must stay visible
-            points.append(CorrectionPoint(float(b), np.nan, error=f"{type(exc).__name__}: {exc}"))
-    return points

@@ -1,9 +1,10 @@
+import dataclasses
 import json
 
 import numpy as np
 import pytest
 
-from gphase.cli import PRESETS, main, parse_config, presets
+from gphase.cli import EXPERIMENTS, PRESETS, main, parse_config, presets
 from gphase.gp import SystemParams, build_trace, geometric_phase
 from gphase.two_level import TwoLevelBathParams, decoherence_factor_oracle
 
@@ -19,17 +20,24 @@ class TestPresets:
         assert presets() == ["paper-fig1c", "paper-figA", "trotter-claim"]
 
     def test_figA_parameters(self):
-        p = PRESETS["paper-figA"]
+        p = parse_config(["ising-sweep", "--preset", "paper-figA"]).parameters
         assert p["n_spins"] == 100
         assert p["coupling"] == pytest.approx(5e-5)
         assert p["omega_over_j"] == 1.0
 
     def test_fig1c_parameters(self):
-        p = PRESETS["paper-fig1c"]
+        p = parse_config(["correction", "--preset", "paper-fig1c"]).parameters
         assert p["theta"] == pytest.approx(np.pi / 4)
         assert p["delta_gap"] == pytest.approx(0.02 * p["omega"])
         assert p["coupling"] == pytest.approx(0.1 * p["omega"])
         assert (p["b_min"], p["b_max"]) == (-0.2 * p["omega"], 0.2 * p["omega"])
+
+    @pytest.mark.parametrize("name", list(PRESETS))
+    def test_preset_is_its_experiments_defaults(self, name):
+        experiment = PRESETS[name]
+        with_preset = parse_config([experiment, "--preset", name])
+        assert with_preset.parameters == EXPERIMENTS[experiment].defaults
+        assert with_preset.config_hash == parse_config([experiment]).config_hash
 
     def test_listing_command(self, capsys):
         assert main(["presets"]) == 0
@@ -57,13 +65,16 @@ class TestGpCurve:
         assert row[cols.index("correction")] == pytest.approx(ref.correction, abs=1e-12)
         assert doc["provenance"]["config_hash"] == row[cols.index("config_hash")]
 
-    def test_sweep_axis(self, tmp_path):
+    def test_sweep_axis(self, tmp_path, point_calls):
         argv = ["gp-curve", "--sweep", "b_field", "-15", "15", "3", "--samples", "256"]
         rc, raw = run_cli(argv, tmp_path, "sweep.csv")
         assert rc == 0
         lines = raw.decode().strip().splitlines()
         assert lines[0].startswith("b_field,phi_total")
         assert len(lines) == 4
+        assert len(point_calls) == 3
+        # the swept field reaches the physics, not only the first column
+        assert len({line.split(",", 1)[1] for line in lines[1:]}) == 3
 
 
 class TestTraceExperiment:
@@ -163,3 +174,94 @@ class TestScaleInvariance:
             tr = build_trace(lambda t: decoherence_factor_oracle(bath, t), sysp, 1024)
             outs.append(geometric_phase(tr, sysp).phi_total)
         assert abs(outs[0] - outs[1]) < 1e-10
+
+
+# config_hash of each experiment's defaults, as written by earlier releases;
+# reference payloads carry these hashes
+@pytest.mark.parametrize("argv, digest", [
+    (["trace"], "9fb8bfa3981a65c4"),
+    (["gp-curve"], "f05a7d9a3fb00661"),
+    (["ising-sweep"], "34032a84da4dba98"),
+    (["ising-sweep", "--preset", "paper-figA"], "34032a84da4dba98"),
+    (["ising-approx"], "25ffccbcae8ff61d"),
+    (["trotter-check"], "81e3c1f4845bee68"),
+    (["trotter-check", "--preset", "trotter-claim"], "81e3c1f4845bee68"),
+    (["correction"], "bc5ab4947ef156f3"),
+    (["correction", "--preset", "paper-fig1c"], "bc5ab4947ef156f3"),
+])
+def test_config_hash_pinned(argv, digest):
+    assert parse_config(argv).config_hash == digest
+
+
+@pytest.fixture
+def point_calls(monkeypatch):
+    """Count the point-function calls of every experiment."""
+    calls = []
+    for name, exp in EXPERIMENTS.items():
+        def spy(args, point=exp.point):
+            calls.append(args)
+            return point(args)
+        monkeypatch.setitem(EXPERIMENTS, name, dataclasses.replace(exp, point=spy))
+    return calls
+
+
+class TestRejectedBeforeWork:
+    """Inputs the experiment table rejects, each with its documented exit code."""
+
+    def test_unknown_sweep_axis(self, point_calls):
+        # a misspelt axis used to sweep nothing and print identical rows
+        assert main(["gp-curve", "--sweep", "bfield", "0", "10", "3"]) == 2
+        assert point_calls == []
+
+    @pytest.mark.parametrize("argv", [
+        ["correction", "--sweep", "theta", "0.5", "0.7", "2"],      # used theta as B
+        ["ising-approx", "--sweep", "n_spins", "10", "20", "2"],    # used N as lambda
+        ["trotter-check", "--sweep", "b_min", "1", "3", "2"],       # ran 3 Trotter steps
+        ["trace", "--sweep", "theta", "0.5", "0.7", "2"],           # ignored the sweep
+    ])
+    def test_sweep_on_experiment_without_axis(self, argv, point_calls):
+        assert main(argv) == 2
+        assert point_calls == []
+
+    def test_flag_the_experiment_does_not_use(self, point_calls):
+        # omega used to enter the parameters and the hash and change nothing
+        assert main(["ising-approx", "--omega", "5"]) == 2
+        assert point_calls == []
+
+    def test_samples_below_trace_floor(self, point_calls):
+        assert main(["gp-curve", "--samples", "10"]) == 3
+        assert point_calls == []
+
+    def test_out_of_range_sweep_point(self, point_calls):
+        # theta = 3 is valid and must not run before theta = 4 is rejected
+        assert main(["gp-curve", "--sweep", "theta", "3", "4", "2"]) == 3
+        assert point_calls == []
+
+    def test_nan_coupling(self, point_calls):
+        # used to refine up to 65536 samples before failing
+        assert main(["gp-curve", "--coupling", "nan"]) == 3
+        assert point_calls == []
+
+    def test_nan_lambda(self, point_calls):
+        # used to escape as a bare ValueError
+        assert main(["ising-approx", "--lambda-min", "nan"]) == 3
+        assert point_calls == []
+
+    @pytest.mark.parametrize("argv", [
+        ["trace", "--b-field", "inf"],
+        ["correction", "--b-points", "0"],
+        ["trotter-check", "--max-steps", "0"],
+        ["ising-sweep", "--n-spins", "5"],
+        ["ising-approx", "--omega-over-j", "-1"],
+        ["gp-curve", "--sweep", "theta", "0.5", "0.7", "0"],
+    ])
+    def test_other_invalid_values(self, argv, point_calls):
+        assert main(argv) == 3
+        assert point_calls == []
+
+
+def test_trotter_grid_is_doublings(tmp_path):
+    rc, raw = run_cli(["trotter-check", "--max-steps", "5", "--b-points", "2"], tmp_path, "t.csv")
+    assert rc == 0
+    steps = [float(line.split(",")[0]) for line in raw.decode().strip().splitlines()[1:]]
+    assert steps == [1.0, 2.0, 4.0]

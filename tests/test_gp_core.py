@@ -19,7 +19,6 @@ from gphase.gp import (
     gp_from_trajectory,
     trace_from_samples,
 )
-from gphase.qmat import eigh_2x2
 from gphase.two_level import TwoLevelBathParams, decoherence_factor_oracle
 
 OMEGA = 100.0 * np.pi
@@ -124,7 +123,7 @@ class TestEpsPlus:
                 ],
                 dtype=complex,
             )
-            w, _ = eigh_2x2(rho)
+            w, _ = np.linalg.eigh(rho)
             assert eps_plus(r, th) == pytest.approx(w[1], abs=1e-12)
 
 
@@ -148,7 +147,7 @@ class TestBlochPlusAngle:
             ],
             dtype=complex,
         )
-        _, v = eigh_2x2(rho)
+        _, v = np.linalg.eigh(rho)
         c, s = bloch_plus_angle(r, th, eps_plus(r, th))
         # + eigenvector is (sin(th+/2), cos(th+/2)) for a real coherence
         assert s == pytest.approx(abs(v[0, 1]), abs=1e-10)

@@ -10,8 +10,7 @@ from gphase.ising import (
     bogoliubov_angle,
     brute_force_oracle,
     decoherence_product,
-    mode_amplitude,
-    mode_factors,
+    dispersion,
     momenta,
 )
 from gphase.qmat import I2, X, Z
@@ -33,74 +32,46 @@ class TestParams:
 
 class TestModeFactors:
     def test_flat_band_at_zero_field(self):
-        p = IsingBathParams(8, 1.0, 0.0, 0.0)
-        for k in momenta(8):
-            assert mode_factors(p, k).eps_k == pytest.approx(2.0, abs=1e-14)
+        np.testing.assert_allclose(dispersion(0.0, momenta(8)), 2.0, atol=1e-14)
 
     def test_critical_dispersion(self):
-        p = IsingBathParams(16, 1.0, 1.0, 0.0)
-        for k in momenta(16):
-            mf = mode_factors(p, k)
-            assert mf.eps_k == pytest.approx(4.0 * abs(np.sin(k / 2)), abs=1e-12)
+        k = momenta(16)
+        np.testing.assert_allclose(dispersion(1.0, k), 4.0 * np.abs(np.sin(k / 2)), atol=1e-12)
 
     def test_alpha_vs_finite_difference(self):
-        p = IsingBathParams(6, 1.0, 0.5, 1e-3)
-        mf = mode_factors(p, np.pi / 3)
+        lam, d, k = 0.5, 1e-3, np.pi / 3
+        # half the Bogoliubov angle difference across the shifted branch
+        alpha = 0.5 * (bogoliubov_angle(lam + d, k) - bogoliubov_angle(lam, k))
         # midpoint derivative of the Bogoliubov angle
         h = 1e-6
-        dth = (bogoliubov_angle(0.5 + p.coupling / 2 + h, np.pi / 3)
-               - bogoliubov_angle(0.5 + p.coupling / 2 - h, np.pi / 3)) / (2 * h)
-        assert mf.alpha_k == pytest.approx(0.5 * p.coupling * dth, abs=1e-8)
+        dth = (bogoliubov_angle(lam + d / 2 + h, k) - bogoliubov_angle(lam + d / 2 - h, k)) / (2 * h)
+        assert alpha == pytest.approx(0.5 * d * dth, abs=1e-8)
 
     def test_momentum_domain(self):
-        p = IsingBathParams(6, 1.0, 0.5, 0.01)
-        with pytest.raises(ValidationError):
-            mode_factors(p, 0.0)
-        with pytest.raises(ValidationError):
-            mode_factors(p, np.pi)
+        # the Bogoliubov angle is degenerate at k = 0 and pi; no mode sits there
+        for n in (2, 6, 100):
+            k = momenta(n)
+            assert np.all((k > 0.0) & (k < np.pi))
 
 
 class TestModeAmplitude:
-    def test_initial_point(self):
-        p = IsingBathParams(8, 1.0, 0.5, 0.01)
-        mf = mode_factors(p, momenta(8)[1])
-        assert mode_amplitude(mf, 0.0) == (1.0, 0.0)
-
-    def test_no_rotation_keeps_unit_magnitude(self):
-        p = IsingBathParams(8, 1.0, 0.5, 0.0)  # alpha_k = 0
-        mf = mode_factors(p, momenta(8)[2])
-        for t in (0.4, 2.7, 9.1):
-            r_k, phi_k = mode_amplitude(mf, t)
-            assert r_k == pytest.approx(1.0, abs=1e-14)
-            # the mode factor's full phase is (eps~ - eps) t, zero at delta = 0
-            assert phi_k == pytest.approx(mf.eps_tilde_k * t, abs=1e-10)
-
-    def test_magnitude_bounds(self):
-        rng = np.random.default_rng(3)
-        for _ in range(30):
-            p = IsingBathParams(10, 1.0, rng.uniform(0, 2), rng.uniform(0, 0.3))
-            mf = mode_factors(p, rng.choice(momenta(10)))
-            r_k, _ = mode_amplitude(mf, rng.uniform(0, 10))
-            assert abs(np.cos(2 * mf.alpha_k)) - 1e-12 <= r_k <= 1.0 + 1e-12
-
     def test_against_mode_space_evolution(self):
-        # independent 2x2 oracle: dense exponentials in the (vacuum, pair) block
+        # independent 2x2 oracle: dense exponentials in each mode's (vacuum,
+        # pair) block, multiplied over the momenta
         rng = np.random.default_rng(11)
         for _ in range(12):
             lam, d = rng.uniform(0, 1.8), rng.uniform(1e-3, 0.2)
-            p = IsingBathParams(12, 1.0, lam, d)
-            k = rng.choice(momenta(12))
             t = rng.uniform(0, 8)
-            mf = mode_factors(p, k)
-            r_k, phi_k = mode_amplitude(mf, t)
-
-            h = lambda l: 2.0 * ((l - np.cos(k)) * Z + np.sin(k) * X)
-            w, v = np.linalg.eigh(h(lam))
-            g = v[:, 0]
-            direct = g.conj() @ scipy.linalg.expm(1j * h(lam) * t) @ scipy.linalg.expm(
-                -1j * h(lam + d) * t
-            ) @ g
-            assert abs(r_k * np.exp(1j * (phi_k - mf.eps_k * t)) - direct) < 1e-10
+            direct = 1.0
+            for k in momenta(12):
+                h = lambda l: 2.0 * ((l - np.cos(k)) * Z + np.sin(k) * X)
+                w, v = np.linalg.eigh(h(lam))
+                g = v[:, 0]
+                direct *= g.conj() @ scipy.linalg.expm(1j * h(lam) * t) @ scipy.linalg.expm(
+                    -1j * h(lam + d) * t
+                ) @ g
+            p = IsingBathParams(12, 1.0, lam, d)
+            assert abs(decoherence_product(p, t) - direct) < 1e-10
 
 
 class TestProduct:

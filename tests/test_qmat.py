@@ -7,8 +7,6 @@ from gphase.qmat import (
     I2,
     X,
     Z,
-    apply_unitary,
-    eigh_2x2,
     expm_hermitian,
     kron,
     partial_trace_env,
@@ -61,7 +59,7 @@ class TestExpm:
         rng = np.random.default_rng(3)
         h = random_hermitian(2, rng)
         psi = np.array([0.6, 0.8], dtype=complex)
-        out = apply_unitary(expm_hermitian(h, 1.7), psi)
+        out = expm_hermitian(h, 1.7) @ psi
         assert abs(np.linalg.norm(out) - 1.0) < 1e-12
 
 
@@ -153,36 +151,3 @@ class TestPartialTrace:
         bad[0, 1] = 0.5
         with pytest.raises(InvalidDensityMatrix):
             partial_trace_env(bad)  # not Hermitian
-
-
-class TestEigh2x2:
-    def test_pauli_z(self):
-        w, v = eigh_2x2(Z)
-        np.testing.assert_allclose(w, [-1.0, 1.0], atol=1e-14)
-        np.testing.assert_allclose(np.abs(v[:, 0]), [0.0, 1.0], atol=1e-14)
-        np.testing.assert_allclose(np.abs(v[:, 1]), [1.0, 0.0], atol=1e-14)
-
-    def test_field_plus_gap(self):
-        b, d = 1.3, 0.7
-        w, _ = eigh_2x2(b * Z + d * X)
-        e = np.hypot(b, d)
-        np.testing.assert_allclose(w, [-e, e], atol=1e-12)
-
-    def test_degenerate_identity(self):
-        w, v = eigh_2x2(np.eye(2))
-        np.testing.assert_allclose(w, [1.0, 1.0], atol=0)
-        np.testing.assert_allclose(v.conj().T @ v, np.eye(2), atol=1e-14)
-
-    def test_residual_and_phase_convention(self):
-        rng = np.random.default_rng(31)
-        for _ in range(20):
-            h = random_hermitian(2, rng)
-            w, v = eigh_2x2(h)
-            for j in range(2):
-                assert np.linalg.norm(h @ v[:, j] - w[j] * v[:, j]) < 1e-12
-                lead = v[np.argmax(np.abs(v[:, j]) > 1e-14), j]
-                assert abs(lead.imag) < 1e-12 and lead.real > 0
-
-    def test_rejects_non_hermitian(self):
-        with pytest.raises(NonHermitianInput):
-            eigh_2x2(np.array([[0.0, 1.0], [2.0, 0.0]]))

@@ -4,9 +4,14 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from gphase.errors import ValidationError
-from gphase.gp import SystemParams, density_trajectory, gp_from_trajectory
-from gphase.qmat import X, Z, eigh_2x2
+from gphase.errors import UnwrapFailure, ValidationError
+from gphase.gp import (
+    SystemParams,
+    baseline_subtracted_phase,
+    density_trajectory,
+    gp_from_trajectory,
+)
+from gphase.qmat import X, Z
 from gphase.two_level import (
     CouplingConvention,
     TwoLevelBathParams,
@@ -14,7 +19,6 @@ from gphase.two_level import (
     bath_eigenenergies,
     decoherence_factor_analytic,
     decoherence_factor_oracle,
-    gp_correction_curve,
     ground_state,
     one_sided_overlap,
 )
@@ -60,7 +64,7 @@ class TestEigenenergies:
 
     def test_matches_diagonalization(self):
         p = TwoLevelBathParams(delta_gap=2 * np.pi, lam=0.5, coupling=0.0)
-        w, _ = eigh_2x2(p.b_field * Z + p.delta_gap * X)
+        w, _ = np.linalg.eigh(p.b_field * Z + p.delta_gap * X)
         lo, hi = bath_eigenenergies(p)
         assert lo == pytest.approx(w[0], abs=1e-12)
         assert hi == pytest.approx(w[1], abs=1e-12)
@@ -75,7 +79,7 @@ class TestGroundState:
     def test_vanishing_gap_limit(self):
         p = TwoLevelBathParams(delta_gap=1e-9, lam=1e9, coupling=0.0)  # B = 1, gap -> 0
         g = ground_state(p)
-        w, v = eigh_2x2(p.b_field * Z + p.delta_gap * X)
+        w, v = np.linalg.eigh(p.b_field * Z + p.delta_gap * X)
         assert abs(abs(np.vdot(v[:, 0], g)) - 1.0) < 1e-9
 
     def test_residual(self):
@@ -174,21 +178,25 @@ class TestAnalyticFormula:
         )
 
 
+def dphi(bath, b, sysp, samples):
+    """Baseline-subtracted phase of the bath at field b."""
+    at_b = bath.with_b_field(b)
+    return baseline_subtracted_phase(lambda t: decoherence_factor_oracle(at_b, t), sysp, samples)
+
+
 class TestCorrectionCurve:
     def test_uncoupled_curve_is_zero(self):
         sysp = SystemParams(omega=OMEGA, theta=np.pi / 4)
-        pts = gp_correction_curve(paper_bath(coupling=0.0), np.linspace(-1, 1, 5) * OMEGA / 10, sysp, 256)
-        assert all(p.error is None for p in pts)
-        assert max(abs(p.dphi) for p in pts) < 1e-8
+        bs = np.linspace(-1, 1, 5) * OMEGA / 10
+        assert max(abs(dphi(paper_bath(coupling=0.0), b, sysp, 256)) for b in bs) < 1e-8
 
     def test_peak_at_criticality_and_asymmetry(self):
         sysp = SystemParams(omega=OMEGA, theta=np.pi / 4)
         bs = np.linspace(-0.2 * OMEGA, 0.2 * OMEGA, 21)
-        pts = gp_correction_curve(paper_bath(), bs, sysp, 512)
-        dphi = np.array([p.dphi for p in pts])
-        assert np.argmax(np.abs(dphi)) == np.argmin(np.abs(bs))
+        curve = np.array([dphi(paper_bath(), b, sysp, 512) for b in bs])
+        assert np.argmax(np.abs(curve)) == np.argmin(np.abs(bs))
         ip, im = np.argmin(np.abs(bs - 0.1 * OMEGA)), np.argmin(np.abs(bs + 0.1 * OMEGA))
-        rel = abs(abs(dphi[ip]) - abs(dphi[im])) / max(abs(dphi[ip]), abs(dphi[im]))
+        rel = abs(abs(curve[ip]) - abs(curve[im])) / max(abs(curve[ip]), abs(curve[im]))
         assert rel > 0.05
 
     def test_single_point_vs_trajectory_pipeline(self):
@@ -197,24 +205,22 @@ class TestCorrectionCurve:
 
         sysp = SystemParams(omega=OMEGA, theta=np.pi / 4)
         bath = paper_bath().with_b_field(0.1 * OMEGA)
-        pts = gp_correction_curve(bath, [bath.b_field], sysp, 2048)
+        point = dphi(bath, bath.b_field, sysp, 2048)
         run = run_protocol(
             ProtocolParams(sys=sysp, bath=bath), np.linspace(0.0, sysp.tau, 32769)
         )
         phi_traj = gp_from_trajectory(density_trajectory(run.trace, sysp))
         baseline = np.pi * (1 - np.cos(sysp.theta))
-        diff = (pts[0].dphi - (phi_traj - baseline) + np.pi) % (2 * np.pi) - np.pi
+        diff = (point - (phi_traj - baseline) + np.pi) % (2 * np.pi) - np.pi
         assert abs(diff) < 1e-6
 
     def test_failed_points_flagged(self):
         # a coupling winding faster than the refinement cap can resolve fails
-        # its point; the sane point on the same sweep still succeeds
+        # loudly at B = 0; a sane point still succeeds
         sysp = SystemParams(omega=OMEGA, theta=np.pi / 4)
-        bath = paper_bath(coupling=1e6 * OMEGA)
-        pts = gp_correction_curve(bath, [0.0], sysp, 256)
-        assert pts[0].error is not None and "UnwrapFailure" in pts[0].error
-        ok = gp_correction_curve(paper_bath(), [0.1 * OMEGA], sysp, 256)
-        assert ok[0].error is None
+        with pytest.raises(UnwrapFailure):
+            dphi(paper_bath(coupling=1e6 * OMEGA), 0.0, sysp, 256)
+        assert np.isfinite(dphi(paper_bath(), 0.1 * OMEGA, sysp, 256))
 
 
 class TestLandscape:
