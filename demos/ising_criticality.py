@@ -55,8 +55,8 @@ def main():
     for lam in lams:
         ex = exact_dphi(float(lam)) / norm
         p = IsingBathParams(N, 1.0, float(lam), DELTA)
-        o2 = (gp_approx_ising(p, sysp, order=2) - phi0) / norm
-        o3 = (gp_approx_ising(p, sysp, order=3) - phi0) / norm
+        gp = gp_approx_ising(p, sysp)
+        o2, o3 = (gp.order2 - phi0) / norm, (gp.order3 - phi0) / norm
         rows.append((lam, ex, o2, o3))
         marker = "  <- critical point" if abs(lam - 1.0) < 1e-9 else ""
         print(f"    {lam:4.2f}   {ex:+9.4f}   {o2:+9.4f}   {o3:+9.4f}{marker}")

@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import argparse
 import concurrent.futures
+import contextlib
 import hashlib
 import json
 import logging
@@ -42,6 +43,7 @@ from .gp import MIN_SAMPLES, SystemParams, baseline_subtracted_phase, build_trac
 from .ising import IsingBathParams, decoherence_product
 from .perturbative import gp_approx_ising
 from .protocol import (
+    READOUT_SAMPLES,
     Decomposition,
     ProtocolParams,
     correction_experiment,
@@ -122,6 +124,11 @@ def _protocol(p: dict) -> tuple[ProtocolParams, float]:
         sys=sysp, bath=bath, trotter_steps=int(p["trotter_steps"]),
         decomposition=Decomposition(p["decomposition"]),
     )
+    if proto.decomposition is not Decomposition.EXACT and proto.trotter_steps % READOUT_SAMPLES:
+        raise ValidationError(
+            f"{proto.decomposition.value} needs trotter_steps to be a multiple of the "
+            f"{READOUT_SAMPLES} readout intervals, got {proto.trotter_steps}"
+        )
     return proto, p["b_field"]
 
 
@@ -173,7 +180,8 @@ def _correction_rows(args) -> list[list[float]]:
 def _ising_orders_norm(bath: IsingBathParams, sysp: SystemParams) -> list[float]:
     phi0 = np.pi * (1.0 - np.cos(sysp.theta))
     norm = bath.n_spins * bath.coupling**2
-    return [(gp_approx_ising(bath, sysp, order=k) - phi0) / norm for k in (2, 3)]
+    gp = gp_approx_ising(bath, sysp)
+    return [(gp.order2 - phi0) / norm, (gp.order3 - phi0) / norm]
 
 
 def _ising_sweep_rows(args) -> list[list[float]]:
@@ -297,11 +305,17 @@ def _capture(func, task):
         return exc
 
 
-def _results(func, tasks: list[tuple], workers: int) -> list:
-    if workers > 1 and len(tasks) > 1:
-        with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
-            return list(pool.map(_capture, [func] * len(tasks), tasks))
-    return [_capture(func, t) for t in tasks]
+def _results(func, tasks: list[tuple], workers: int):
+    """Each task's result, or the exception it raised, in task order; closing
+    the iterator early leaves every task not yet started unrun."""
+    if workers < 2 or len(tasks) < 2:
+        yield from (_capture(func, t) for t in tasks)
+        return
+    with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
+        try:
+            yield from (f.result() for f in [pool.submit(_capture, func, t) for t in tasks])
+        finally:
+            pool.shutdown(cancel_futures=True)
 
 
 def _rows(config: RunConfig) -> tuple[list[str], list[list]]:
@@ -322,20 +336,18 @@ def _rows(config: RunConfig) -> tuple[list[str], list[list]]:
 
     digest = config.config_hash
     rows: list[list] = []
-    failures: list[str] = []
-    for p, result in zip(points, _results(exp.point, tasks, config.workers)):
-        head = [p[a] for a in axis]
-        if isinstance(result, Exception):
-            label = exp.label(p)
-            where = "".join(f" {c}={x:.6g}" for c, x in zip(columns, head + label))
-            msg = f"point{where}: {type(result).__name__}: {result}"
-            failures.append(msg)
-            log.warning("point failed: %s", msg)
-            result = [label + [np.nan] * (len(exp.columns) - len(label))]
-        rows += [head + row + [digest] for row in result]
-
-    if failures and not config.keep_going:
-        raise GphaseError(failures[0])
+    with contextlib.closing(_results(exp.point, tasks, config.workers)) as results:
+        for p, result in zip(points, results):
+            head = [p[a] for a in axis]
+            if isinstance(result, Exception):
+                label = exp.label(p)
+                where = "".join(f" {c}={x:.6g}" for c, x in zip(columns, head + label))
+                msg = f"point{where}: {type(result).__name__}: {result}"
+                log.warning("point failed: %s", msg)
+                if not config.keep_going:
+                    raise GphaseError(msg)
+                result = [label + [np.nan] * (len(exp.columns) - len(label))]
+            rows += [head + row + [digest] for row in result]
     return columns + ["config_hash"], rows
 
 

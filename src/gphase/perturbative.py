@@ -36,6 +36,7 @@ from typing import Callable
 
 import numpy as np
 from scipy.integrate import quad
+from scipy.special import ellipe, ellipk
 
 from .errors import (
     DomainError,
@@ -49,41 +50,18 @@ from .ising import IsingBathParams
 _QUAD_TOL = 1e-10
 
 
-_AGM_MAX_ITER = 64  # quadratic convergence needs ~6; cap guards ulp plateaus
-
-
 def elliptic_K(m: float) -> float:
-    """Complete elliptic integral of the first kind, parameter convention K(m).
-
-    Arithmetic-geometric mean iteration, converges quadratically to ~1e-15.
-    """
+    """Complete elliptic integral of the first kind, parameter convention K(m)."""
     if not 0.0 <= m < 1.0:
         raise DomainError(f"K(m) requires 0 <= m < 1, got {m}")
-    a, b = 1.0, np.sqrt(1.0 - m)
-    for _ in range(_AGM_MAX_ITER):
-        if abs(a - b) <= 4.0 * np.finfo(float).eps * a:
-            break
-        a, b = 0.5 * (a + b), np.sqrt(a * b)
-    return np.pi / (2.0 * a)
+    return float(ellipk(m))
 
 
 def elliptic_E(m: float) -> float:
     """Complete elliptic integral of the second kind E(m), parameter convention."""
     if not 0.0 <= m <= 1.0:
         raise DomainError(f"E(m) requires 0 <= m <= 1, got {m}")
-    if m == 1.0:
-        return 1.0
-    a, b = 1.0, np.sqrt(1.0 - m)
-    c_sum = 0.5 * m  # 2^{-1} c_0^2 with c_0 = sqrt(m)
-    pow2 = 0.5
-    for _ in range(_AGM_MAX_ITER):
-        if abs(a - b) <= 4.0 * np.finfo(float).eps * a:
-            break
-        c = 0.5 * (a - b)
-        a, b = 0.5 * (a + b), np.sqrt(a * b)
-        pow2 *= 2.0
-        c_sum += pow2 * c * c
-    return np.pi / (2.0 * a) * (1.0 - c_sum)
+    return float(ellipe(m))
 
 
 @dataclass(frozen=True)
@@ -147,6 +125,17 @@ class PerturbativeGp:
     order3: float
 
 
+def _assemble(theta, omega, delta, int_r2, r2_end, p1_end, int_r3, int_cross) -> PerturbativeGp:
+    """The cycle phase to second and to third order, from Int R2, R2(T), p1(T),
+    Int R3 and Int R2 p1' over one cycle, with ``omega`` in the times' units."""
+    phi0 = np.pi * (1.0 - np.cos(theta))
+    pref = np.cos(theta) * np.sin(theta) ** 2
+    order2 = phi0 - pref * delta**2 * (omega / 4.0) * int_r2
+    cubic = 3.0 * r2_end * p1_end + p1_end**3 + 6.0 * omega * int_r3 - 6.0 * int_cross
+    order3 = order2 - pref * delta**3 / 24.0 * cubic
+    return PerturbativeGp(order2=float(order2), order3=float(order3))
+
+
 def gp_third_order(
     coeffs: ExpansionCoefficients, sys: SystemParams, delta: float
 ) -> PerturbativeGp:
@@ -158,23 +147,11 @@ def gp_third_order(
     if abs(t[0]) > 0 or abs(t[-1] - sys.tau) > 1e-9 * sys.tau:
         raise ValidationError("coefficient grid must cover [0, tau]")
     dt = t[1] - t[0]
-    th = sys.theta
-    phi0 = np.pi * (1.0 - np.cos(th))
-    pref = np.cos(th) * np.sin(th) ** 2
-
-    int_r2 = _simpson(coeffs.R2, dt)
-    int_r3 = _simpson(coeffs.R3, dt)
-    int_cross = _simpson(coeffs.R2 * _central_diff(coeffs.phi1, dt), dt)
-
-    order2 = phi0 - pref * delta**2 * (sys.omega / 4.0) * int_r2
-    cubic = (
-        3.0 * coeffs.R2[-1] * coeffs.phi1[-1]
-        + coeffs.phi1[-1] ** 3
-        + 6.0 * sys.omega * int_r3
-        - 6.0 * int_cross
+    return _assemble(
+        sys.theta, sys.omega, delta, int_r2=_simpson(coeffs.R2, dt), r2_end=coeffs.R2[-1],
+        p1_end=coeffs.phi1[-1], int_r3=_simpson(coeffs.R3, dt),
+        int_cross=_simpson(coeffs.R2 * _central_diff(coeffs.phi1, dt), dt),
     )
-    order3 = order2 - pref * delta**3 / 24.0 * cubic
-    return PerturbativeGp(order2=float(order2), order3=float(order3))
 
 
 def _panel_quad(f, n_osc: float) -> float:
@@ -273,7 +250,7 @@ def ising_closed_forms(p: IsingBathParams, sys: SystemParams) -> IsingClosedForm
     return IsingClosedForms(n_spins=p.n_spins, t_period=sys.tau * p.j_coupling)
 
 
-def gp_approx_ising(p: IsingBathParams, sys: SystemParams, order: int = 3) -> float:
+def gp_approx_ising(p: IsingBathParams, sys: SystemParams) -> PerturbativeGp:
     """Weak-coupling geometric phase of a spin against the Ising chain.
 
     Evaluates, with W = Omega/J, T = 2 pi / W and d the dimensionless field
@@ -282,25 +259,16 @@ def gp_approx_ising(p: IsingBathParams, sys: SystemParams, order: int = 3) -> fl
         Phi = Phi0 - cos th sin^2 th [ d^2 W F2/4
               + (d^3/24)(3 T f2 G1 + T^3 G1^3 + 6 W F3 - 6 G1 F2) ],
 
-    truncated at the requested order (2 or 3).
+    truncated at second and at third order; each closed form is evaluated once.
     """
-    if order not in (2, 3):
-        raise ValidationError(f"order must be 2 or 3, got {order}")
-    th = sys.theta
-    phi0 = np.pi * (1.0 - np.cos(th))
-    pref = np.cos(th) * np.sin(th) ** 2
     cf = ising_closed_forms(p, sys)
-    omega_j = sys.omega / p.j_coupling
-    d = p.coupling
-
-    out = phi0 - pref * d**2 * omega_j * cf.F2(p.lam) / 4.0
-    if order == 3:
-        T = cf.t_period
-        g1 = cf.g1(p.lam)
-        f2 = cf.f2(p.lam)
-        cubic = 3.0 * T * f2 * g1 + T**3 * g1**3 + 6.0 * omega_j * cf.F3(p.lam) - 6.0 * g1 * cf.F2(p.lam)
-        out -= pref * d**3 / 24.0 * cubic
-    return float(out)
+    lam = p.lam
+    f2, F2, F3, g1 = cf.f2(lam), cf.F2(lam), cf.F3(lam), cf.g1(lam)
+    # the chain's coefficients: R2(T) = f2, p1(t) = t G1, so Int R2 p1' = G1 F2
+    return _assemble(
+        sys.theta, sys.omega / p.j_coupling, p.coupling,
+        int_r2=F2, r2_end=f2, p1_end=cf.t_period * g1, int_r3=F3, int_cross=g1 * F2,
+    )
 
 
 def mode_coefficients(lam: float, k, t):

@@ -187,8 +187,9 @@ def test_c07_appendix_figure_desk_scale():
         for lam in lams:
             ex = _exact_ising_dphi(lam) / norm
             p = IsingBathParams(100, 1.0, float(lam), 5e-5)
-            o3 = (gp_approx_ising(p, sp, order=3) - phi0) / norm
-            o2 = (gp_approx_ising(p, sp, order=2) - phi0) / norm
+            out = gp_approx_ising(p, sp)
+            o3 = (out.order3 - phi0) / norm
+            o2 = (out.order2 - phi0) / norm
             rel_errs.append(abs(o3 - ex) / abs(ex))
             wins += abs(o3 - ex) < abs(o2 - ex)
         assert max(rel_errs) < 0.10

@@ -1,10 +1,12 @@
 import dataclasses
 import json
+import time
 
 import numpy as np
 import pytest
 
-from gphase.cli import EXPERIMENTS, PRESETS, main, parse_config, presets
+from gphase.cli import EXPERIMENTS, PRESETS, _results, main, parse_config, presets
+from gphase.errors import GphaseError
 from gphase.gp import SystemParams, build_trace, geometric_phase
 from gphase.two_level import TwoLevelBathParams, decoherence_factor_oracle
 
@@ -111,6 +113,16 @@ class TestDeterminism:
         assert changed.config_hash != base.config_hash
 
 
+def _fail_first(task):
+    """Pool point function: task 0 fails, every other task leaves a file."""
+    index, folder = task
+    if index == 0:
+        raise GphaseError("first point fails")
+    time.sleep(0.1)
+    (folder / str(index)).touch()
+    return [[float(index)]]
+
+
 class TestExitCodes:
     def test_validation_error(self, tmp_path, capsys):
         assert main(["gp-curve", "--omega", "-3"]) == 3
@@ -129,6 +141,18 @@ class TestExitCodes:
     def test_runtime_failure_without_keep_going(self, tmp_path):
         rc = main(self._BAD + ["--output", str(tmp_path / "f.csv")])
         assert rc == 1
+
+    def test_stops_at_first_failed_point(self, tmp_path, point_calls):
+        # B = -0.2 omega runs, B = 0 fails, B = +0.2 omega must not run
+        assert main(self._BAD + ["--output", str(tmp_path / "f.csv")]) == 1
+        assert len(point_calls) == 2
+
+    def test_pool_cancels_points_not_started(self, tmp_path):
+        tasks = [(i, tmp_path) for i in range(20)]
+        results = _results(_fail_first, tasks, workers=2)
+        assert isinstance(next(results), GphaseError)
+        results.close()
+        assert len(list(tmp_path.iterdir())) < len(tasks) // 2
 
     def test_keep_going_flags_and_succeeds(self, tmp_path):
         rc, raw = run_cli(self._BAD + ["--keep-going"], tmp_path, "kg.csv")
@@ -254,6 +278,9 @@ class TestRejectedBeforeWork:
         ["ising-sweep", "--n-spins", "5"],
         ["ising-approx", "--omega-over-j", "-1"],
         ["gp-curve", "--sweep", "theta", "0.5", "0.7", "0"],
+        # 2 steps cannot reach the readout grid's 64 intervals
+        ["correction", "--decomposition", "coarse-trotter", "--trotter-steps", "2",
+         "--b-points", "3"],
     ])
     def test_other_invalid_values(self, argv, point_calls):
         assert main(argv) == 3

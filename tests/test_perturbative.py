@@ -15,6 +15,7 @@ from gphase.perturbative import (
     gp_approx_ising,
     gp_third_order,
     ising_closed_forms,
+    IsingClosedForms,
     mode_coefficients,
 )
 from gphase.two_level import TwoLevelBathParams, decoherence_factor_oracle
@@ -43,6 +44,14 @@ class TestElliptic:
                    + elliptic_E(1 - m) * elliptic_K(m)
                    - elliptic_K(m) * elliptic_K(1 - m))
             assert lhs == pytest.approx(np.pi / 2, abs=1e-12)
+
+    @pytest.mark.parametrize("m", [0.0, 1e-12, 0.1, 0.5, 0.9, 1.0 - 1e-6, 1.0 - 1e-12])
+    def test_against_mpmath(self, m):
+        mpmath = pytest.importorskip("mpmath")
+        with mpmath.workdps(40):
+            k_ref, e_ref = mpmath.ellipk(m), mpmath.ellipe(m)
+            assert abs((elliptic_K(m) - k_ref) / k_ref) <= 1e-15
+            assert abs((elliptic_E(m) - e_ref) / e_ref) <= 1e-15
 
     def test_domain(self):
         with pytest.raises(DomainError):
@@ -242,13 +251,19 @@ class TestApproxIsing:
         p = IsingBathParams(100, 1.0, 0.5, 0.0)
         sp = SystemParams(omega=1.0, theta=np.pi / 4)
         phi0 = np.pi * (1 - np.cos(sp.theta))
-        assert gp_approx_ising(p, sp, order=2) == pytest.approx(phi0, abs=1e-14)
-        assert gp_approx_ising(p, sp, order=3) == pytest.approx(phi0, abs=1e-14)
+        out = gp_approx_ising(p, sp)
+        assert out.order2 == pytest.approx(phi0, abs=1e-14)
+        assert out.order3 == pytest.approx(phi0, abs=1e-14)
 
-    def test_order_validation(self):
-        p = IsingBathParams(100, 1.0, 0.5, 5e-5)
-        with pytest.raises(ValidationError):
-            gp_approx_ising(p, SystemParams(omega=1.0, theta=0.5), order=4)
+    def test_each_closed_form_evaluated_once(self, monkeypatch):
+        calls = []
+        for name in ("f2", "F2", "F3", "g1"):
+            def counted(self, lam, name=name, method=getattr(IsingClosedForms, name)):
+                calls.append(name)
+                return method(self, lam)
+            monkeypatch.setattr(IsingClosedForms, name, counted)
+        gp_approx_ising(IsingBathParams(100, 1.0, 0.5, 5e-5), SystemParams(omega=1.0, theta=0.5))
+        assert sorted(calls) == ["F2", "F3", "f2", "g1"]
 
     def test_theta_dependence_factorizes(self):
         # the correction scales exactly as cos(th) sin^2(th); a non-tiny
@@ -258,7 +273,7 @@ class TestApproxIsing:
         out = []
         for th in (th1, th2):
             sp = SystemParams(omega=1.0, theta=th)
-            out.append(gp_approx_ising(p, sp, order=3) - np.pi * (1 - np.cos(th)))
+            out.append(gp_approx_ising(p, sp).order3 - np.pi * (1 - np.cos(th)))
         expected = (np.cos(th1) * np.sin(th1) ** 2) / (np.cos(th2) * np.sin(th2) ** 2)
         assert out[0] / out[1] == pytest.approx(expected, abs=1e-10)
 
@@ -272,8 +287,9 @@ class TestApproxIsing:
             ones = build_trace(lambda t: np.ones_like(t, dtype=complex), sp, 4096)
             exact = geometric_phase(tr, sp).phi_total - geometric_phase(ones, sp).phi_total
             phi0 = np.pi * (1 - np.cos(sp.theta))
-            e3 = abs(gp_approx_ising(p, sp, order=3) - phi0 - exact)
-            e2 = abs(gp_approx_ising(p, sp, order=2) - phi0 - exact)
+            out = gp_approx_ising(p, sp)
+            e3 = abs(out.order3 - phi0 - exact)
+            e2 = abs(out.order2 - phi0 - exact)
             wins += e3 < e2
         assert wins == len(lams)
 

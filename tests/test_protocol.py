@@ -3,7 +3,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from gphase.errors import ValidationError
+from gphase.errors import InvalidDensityMatrix, ValidationError
 from gphase.gp import SystemParams
 from gphase.protocol import (
     PINNED_TROTTER_STEPS,
@@ -17,7 +17,7 @@ from gphase.protocol import (
     run_protocol,
     trotter_step,
 )
-from gphase.qmat import expm_hermitian
+from gphase.qmat import expm_hermitian, partial_trace_env
 from gphase.two_level import TwoLevelBathParams, decoherence_factor_oracle
 
 OMEGA = 100.0 * np.pi
@@ -159,6 +159,21 @@ class TestRunProtocol:
         p = make_params(trotter_steps=3, decomposition=Decomposition.COARSE_TROTTER)
         with pytest.raises(ValidationError):
             run_protocol(p, np.linspace(0.0, p.sys.tau, 65))
+
+    def test_coherence_matches_partial_trace(self):
+        from gphase.protocol import _system_coherence
+
+        rng = np.random.default_rng(3)
+        states = rng.normal(size=(50, 4)) + 1j * rng.normal(size=(50, 4))
+        states /= np.linalg.norm(states, axis=1, keepdims=True)
+        expected = [partial_trace_env(np.outer(psi, psi.conj()))[0, 1] for psi in states]
+        np.testing.assert_allclose(_system_coherence(states), expected, rtol=0, atol=1e-15)
+        states[7] *= 1.0 + 1e-9
+        with pytest.raises(InvalidDensityMatrix):
+            _system_coherence(states)
+        states[7] = np.nan
+        with pytest.raises(InvalidDensityMatrix):
+            _system_coherence(states)
 
     def test_input_theta_domain(self):
         with pytest.raises(ValidationError):
