@@ -172,8 +172,6 @@ def _gp_curve_rows(args) -> list[list[float]]:
 def _correction_rows(args) -> list[list[float]]:
     proto, b = args
     rec = correction_experiment(proto, [b])[0]
-    if rec.error is not None:
-        raise GphaseError(rec.error)
     return [[b / proto.sys.omega, rec.dphi, rec.dphi_theory]]
 
 

@@ -108,30 +108,27 @@ def trace_from_samples(times, r_values) -> DecoherenceTrace:
     return DecoherenceTrace(times=times, r_values=r, magnitude=mag, phase_unwrapped=phi)
 
 
-def _sample_trace(sampler, params: SystemParams, m: int) -> DecoherenceTrace:
-    times = np.linspace(0.0, params.tau, m + 1)
-    r = np.asarray(sampler(times), dtype=complex)
-    if r.shape != times.shape:
-        raise ValidationError("sampler must return one value per time point")
-    return trace_from_samples(times, r)
-
-
 def build_trace(sampler, params: SystemParams, samples: int = 256) -> DecoherenceTrace:
     """Sample ``sampler(t)`` on [0, tau] and unwrap, refining on failure.
 
     ``sampler`` is called with the full time grid (an ndarray) and must return
-    the complex r values.  Unwrapping is accepted only if a grid of twice the
-    density reproduces the same endpoint phase (an aliased winding cannot);
-    otherwise the grid is doubled, up to 2^6 times.  A persistent phase step
-    near pi (e.g. r crossing zero) raises UnwrapFailure.
+    the complex r values.  Each try samples a grid of twice the density once;
+    its even points are the candidate trace, and unwrapping is accepted only
+    if the full grid reproduces the same endpoint phase (an aliased winding
+    cannot); otherwise the grid is doubled, up to 2^6 times.  A persistent
+    phase step near pi (e.g. r crossing zero) raises UnwrapFailure.
     """
     if samples < MIN_SAMPLES:
         raise ValidationError(f"samples must be >= {MIN_SAMPLES}, got {samples}")
     m = samples + (samples % 2)  # composite Simpson needs an even interval count
     for _ in range(_MAX_REFINEMENTS + 1):
+        times = np.linspace(0.0, params.tau, 2 * m + 1)
+        r = np.asarray(sampler(times), dtype=complex)
+        if r.shape != times.shape:
+            raise ValidationError("sampler must return one value per time point")
         try:
-            trace = _sample_trace(sampler, params, m)
-            check = _sample_trace(sampler, params, 2 * m)
+            trace = trace_from_samples(times[::2], r[::2])
+            check = trace_from_samples(times, r)
         except UnwrapFailure:
             m *= 2
             continue

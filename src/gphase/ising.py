@@ -25,7 +25,6 @@ import numpy as np
 
 from .errors import DimensionTooLarge, MagnitudeUnderflow, ValidationError
 from .qmat import I2, X, Z
-from .two_level import _ground_xz, _overlap_factor
 
 _LOG_FLOOR = -700.0
 
@@ -74,39 +73,32 @@ def decoherence_product(p: IsingBathParams, t, shift: str = "one_sided"):
     k = momenta(p.n_spins)[:, None]
     tt = t[None, :] if t.ndim else t.reshape(1)[None, :]
 
-    if shift == "one_sided":
-        lam_lo, lam_hi = p.lam, p.lam + p.coupling
-    elif shift == "symmetric":
-        lam_lo, lam_hi = p.lam - p.coupling, p.lam + p.coupling
-    else:
-        raise ValidationError(f"unknown shift convention {shift!r}")
-
     th = bogoliubov_angle(p.lam, k)
-    eps = dispersion(p.lam, k, p.j_coupling)
     if shift == "one_sided":
         # |g_k> is an eigenstate of the lower branch: per-mode closed form
+        lam_hi = p.lam + p.coupling
         c2a = np.cos(bogoliubov_angle(lam_hi, k) - th)
         wt = dispersion(lam_hi, k, p.j_coupling) * tt
         z = np.cos(wt) + 1j * c2a * np.sin(wt)
-        log_mag = np.sum(np.log(np.abs(z)), axis=0)
-        phase = np.sum(np.angle(z), axis=0) - np.sum(eps) * tt[0]
+        ground_phase = np.sum(dispersion(p.lam, k, p.j_coupling)) * tt[0]
+    elif shift == "symmetric":
+        # <g_k| e^{+i H_lo t} e^{-i H_hi t} |g_k> with H_x = e_x (cos n_x Z + sin n_x X),
+        # n_x the Bogoliubov angle, and |g_k> along -n_lam (n_lam = th): every
+        # Bloch vector lies in the x-z plane, so the y (cross-product) part
+        # of the overlap vanishes
+        lam_lo, lam_hi = p.lam - p.coupling, p.lam + p.coupling
+        n_lo, n_hi = bogoliubov_angle(lam_lo, k), bogoliubov_angle(lam_hi, k)
+        w_lo = dispersion(lam_lo, k, p.j_coupling) * tt
+        w_hi = dispersion(lam_hi, k, p.j_coupling) * tt
+        c_lo, s_lo, c_hi, s_hi = np.cos(w_lo), np.sin(w_lo), np.cos(w_hi), np.sin(w_hi)
+        z = (c_lo * c_hi + s_lo * s_hi * np.cos(n_lo - n_hi)
+             + 1j * (c_lo * s_hi * np.cos(n_hi - th) - s_lo * c_hi * np.cos(n_lo - th)))
+        ground_phase = 0.0
     else:
-        # generic two-branch overlap in each mode's 2x2 subspace
-        cos_k = np.cos(k)
-        sin_k = np.sin(k)
-        zmodes = np.empty((len(k), tt.shape[1]), dtype=complex)
-        for i in range(len(k)):
-            b_g = 2.0 * p.j_coupling * (p.lam - cos_k[i, 0])
-            gap = 2.0 * p.j_coupling * sin_k[i, 0]
-            psi = _ground_xz(b_g, gap)
-            b1 = 2.0 * p.j_coupling * (lam_lo - cos_k[i, 0])
-            b0 = 2.0 * p.j_coupling * (lam_hi - cos_k[i, 0])
-            zmodes[i] = _overlap_factor(b0, b1, gap, psi, tt[0])
-        mags = np.abs(zmodes)
-        safe = np.where(mags > 0, mags, 1.0)
-        log_mag = np.sum(np.log(safe), axis=0)
-        log_mag[np.any(mags == 0, axis=0)] = -np.inf
-        phase = np.sum(np.angle(zmodes), axis=0)
+        raise ValidationError(f"unknown shift convention {shift!r}")
+    with np.errstate(divide="ignore"):  # a mode overlap of exactly 0 gives -inf
+        log_mag = np.sum(np.log(np.abs(z)), axis=0)
+    phase = np.sum(np.angle(z), axis=0) - ground_phase
 
     under = log_mag < _LOG_FLOOR
     if np.any(under):

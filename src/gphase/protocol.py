@@ -276,7 +276,6 @@ class CorrectionRecord:
     b_field: float
     dphi: float
     dphi_theory: float
-    error: str | None = None
 
 
 def correction_experiment(p: ProtocolParams, b_grid, theory_samples: int = 1024) -> list[CorrectionRecord]:
@@ -285,21 +284,16 @@ def correction_experiment(p: ProtocolParams, b_grid, theory_samples: int = 1024)
     For each B the protocol runs coupled and uncoupled (d = 0); their phase
     difference is the correction.  A theory column computes the same
     correction from the branch-overlap decoherence factor without simulating
-    the protocol.  Per-point failures are flagged, not dropped.
+    the protocol.  A failing B raises its own typed error.
     """
     records: list[CorrectionRecord] = []
     for b in np.asarray(b_grid, dtype=float):
         bath_b = p.bath.with_b_field(b)
-        try:
-            coupled = run_protocol(replace(p, bath=bath_b))
-            baseline = run_protocol(replace(p, bath=replace(bath_b, coupling=0.0)))
-            dphi = coupled.gp.phi_total - baseline.gp.phi_total
-            dphi_th = baseline_subtracted_phase(
-                lambda t: decoherence_factor_oracle(bath_b, t), p.sys, theory_samples
-            )
-            records.append(CorrectionRecord(float(b), dphi, dphi_th))
-        except Exception as exc:
-            records.append(
-                CorrectionRecord(float(b), np.nan, np.nan, error=f"{type(exc).__name__}: {exc}")
-            )
+        coupled = run_protocol(replace(p, bath=bath_b))
+        baseline = run_protocol(replace(p, bath=replace(bath_b, coupling=0.0)))
+        dphi = coupled.gp.phi_total - baseline.gp.phi_total
+        dphi_th = baseline_subtracted_phase(
+            lambda t: decoherence_factor_oracle(bath_b, t), p.sys, theory_samples
+        )
+        records.append(CorrectionRecord(float(b), dphi, dphi_th))
     return records

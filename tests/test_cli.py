@@ -147,6 +147,11 @@ class TestExitCodes:
         assert main(self._BAD + ["--output", str(tmp_path / "f.csv")]) == 1
         assert len(point_calls) == 2
 
+    def test_failure_log_names_the_typed_error(self, tmp_path, caplog):
+        assert main(self._BAD + ["--output", str(tmp_path / "f.csv")]) == 1
+        assert "UnwrapFailure: " in caplog.text
+        assert "GphaseError" not in caplog.text
+
     def test_pool_cancels_points_not_started(self, tmp_path):
         tasks = [(i, tmp_path) for i in range(20)]
         results = _results(_fail_first, tasks, workers=2)

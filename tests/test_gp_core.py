@@ -67,6 +67,34 @@ class TestBuildTrace:
         assert tr.samples > 64
         assert tr.phase_unwrapped[-1] == pytest.approx(200.0 * np.pi, rel=1e-9)
 
+    def test_one_sampler_call_per_try(self):
+        # each try samples the 2m grid once; its even points are the m grid
+        sp = SystemParams(omega=OMEGA, theta=0.5)
+        calls = []
+
+        def counting(sampler):
+            def wrapped(t):
+                calls.append(len(t))
+                return sampler(t)
+            return wrapped
+
+        build_trace(counting(ones_sampler), sp, 64)
+        assert calls == [2 * 64 + 1]
+        calls.clear()
+        w = 100.0 * sp.omega
+        tr = build_trace(counting(lambda t: np.exp(-1j * w * t)), sp, 64)
+        assert len(calls) > 1
+        assert calls == [2 * 64 * 2**i + 1 for i in range(len(calls))]
+        assert calls[-1] == 2 * tr.samples + 1
+
+    def test_times_are_the_m_point_grid(self):
+        rng = np.random.default_rng(4)
+        for omega, samples in zip(10.0 ** rng.uniform(-3, 6, 50), rng.integers(64, 5000, 50)):
+            sp = SystemParams(omega=omega, theta=0.5)
+            m = samples + samples % 2
+            tr = build_trace(ones_sampler, sp, samples)
+            assert np.array_equal(tr.times, np.linspace(0.0, sp.tau, m + 1))
+
     def test_zero_crossing_fails(self):
         # real r passing through 0 flips the phase by pi at every resolution
         sp = SystemParams(omega=OMEGA, theta=0.5)

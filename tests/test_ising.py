@@ -92,8 +92,11 @@ class TestProduct:
         t = 1.3
         assert abs(decoherence_product(p, t) - brute_force_oracle(p, t)) < 1e-8
 
-    def test_symmetric_variant_against_oracle(self):
-        p = IsingBathParams(8, 1.0, 0.8, 5e-3)
+    @pytest.mark.parametrize("delta", [5e-3, 0.2])
+    @pytest.mark.parametrize("lam", [0.3, 0.8, 1.0, 1.6])
+    @pytest.mark.parametrize("n_spins", [4, 8])
+    def test_symmetric_variant_against_oracle(self, n_spins, lam, delta):
+        p = IsingBathParams(n_spins, 1.0, lam, delta)
         t = np.linspace(0, 2.5, 11)
         dv = np.abs(decoherence_product(p, t, shift="symmetric")
                     - brute_force_oracle(p, t, shift="symmetric"))

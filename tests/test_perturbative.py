@@ -5,7 +5,7 @@ import pytest
 from scipy.integrate import quad
 
 from gphase.errors import DomainError, StencilConditioning, ValidationError
-from gphase.gp import SystemParams, build_trace, geometric_phase
+from gphase.gp import SystemParams, baseline_subtracted_phase, build_trace, geometric_phase
 from gphase.ising import IsingBathParams, decoherence_product, momenta
 from gphase.perturbative import (
     closed_form_discrepancies,
@@ -283,9 +283,7 @@ class TestApproxIsing:
         lams = [0.3, 0.5, 0.7, 1.3, 1.5]
         for lam in lams:
             p = IsingBathParams(100, 1.0, lam, 5e-5)
-            tr = build_trace(lambda t: decoherence_product(p, t), sp, 4096)
-            ones = build_trace(lambda t: np.ones_like(t, dtype=complex), sp, 4096)
-            exact = geometric_phase(tr, sp).phi_total - geometric_phase(ones, sp).phi_total
+            exact = baseline_subtracted_phase(lambda t: decoherence_product(p, t), sp, 4096)
             phi0 = np.pi * (1 - np.cos(sp.theta))
             out = gp_approx_ising(p, sp)
             e3 = abs(out.order3 - phi0 - exact)

@@ -3,7 +3,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from gphase.errors import InvalidDensityMatrix, ValidationError
+from gphase.errors import InvalidDensityMatrix, UnwrapFailure, ValidationError
 from gphase.gp import SystemParams
 from gphase.protocol import (
     PINNED_TROTTER_STEPS,
@@ -229,9 +229,8 @@ class TestCorrectionExperiment:
         d_trot = np.array([r.dphi for r in correction_experiment(p_trot, grid)])
         assert np.max(np.abs(d_exact - d_trot)) < 0.02 * np.max(np.abs(d_exact))
 
-    def test_per_point_failures_flagged(self):
+    def test_failing_point_raises_typed_error(self):
         p = make_params()
         p = replace(p, bath=replace(p.bath, coupling=1e6 * OMEGA))
-        recs = correction_experiment(p, [0.0])
-        assert recs[0].error is not None
-        assert np.isnan(recs[0].dphi)
+        with pytest.raises(UnwrapFailure):
+            correction_experiment(p, [0.0])
