@@ -54,7 +54,6 @@ from .protocol import (
     ProtocolRun,
     build_target_hamiltonian,
     correction_experiment,
-    pulse_decompositions_check,
     run_protocol,
     trotter_step,
 )

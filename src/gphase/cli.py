@@ -47,7 +47,8 @@ from .protocol import (
     Decomposition,
     ProtocolParams,
     correction_experiment,
-    cycle_fidelity,
+    step_counts,
+    worst_cycle_fidelity,
 )
 from .two_level import CouplingConvention, TwoLevelBathParams, decoherence_factor_oracle
 
@@ -132,20 +133,12 @@ def _protocol(p: dict) -> tuple[ProtocolParams, float]:
     return proto, p["b_field"]
 
 
-def _trotter_protocols(p: dict) -> tuple[int, list[ProtocolParams]]:
+def _trotter_scan(p: dict) -> tuple[ProtocolParams, np.ndarray]:
+    """Coarse-Trotter protocol at ``n_steps`` steps, and the field grid to scan."""
     sysp, bath = _two_level(p)
-    n = int(p["n_steps"])
-    return n, [
-        ProtocolParams(sys=sysp, bath=bath.with_b_field(b), trotter_steps=n,
-                       decomposition=Decomposition.COARSE_TROTTER)
-        for b in _span(p, "b")
-    ]
-
-
-def _doublings(max_steps: int) -> list[int]:
-    if int(max_steps) < 1:
-        raise ValidationError(f"max_steps must be >= 1, got {max_steps}")
-    return [2**i for i in range(int(max_steps).bit_length())]
+    proto = ProtocolParams(sys=sysp, bath=bath, trotter_steps=int(p["n_steps"]),
+                           decomposition=Decomposition.COARSE_TROTTER)
+    return proto, _span(p, "b")
 
 
 # ---------------------------------------------------------------------------
@@ -195,8 +188,8 @@ def _ising_approx_rows(args) -> list[list[float]]:
 
 
 def _trotter_rows(args) -> list[list[float]]:
-    n, protos = args
-    return [[float(n), min([1.0] + [cycle_fidelity(p) for p in protos])]]
+    proto, b_values = args
+    return [[float(proto.trotter_steps), worst_cycle_fidelity(proto, b_values)]]
 
 
 # ---------------------------------------------------------------------------
@@ -275,9 +268,9 @@ EXPERIMENTS: dict[str, Experiment] = {
         # fidelity_threshold is unused; it stays because it is part of the config hash
         defaults={**_TWO_LEVEL, **_B_RANGE, "fidelity_threshold": 0.997, "max_steps": 512},
         columns=("n_steps", "min_fidelity"),
-        prepare=_trotter_protocols,
+        prepare=_trotter_scan,
         point=_trotter_rows,
-        grid=lambda p: [{**p, "n_steps": n} for n in _doublings(p["max_steps"])],
+        grid=lambda p: [{**p, "n_steps": n} for n in step_counts(p["max_steps"])],
         label=lambda p: [float(p["n_steps"])],
     ),
 }

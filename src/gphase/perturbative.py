@@ -45,7 +45,7 @@ from .errors import (
     ValidationError,
 )
 from .gp import SystemParams, _central_diff, _simpson
-from .ising import IsingBathParams
+from .ising import IsingBathParams, dispersion
 
 _QUAD_TOL = 1e-10
 
@@ -173,16 +173,13 @@ def _panel_quad(f, n_osc: float) -> float:
 class IsingClosedForms:
     """Closed-form k-integrals of the chain's expansion coefficients.
 
-    All quantities are in J = 1 units: the dispersion is
-    e_k = 2 sqrt(1 + lam^2 - 2 lam cos k) and ``t_period`` is the cycle
-    period measured in 1/J.  Each carries the N/(2 pi) mode density.
+    All quantities are in J = 1 units: the dispersion is ``ising.dispersion``
+    at J = 1, e_k = 2 sqrt(1 + lam^2 - 2 lam cos k), and ``t_period`` is the
+    cycle period measured in 1/J.  Each carries the N/(2 pi) mode density.
     """
 
     n_spins: int
     t_period: float
-
-    def _eps(self, lam, k):
-        return 2.0 * np.sqrt(1.0 + lam**2 - 2.0 * lam * np.cos(k))
 
     def _density(self) -> float:
         return self.n_spins / (2.0 * np.pi)
@@ -195,7 +192,7 @@ class IsingClosedForms:
         T = self.t_period
 
         def integrand(k):
-            e = self._eps(lam, k)
+            e = dispersion(lam, k)
             return 16.0 * np.sin(k) ** 2 * np.sin(e * T) ** 2 / e**4
 
         return self._density() * _panel_quad(integrand, self._n_osc(lam))
@@ -205,7 +202,7 @@ class IsingClosedForms:
         T = self.t_period
 
         def integrand(k):
-            e = self._eps(lam, k)
+            e = dispersion(lam, k)
             x = 2.0 * e * T
             return 8.0 * T * np.sin(k) ** 2 / e**4 * (1.0 - np.sin(x) / x)
 
@@ -218,7 +215,7 @@ class IsingClosedForms:
         T = self.t_period
 
         def integrand(k):
-            e = self._eps(lam, k)
+            e = dispersion(lam, k)
             a = lam - np.cos(k)
             x = 2.0 * e * T
             return a * np.sin(k) ** 2 * (48.0 * np.sin(x) - 32.0 * T * e * (2.0 + np.cos(x))) / e**7
@@ -236,7 +233,7 @@ class IsingClosedForms:
         if lam < 1e-6:
             # elliptic form is 0/0 here; the integral expands as N lam / 2
             def integrand(k):
-                return 4.0 * (lam - np.cos(k)) / self._eps(lam, k)
+                return 4.0 * (lam - np.cos(k)) / dispersion(lam, k)
 
             return self._density() * _panel_quad(integrand, 1.0)
         if abs(lam - 1.0) < 1e-9:
@@ -275,7 +272,7 @@ def mode_coefficients(lam: float, k, t):
     """Validated per-mode expansion coefficients (R2_k, R3_k, p1_k), J = 1 units."""
     k = np.asarray(k, dtype=float)
     t = np.asarray(t, dtype=float)
-    e = 2.0 * np.sqrt(1.0 + lam**2 - 2.0 * lam * np.cos(k))
+    e = dispersion(lam, k)
     a = lam - np.cos(k)
     s2 = np.sin(k) ** 2
     et = e * t
@@ -300,13 +297,13 @@ def closed_form_discrepancies(p: IsingBathParams, sys: SystemParams, samples: in
     lam = p.lam
 
     def f2_variant_integrand(k):
-        e = cf._eps(lam, k)
+        e = dispersion(lam, k)
         return np.sin(k) ** 2 * np.sin(e * T) / e**4
 
     f2_variant = cf._density() * _panel_quad(f2_variant_integrand, cf._n_osc(lam))
 
     def f3_variant_integrand(k):
-        e = cf._eps(lam, k)
+        e = dispersion(lam, k)
         a = lam - np.cos(k)
         x = 2.0 * e * T
         w = sys.omega / p.j_coupling

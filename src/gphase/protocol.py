@@ -40,9 +40,17 @@ from .two_level import TwoLevelBathParams, decoherence_factor_oracle, ground_sta
 # 0.3% budget (worst fidelity 0.9947); two steps give 0.99979.
 PINNED_TROTTER_STEPS = 2
 
-# Intervals per cycle of run_protocol's default readout grid; a stepped
-# evolution reaches every readout time only with a multiple of it as steps.
+# The 0.3% fidelity budget and the largest step count find_min_trotter_steps
+# tries.
+TROTTER_FIDELITY_THRESHOLD = 0.997
+MAX_TROTTER_STEPS = 512
+
+# Intervals per cycle of run_protocol's readout grid; a stepped evolution
+# reaches every readout time only with a multiple of it as steps.
 READOUT_SAMPLES = 64
+
+# Samples per cycle of correction_experiment's theory column.
+THEORY_SAMPLES = 1024
 
 
 class Decomposition(enum.Enum):
@@ -86,7 +94,12 @@ def build_target_hamiltonian(p: ProtocolParams) -> np.ndarray:
 
 
 def _pulse_z_rotation(angle: float, axis_y: np.ndarray, axis_x: np.ndarray) -> np.ndarray:
-    """e^{-i angle Z} realized as e^{-i pi X/4} e^{-i angle Y} e^{+i pi X/4}."""
+    """e^{-i angle Z} realized as e^{-i pi X/4} e^{-i angle Y} e^{+i pi X/4}.
+
+    The coupling gate needs no such identity: its angle bookkeeping (an
+    evolution time 2 d t / (pi J) under a (pi J / 2) Z_S Z_E coupling) reduces
+    to angle = d * t, the natural Z_S Z_E evolution.
+    """
     wrap = expm_hermitian(axis_x, np.pi / 4.0)
     return wrap @ expm_hermitian(axis_y, angle) @ wrap.conj().T
 
@@ -105,48 +118,6 @@ def trotter_step(p: ProtocolParams, dt: float) -> np.ndarray:
         z_s = expm_hermitian(kron(Z, I2), p.sys.omega * dt)
         z_e = expm_hermitian(kron(I2, Z), b.b_field * dt)
     return half_x @ zz @ z_s @ z_e @ half_x
-
-
-@dataclass(frozen=True)
-class PulseCheckReport:
-    """Residuals of the pulse-level operator identities."""
-
-    max_residual_env: float
-    max_residual_sys: float
-    n_angles: int
-    coupling_angle_note: str
-
-    @property
-    def passed(self) -> bool:
-        return max(self.max_residual_env, self.max_residual_sys) < 1e-12
-
-
-def pulse_decompositions_check(n_angles: int = 100, seed: int = 7) -> PulseCheckReport:
-    """Verify the X-conjugated Y-rotation identities over a grid of angles.
-
-    Checks e^{-i a Z} == e^{-i pi X/4} e^{-i a Y} e^{+i pi X/4} on both
-    qubits for fixed and random angles.  The two-qubit coupling gate angle
-    bookkeeping (an evolution time 2 d t / (pi J) under a (pi J / 2) Z_S Z_E
-    coupling) reduces to the abstract identity angle = d * t, which needs no
-    numerical check.
-    """
-    rng = np.random.default_rng(seed)
-    angles = np.concatenate([[0.0, np.pi / 3.0], rng.uniform(-2.0 * np.pi, 2.0 * np.pi, n_angles)])
-    res_env = 0.0
-    res_sys = 0.0
-    for a in angles:
-        direct_e = expm_hermitian(kron(I2, Z), a)
-        pulse_e = _pulse_z_rotation(a, kron(I2, Y), kron(I2, X))
-        res_env = max(res_env, float(np.max(np.abs(direct_e - pulse_e))))
-        direct_s = expm_hermitian(kron(Z, I2), a)
-        pulse_s = _pulse_z_rotation(a, kron(Y, I2), kron(X, I2))
-        res_sys = max(res_sys, float(np.max(np.abs(direct_s - pulse_s))))
-    return PulseCheckReport(
-        max_residual_env=res_env,
-        max_residual_sys=res_sys,
-        n_angles=len(angles),
-        coupling_angle_note="coupling gate angle = d*t (natural ZZ evolution)",
-    )
 
 
 def _initial_state(p: ProtocolParams, input_theta: float) -> np.ndarray:
@@ -175,7 +146,7 @@ def _stepped_states(p: ProtocolParams, times: np.ndarray, psi0: np.ndarray) -> n
     states = np.empty((len(times), 4), dtype=complex)
     psi = psi0.copy()
     step = 0
-    for j, n in enumerate(idx):
+    for j, n in enumerate(idx.tolist()):
         while step < n:
             psi = u @ psi
             step += 1
@@ -196,11 +167,7 @@ def _system_coherence(states: np.ndarray) -> np.ndarray:
     return np.einsum("te,te->t", psi[:, 0, :], psi[:, 1, :].conj())
 
 
-def run_protocol(
-    p: ProtocolParams,
-    sample_times=None,
-    input_theta: float = np.pi / 2.0,
-) -> ProtocolRun:
+def run_protocol(p: ProtocolParams, input_theta: float = np.pi / 2.0) -> ProtocolRun:
     """Simulate the full measurement protocol over one cycle.
 
     The input state is (sin(th_in/2)|0> + cos(th_in/2)|1>) (x) |g>, evolved by
@@ -209,11 +176,10 @@ def run_protocol(
     the decoherence factor (the system's own precession enters the coherence
     at twice the cycle frequency).  The geometric phase is then evaluated for
     the analysis angle ``p.sys.theta``, which is independent of th_in because
-    the coupling is purely dephasing.
+    the coupling is purely dephasing.  The readout grid has READOUT_SAMPLES
+    intervals.
     """
-    if sample_times is None:
-        sample_times = np.linspace(0.0, p.sys.tau, READOUT_SAMPLES + 1)
-    times = np.asarray(sample_times, dtype=float)
+    times = np.linspace(0.0, p.sys.tau, READOUT_SAMPLES + 1)
     if not (0.0 < input_theta < np.pi):
         raise ValidationError("input_theta must lie strictly inside (0, pi)")
 
@@ -233,39 +199,42 @@ def run_protocol(
     return ProtocolRun(trace=trace, fidelity_vs_exact=fidelity, gp=gp)
 
 
-def cycle_fidelity(p: ProtocolParams, input_theta: float = np.pi / 2.0) -> float:
-    """Full-cycle state fidelity of the stepped evolution against exact."""
-    psi0 = _initial_state(p, input_theta)
-    psi_exact = _exact_states(p, np.array([p.sys.tau]), psi0)[0]
-    u = trotter_step(p, p.sys.tau / p.trotter_steps)
-    psi = psi0.copy()
-    for _ in range(p.trotter_steps):
-        psi = u @ psi
+def cycle_fidelity(p: ProtocolParams) -> float:
+    """Full-cycle state fidelity of the stepped evolution against exact, from
+    run_protocol's default input state."""
+    psi0 = _initial_state(p, np.pi / 2.0)
+    tau = np.array([p.sys.tau])
+    psi_exact = _exact_states(p, tau, psi0)[0]
+    psi = _stepped_states(p, tau, psi0)[0]
     return float(np.abs(np.vdot(psi_exact, psi)) ** 2)
 
 
-def find_min_trotter_steps(
-    p: ProtocolParams,
-    b_values,
-    threshold: float = 0.997,
-    max_steps: int = 512,
-) -> int:
-    """Smallest power-of-two step count meeting the fidelity threshold over B."""
+def worst_cycle_fidelity(p: ProtocolParams, b_values) -> float:
+    """Smallest cycle fidelity of ``p`` over the bath fields ``b_values``, capped at 1."""
+    return min([1.0] + [cycle_fidelity(replace(p, bath=p.bath.with_b_field(b)))
+                        for b in np.asarray(b_values, dtype=float)])
+
+
+def step_counts(max_steps: int) -> list[int]:
+    """The powers of two up to ``max_steps``: the step counts a fidelity scan tries."""
+    if int(max_steps) < 1:
+        raise ValidationError(f"max_steps must be >= 1, got {max_steps}")
+    return [2**i for i in range(int(max_steps).bit_length())]
+
+
+def find_min_trotter_steps(p: ProtocolParams, b_values) -> int:
+    """Smallest power-of-two step count up to MAX_TROTTER_STEPS whose worst
+    cycle fidelity over ``b_values`` meets TROTTER_FIDELITY_THRESHOLD."""
     base = p if p.decomposition is not Decomposition.EXACT else replace(
         p, decomposition=Decomposition.COARSE_TROTTER
     )
-    n = 1
-    while n <= max_steps:
+    for n in step_counts(MAX_TROTTER_STEPS):
         trial = replace(base, trotter_steps=n)
-        worst = min(
-            cycle_fidelity(replace(trial, bath=trial.bath.with_b_field(b)))
-            for b in np.asarray(b_values, dtype=float)
-        )
-        if worst >= threshold:
+        if worst_cycle_fidelity(trial, b_values) >= TROTTER_FIDELITY_THRESHOLD:
             return n
-        n *= 2
     raise ValidationError(
-        f"no power-of-two step count <= {max_steps} reaches fidelity {threshold}"
+        f"no power-of-two step count <= {MAX_TROTTER_STEPS} reaches fidelity "
+        f"{TROTTER_FIDELITY_THRESHOLD}"
     )
 
 
@@ -278,7 +247,7 @@ class CorrectionRecord:
     dphi_theory: float
 
 
-def correction_experiment(p: ProtocolParams, b_grid, theory_samples: int = 1024) -> list[CorrectionRecord]:
+def correction_experiment(p: ProtocolParams, b_grid) -> list[CorrectionRecord]:
     """Coupling-induced phase correction across a field sweep.
 
     For each B the protocol runs coupled and uncoupled (d = 0); their phase
@@ -293,7 +262,7 @@ def correction_experiment(p: ProtocolParams, b_grid, theory_samples: int = 1024)
         baseline = run_protocol(replace(p, bath=replace(bath_b, coupling=0.0)))
         dphi = coupled.gp.phi_total - baseline.gp.phi_total
         dphi_th = baseline_subtracted_phase(
-            lambda t: decoherence_factor_oracle(bath_b, t), p.sys, theory_samples
+            lambda t: decoherence_factor_oracle(bath_b, t), p.sys, THEORY_SAMPLES
         )
         records.append(CorrectionRecord(float(b), dphi, dphi_th))
     return records

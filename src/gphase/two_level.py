@@ -66,18 +66,13 @@ def bath_eigenenergies(p: TwoLevelBathParams) -> tuple[float, float]:
     return -e, e
 
 
-def _ground_xz(b: float, gap: float) -> np.ndarray:
-    """Ground state of b*Z + gap*X for gap > 0, as (cos(a/2), -sin(a/2))."""
-    alpha = np.arctan2(gap, -b)
-    return np.array([np.cos(alpha / 2.0), -np.sin(alpha / 2.0)], dtype=complex)
-
-
 def ground_state(p: TwoLevelBathParams) -> np.ndarray:
     """Ground state of B Z + Delta X: |g> = cos(a/2)|0> - sin(a/2)|1>, tan a = -Delta/B.
 
     The branch a in (0, pi) is selected; B = 0 gives a = pi/2 exactly.
     """
-    return _ground_xz(p.b_field, p.delta_gap)
+    alpha = np.arctan2(p.delta_gap, -p.b_field)
+    return np.array([np.cos(alpha / 2.0), -np.sin(alpha / 2.0)], dtype=complex)
 
 
 def _branch_fields(p: TwoLevelBathParams) -> tuple[float, float]:

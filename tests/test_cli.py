@@ -8,6 +8,12 @@ import pytest
 from gphase.cli import EXPERIMENTS, PRESETS, _results, main, parse_config, presets
 from gphase.errors import GphaseError
 from gphase.gp import SystemParams, build_trace, geometric_phase
+from gphase.protocol import (
+    PINNED_TROTTER_STEPS,
+    TROTTER_FIDELITY_THRESHOLD,
+    ProtocolParams,
+    find_min_trotter_steps,
+)
 from gphase.two_level import TwoLevelBathParams, decoherence_factor_oracle
 
 
@@ -297,3 +303,19 @@ def test_trotter_grid_is_doublings(tmp_path):
     assert rc == 0
     steps = [float(line.split(",")[0]) for line in raw.decode().strip().splitlines()[1:]]
     assert steps == [1.0, 2.0, 4.0]
+
+
+def test_trotter_check_agrees_with_library(tmp_path):
+    argv = ["trotter-check", "--preset", "trotter-claim"]
+    rc, raw = run_cli(argv + ["--max-steps", "4"], tmp_path, "t.csv")
+    assert rc == 0
+    rows = [line.split(",") for line in raw.decode().strip().splitlines()[1:]]
+    first = next(int(float(n)) for n, fid, _ in rows
+                 if float(fid) >= TROTTER_FIDELITY_THRESHOLD)
+
+    p = parse_config(argv).parameters
+    bath = TwoLevelBathParams(delta_gap=p["delta_gap"], lam=0.0, coupling=p["coupling"])
+    proto = ProtocolParams(sys=SystemParams(omega=p["omega"], theta=p["theta"]), bath=bath)
+    b_grid = np.linspace(p["b_min"], p["b_max"], p["b_points"])
+    assert len(b_grid) == 21
+    assert first == find_min_trotter_steps(proto, b_grid) == PINNED_TROTTER_STEPS

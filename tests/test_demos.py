@@ -1,4 +1,4 @@
-"""Every demo imports against the current library without running main()."""
+"""Every demo imports against the current library and runs to the end."""
 
 import importlib.util
 from pathlib import Path
@@ -8,13 +8,25 @@ import pytest
 DEMOS = sorted((Path(__file__).resolve().parent.parent / "demos").glob("*.py"))
 
 
+def _load(path):
+    spec = importlib.util.spec_from_file_location(f"demo_{path.stem}", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
 def test_demos_found():
     assert DEMOS
 
 
 @pytest.mark.parametrize("path", DEMOS, ids=lambda p: p.stem)
 def test_demo_imports(path):
-    spec = importlib.util.spec_from_file_location(f"demo_{path.stem}", path)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    assert callable(module.main)
+    assert callable(_load(path).main)
+
+
+@pytest.mark.parametrize("path", DEMOS, ids=lambda p: p.stem)
+def test_demo_runs(path, tmp_path, monkeypatch, capsys):
+    # demos write their CSVs into the working directory
+    monkeypatch.chdir(tmp_path)
+    _load(path).main()
+    assert capsys.readouterr().out

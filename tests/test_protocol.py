@@ -9,16 +9,18 @@ from gphase.protocol import (
     PINNED_TROTTER_STEPS,
     Decomposition,
     ProtocolParams,
+    _pulse_z_rotation,
     build_target_hamiltonian,
     correction_experiment,
     cycle_fidelity,
     find_min_trotter_steps,
-    pulse_decompositions_check,
     run_protocol,
+    step_counts,
     trotter_step,
+    worst_cycle_fidelity,
 )
-from gphase.qmat import expm_hermitian, partial_trace_env
-from gphase.two_level import TwoLevelBathParams, decoherence_factor_oracle
+from gphase.qmat import I2, X, Y, Z, expm_hermitian, kron, partial_trace_env
+from gphase.two_level import TwoLevelBathParams, decoherence_factor_oracle, ground_state
 
 OMEGA = 100.0 * np.pi
 B_GRID = np.linspace(-0.2 * OMEGA, 0.2 * OMEGA, 21)
@@ -102,12 +104,14 @@ class TestTrotterStep:
 
 
 class TestPulseIdentities:
-    def test_report(self):
-        rep = pulse_decompositions_check()
-        assert rep.passed
-        assert rep.max_residual_env < 1e-12
-        assert rep.max_residual_sys < 1e-12
-        assert rep.n_angles >= 100
+    def test_z_rotation_matches_expm(self):
+        rng = np.random.default_rng(7)
+        angles = np.concatenate([[0.0, np.pi / 3.0], rng.uniform(-2.0 * np.pi, 2.0 * np.pi, 100)])
+        for a in angles:
+            env = _pulse_z_rotation(a, kron(I2, Y), kron(I2, X))
+            sys_ = _pulse_z_rotation(a, kron(Y, I2), kron(X, I2))
+            assert np.max(np.abs(env - expm_hermitian(kron(I2, Z), a))) < 1e-12
+            assert np.max(np.abs(sys_ - expm_hermitian(kron(Z, I2), a))) < 1e-12
 
 
 class TestRunProtocol:
@@ -158,7 +162,7 @@ class TestRunProtocol:
     def test_incompatible_sample_grid_rejected(self):
         p = make_params(trotter_steps=3, decomposition=Decomposition.COARSE_TROTTER)
         with pytest.raises(ValidationError):
-            run_protocol(p, np.linspace(0.0, p.sys.tau, 65))
+            run_protocol(p)
 
     def test_coherence_matches_partial_trace(self):
         from gphase.protocol import _system_coherence
@@ -188,20 +192,46 @@ class TestTrotterPinning:
     def test_claim_holds_at_pinned(self):
         p = make_params(trotter_steps=PINNED_TROTTER_STEPS,
                         decomposition=Decomposition.COARSE_TROTTER)
-        worst = min(
-            cycle_fidelity(replace(p, bath=p.bath.with_b_field(b))) for b in B_GRID
-        )
-        assert worst >= 0.997
+        assert worst_cycle_fidelity(p, B_GRID) >= 0.997
 
     def test_claim_fails_below_pinned(self):
         p = make_params(trotter_steps=PINNED_TROTTER_STEPS // 2 or 1,
                         decomposition=Decomposition.COARSE_TROTTER)
         if PINNED_TROTTER_STEPS == 1:
             pytest.skip("pinned count is already the minimum")
-        worst = min(
-            cycle_fidelity(replace(p, bath=p.bath.with_b_field(b))) for b in B_GRID
-        )
-        assert worst < 0.997
+        assert worst_cycle_fidelity(p, B_GRID) < 0.997
+
+
+class TestFidelityScan:
+    def test_cycle_fidelity_against_matrix_power(self):
+        # the cycle readout of the stepped states against an independent
+        # propagator product, for each decomposition that steps
+        for decomposition in (Decomposition.COARSE_TROTTER, Decomposition.PULSE_LEVEL):
+            for n in (1, 3, 16):
+                p = make_params(b_over_omega=0.13, trotter_steps=n, decomposition=decomposition)
+                psi0 = np.kron([np.sqrt(0.5), np.sqrt(0.5)], ground_state(p.bath))
+                u_step = np.linalg.matrix_power(trotter_step(p, p.sys.tau / n), n)
+                u_exact = expm_hermitian(build_target_hamiltonian(p), p.sys.tau)
+                expected = abs(np.vdot(u_exact @ psi0, u_step @ psi0)) ** 2
+                assert cycle_fidelity(p) == pytest.approx(expected, abs=1e-12)
+
+    def test_worst_is_capped_at_one(self):
+        p = make_params(trotter_steps=4, decomposition=Decomposition.COARSE_TROTTER)
+        assert worst_cycle_fidelity(p, []) == 1.0
+        assert worst_cycle_fidelity(p, B_GRID[::5]) <= 1.0
+
+    def test_worst_is_the_smallest_field_value(self):
+        p = make_params(trotter_steps=1, decomposition=Decomposition.COARSE_TROTTER)
+        worst = worst_cycle_fidelity(p, B_GRID)
+        assert worst in {worst_cycle_fidelity(p, [b]) for b in B_GRID}
+        assert all(worst <= worst_cycle_fidelity(p, [b]) for b in B_GRID)
+
+    def test_step_counts(self):
+        assert step_counts(1) == [1]
+        assert step_counts(5) == [1, 2, 4]
+        assert step_counts(512) == [2**i for i in range(10)]
+        with pytest.raises(ValidationError):
+            step_counts(0)
 
 
 class TestCorrectionExperiment:

@@ -10,6 +10,7 @@ from gphase.gp import (
     baseline_subtracted_phase,
     density_trajectory,
     gp_from_trajectory,
+    trace_from_samples,
 )
 from gphase.qmat import X, Z
 from gphase.two_level import (
@@ -200,16 +201,24 @@ class TestCorrectionCurve:
         assert rel > 0.05
 
     def test_single_point_vs_trajectory_pipeline(self):
-        # independent route: exact 4x4 protocol readout -> trajectory -> Eq-2 transport
-        from gphase.protocol import ProtocolParams, run_protocol
+        # independent route: exact 4x4 evolution read out on a grid far finer
+        # than the protocol's -> trajectory -> Eq-2 transport
+        from gphase.protocol import (
+            ProtocolParams,
+            _exact_states,
+            _initial_state,
+            _system_coherence,
+        )
 
         sysp = SystemParams(omega=OMEGA, theta=np.pi / 4)
         bath = paper_bath().with_b_field(0.1 * OMEGA)
         point = dphi(bath, bath.b_field, sysp, 2048)
-        run = run_protocol(
-            ProtocolParams(sys=sysp, bath=bath), np.linspace(0.0, sysp.tau, 32769)
-        )
-        phi_traj = gp_from_trajectory(density_trajectory(run.trace, sysp))
+        p = ProtocolParams(sys=sysp, bath=bath)
+        times = np.linspace(0.0, sysp.tau, 32769)
+        states = _exact_states(p, times, _initial_state(p, np.pi / 2))
+        # input angle pi/2: r(t) = 2 <0|rho_S(t)|1> e^{2 i W t}
+        r = 2.0 * _system_coherence(states) * np.exp(2j * OMEGA * times)
+        phi_traj = gp_from_trajectory(density_trajectory(trace_from_samples(times, r), sysp))
         baseline = np.pi * (1 - np.cos(sysp.theta))
         diff = (point - (phi_traj - baseline) + np.pi) % (2 * np.pi) - np.pi
         assert abs(diff) < 1e-6
