@@ -5,7 +5,6 @@ Demonstrates:
 1. Sampling r(t) over one system cycle with build_trace
 2. The collapse-revival landscape |r(t)|^2 as a function of (t, B)
 3. Strongest decoherence at the critical point B = 0
-4. The closed-form expression vs the exact branch-overlap oracle
 
 Writes decoherence_landscape.csv with columns t, B, abs_r_squared.
 """
@@ -13,7 +12,6 @@ Writes decoherence_landscape.csv with columns t, B, abs_r_squared.
 import numpy as np
 
 from gphase import SystemParams, TwoLevelBathParams, build_trace, decoherence_factor_oracle
-from gphase.two_level import analytic_formula_report
 
 OMEGA = 100.0 * np.pi
 
@@ -65,12 +63,6 @@ def main():
         comments="",
     )
     print("\nwrote decoherence_landscape.csv")
-
-    # closed form vs oracle
-    rep = analytic_formula_report(bath.with_b_field(0.05 * OMEGA))
-    print("\nclosed-form check against the exact one-sided overlap:")
-    print(f"    quoted coefficient:   max deviation {rep['max_dev_printed']:.3e}")
-    print(f"    repaired coefficient: max deviation {rep['max_dev_repaired']:.3e}")
 
 
 if __name__ == "__main__":

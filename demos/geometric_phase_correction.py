@@ -6,7 +6,7 @@ Demonstrates:
 2. Two independent routes to the open-system phase: the closed-form engine
    and parallel transport along the density-matrix trajectory
 3. The baseline-subtracted correction dPhi(B): peaked at the critical point,
-   asymmetric under B -> -B
+   not even under B -> -B
 4. The simulated measurement protocol reproducing the theory curve
 
 Writes gp_correction.csv with columns B_over_omega, dphi_protocol, dphi_theory.

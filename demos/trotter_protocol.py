@@ -45,7 +45,7 @@ def main():
                        decomposition=Decomposition.COARSE_TROTTER)
     h = build_target_hamiltonian(p)
     u_exact = expm_hermitian(h, sysp.tau)
-    print("\nfull-cycle operator error (symmetric splitting, ~n^-2):")
+    print("\nfull-cycle operator error (Strang splitting, ~n^-2):")
     for n in (4, 16, 64, 256):
         u = np.linalg.matrix_power(trotter_step(p, sysp.tau / n), n)
         print(f"    n = {n:3d}:  max|U_n - U| = {np.max(np.abs(u - u_exact)):.3e}")

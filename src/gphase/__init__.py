@@ -8,9 +8,11 @@ Library layout:
   (closed form) and from the density-matrix trajectory (parallel transport),
   and the correction against an uncoupled reference run
   (``baseline_subtracted_phase``).
-- :mod:`gphase.two_level`: two-level model of a critical environment.
-- :mod:`gphase.ising`: transverse-field Ising chain environment via the
-  free-fermion mode product, with a dense small-N oracle.
+- :mod:`gphase.two_level`: two-level model of a critical environment and its
+  exact branch-overlap decoherence factor.
+- :mod:`gphase.ising`: transverse-field Ising chain environment shifted from
+  lam to lam + delta, via the free-fermion mode product, with a dense small-N
+  oracle.
 - :mod:`gphase.perturbative`: small-coupling expansion of the phase and the
   Ising closed forms with complete elliptic integrals.
 - :mod:`gphase.protocol`: software replica of the Trotterized two-qubit
@@ -27,7 +29,6 @@ from .gp import (
     bloch_plus_angle,
     build_trace,
     density_trajectory,
-    dynamical_phase,
     eps_plus,
     geometric_phase,
     gp_from_trajectory,
@@ -60,8 +61,6 @@ from .protocol import (
 from .two_level import (
     CouplingConvention,
     TwoLevelBathParams,
-    bath_eigenenergies,
-    decoherence_factor_analytic,
     decoherence_factor_oracle,
     ground_state,
 )

@@ -298,8 +298,11 @@ def _capture(func, task):
 
 def _results(func, tasks: list[tuple], workers: int):
     """Each task's result, or the exception it raised, in task order; closing
-    the iterator early leaves every task not yet started unrun."""
-    if workers < 2 or len(tasks) < 2:
+    the iterator early leaves every task not yet started unrun.  The pool is
+    no larger than the task count or the CPU count, because a forked pool
+    starts all of its workers at the first submit."""
+    workers = min(workers, len(tasks), os.cpu_count() or 1)
+    if workers < 2:
         yield from (_capture(func, t) for t in tasks)
         return
     with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:

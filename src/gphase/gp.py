@@ -177,11 +177,6 @@ def bloch_plus_angle(r_abs, theta, eps_plus_val):
     return num_c / den, num_s / den
 
 
-def dynamical_phase(params: SystemParams) -> float:
-    """Closed-system dynamical phase over one cycle, -pi*cos(theta)."""
-    return -np.pi * np.cos(params.theta)
-
-
 def _simpson(y: np.ndarray, dt: float) -> float:
     n = len(y) - 1
     if n % 2 != 0:

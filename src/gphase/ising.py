@@ -9,11 +9,11 @@ per-mode overlaps
     r(t) = prod_{k>0} R_k(t) exp(i (phi_k(t) - eps_k t)),
 
 with eps_k = 2 J sqrt(1 + lam^2 - 2 lam cos k) and the Bogoliubov angle
-theta_k = atan2(sin k, lam - cos k).  The branch fields are (lam, lam+delta)
-by default ("one_sided", the convention under which the closed forms in
-:mod:`gphase.perturbative` are written), or (lam-delta, lam+delta)
-("symmetric").  ``brute_force_oracle`` checks the product against dense
-2^N diagonalization for N <= 11.
+theta_k = atan2(sin k, lam - cos k).  The chain starts in its ground state
+at lam and the branch fields are (lam, lam+delta), the one-sided Loschmidt
+echo under which the closed forms in :mod:`gphase.perturbative` are written.
+``brute_force_oracle`` checks the product against dense 2^N diagonalization
+for N <= 11.
 """
 
 from __future__ import annotations
@@ -61,7 +61,7 @@ def bogoliubov_angle(lam, k):
     return np.arctan2(np.sin(k), lam - np.cos(k))
 
 
-def decoherence_product(p: IsingBathParams, t, shift: str = "one_sided"):
+def decoherence_product(p: IsingBathParams, t):
     """Decoherence factor as the product over positive momenta.
 
     Accumulates sum(log R_k) and the total phase in log space, so deep
@@ -73,29 +73,12 @@ def decoherence_product(p: IsingBathParams, t, shift: str = "one_sided"):
     k = momenta(p.n_spins)[:, None]
     tt = t[None, :] if t.ndim else t.reshape(1)[None, :]
 
-    th = bogoliubov_angle(p.lam, k)
-    if shift == "one_sided":
-        # |g_k> is an eigenstate of the lower branch: per-mode closed form
-        lam_hi = p.lam + p.coupling
-        c2a = np.cos(bogoliubov_angle(lam_hi, k) - th)
-        wt = dispersion(lam_hi, k, p.j_coupling) * tt
-        z = np.cos(wt) + 1j * c2a * np.sin(wt)
-        ground_phase = np.sum(dispersion(p.lam, k, p.j_coupling)) * tt[0]
-    elif shift == "symmetric":
-        # <g_k| e^{+i H_lo t} e^{-i H_hi t} |g_k> with H_x = e_x (cos n_x Z + sin n_x X),
-        # n_x the Bogoliubov angle, and |g_k> along -n_lam (n_lam = th): every
-        # Bloch vector lies in the x-z plane, so the y (cross-product) part
-        # of the overlap vanishes
-        lam_lo, lam_hi = p.lam - p.coupling, p.lam + p.coupling
-        n_lo, n_hi = bogoliubov_angle(lam_lo, k), bogoliubov_angle(lam_hi, k)
-        w_lo = dispersion(lam_lo, k, p.j_coupling) * tt
-        w_hi = dispersion(lam_hi, k, p.j_coupling) * tt
-        c_lo, s_lo, c_hi, s_hi = np.cos(w_lo), np.sin(w_lo), np.cos(w_hi), np.sin(w_hi)
-        z = (c_lo * c_hi + s_lo * s_hi * np.cos(n_lo - n_hi)
-             + 1j * (c_lo * s_hi * np.cos(n_hi - th) - s_lo * c_hi * np.cos(n_lo - th)))
-        ground_phase = 0.0
-    else:
-        raise ValidationError(f"unknown shift convention {shift!r}")
+    # |g_k> is an eigenstate of the lower branch: per-mode closed form
+    lam_hi = p.lam + p.coupling
+    c2a = np.cos(bogoliubov_angle(lam_hi, k) - bogoliubov_angle(p.lam, k))
+    wt = dispersion(lam_hi, k, p.j_coupling) * tt
+    z = np.cos(wt) + 1j * c2a * np.sin(wt)
+    ground_phase = np.sum(dispersion(p.lam, k, p.j_coupling)) * tt[0]
     with np.errstate(divide="ignore"):  # a mode overlap of exactly 0 gives -inf
         log_mag = np.sum(np.log(np.abs(z)), axis=0)
     phase = np.sum(np.angle(z), axis=0) - ground_phase
@@ -128,11 +111,10 @@ def _dense_chain(n: int, lam: float, j_coupling: float) -> np.ndarray:
     return h
 
 
-def brute_force_oracle(p: IsingBathParams, t, shift: str = "one_sided"):
-    """Exact 2^N decoherence factor <g| e^{+i H_- t} e^{-i H_+ t} |g>.
+def brute_force_oracle(p: IsingBathParams, t):
+    """Exact 2^N decoherence factor <g| e^{+i H(lam) t} e^{-i H(lam+delta) t} |g>.
 
-    |g> is the dense ground state of the chain at field lam; the branch
-    Hamiltonians are the chain at the shifted fields.  N <= 11 only.
+    |g> is the dense ground state of the chain at field lam.  N <= 11 only.
     """
     if p.n_spins > 11:
         raise DimensionTooLarge(f"dense oracle limited to N <= 11, got {p.n_spins}")
@@ -142,26 +124,8 @@ def brute_force_oracle(p: IsingBathParams, t, shift: str = "one_sided"):
     w_g, v_g = np.linalg.eigh(_dense_chain(p.n_spins, p.lam, p.j_coupling))
     g = v_g[:, 0]
 
-    if shift == "one_sided":
-        # e^{+i H(lam) t}|g> is a pure phase e^{-i E_g t} acting leftwards
-        w_hi, v_hi = np.linalg.eigh(
-            _dense_chain(p.n_spins, p.lam + p.coupling, p.j_coupling)
-        )
-        weights = np.abs(v_hi.conj().T @ g) ** 2
-        out = np.exp(1j * w_g[0] * tt) * (weights @ np.exp(-1j * np.outer(w_hi, tt)))
-    elif shift == "symmetric":
-        w_lo, v_lo = np.linalg.eigh(
-            _dense_chain(p.n_spins, p.lam - p.coupling, p.j_coupling)
-        )
-        w_hi, v_hi = np.linalg.eigh(
-            _dense_chain(p.n_spins, p.lam + p.coupling, p.j_coupling)
-        )
-        a = v_lo.conj().T @ g
-        b = v_hi.conj().T @ g
-        mix = v_lo.conj().T @ v_hi
-        phase_lo = np.exp(1j * np.outer(w_lo, tt))
-        phase_hi = np.exp(-1j * np.outer(w_hi, tt))
-        out = np.einsum("j,jt,jl,lt,l->t", a.conj(), phase_lo, mix, phase_hi, b)
-    else:
-        raise ValidationError(f"unknown shift convention {shift!r}")
+    # e^{+i H(lam) t}|g> is a pure phase e^{-i E_g t} acting leftwards
+    w_hi, v_hi = np.linalg.eigh(_dense_chain(p.n_spins, p.lam + p.coupling, p.j_coupling))
+    weights = np.abs(v_hi.conj().T @ g) ** 2
+    out = np.exp(1j * w_g[0] * tt) * (weights @ np.exp(-1j * np.outer(w_hi, tt)))
     return out if t.ndim else complex(out[0])

@@ -24,9 +24,7 @@ mode product gives the per-mode coefficients (J = 1 units, a = lam - cos k)
 whose k-integrals are the closed forms f2, F2, F3, G1 below; G1 reduces to
 complete elliptic integrals and is singular in slope at the critical point
 lam = 1.  These coefficients are cross-validated against the numeric
-extraction; ``closed_form_discrepancies`` quantifies how common transcribed
-variants (unsquared sine in f2, sign/128 factor in F3, missing 4t in p1_k)
-deviate from the validated forms.
+extraction.
 """
 
 from __future__ import annotations
@@ -281,46 +279,3 @@ def mode_coefficients(lam: float, k, t):
     p1 = 4.0 * t * a / e
     return r2, r3, p1
 
-
-def closed_form_discrepancies(p: IsingBathParams, sys: SystemParams, samples: int = 512) -> dict:
-    """Quantify common transcribed variants of the coefficient formulas.
-
-    Compares the validated expansion against variants seen in circulation:
-    f2 with an unsquared sine and no 16 sin^2 k factor, R3 with the opposite
-    sign (equivalently F3 scaled by -1/128), and the linear phase coefficient
-    quoted without its 4t factor.  The validated forms themselves are checked
-    against Richardson extraction from the exact mode product elsewhere in
-    the test suite; this report documents the mapping between the variants.
-    """
-    cf = ising_closed_forms(p, sys)
-    T = cf.t_period
-    lam = p.lam
-
-    def f2_variant_integrand(k):
-        e = dispersion(lam, k)
-        return np.sin(k) ** 2 * np.sin(e * T) / e**4
-
-    f2_variant = cf._density() * _panel_quad(f2_variant_integrand, cf._n_osc(lam))
-
-    def f3_variant_integrand(k):
-        e = dispersion(lam, k)
-        a = lam - np.cos(k)
-        x = 2.0 * e * T
-        w = sys.omega / p.j_coupling
-        return a * np.sin(k) ** 2 / (8.0 * w * e**7) * (
-            4.0 * np.pi * e * (2.0 + np.cos(x)) - 3.0 * w * np.sin(x)
-        )
-
-    f3_variant = cf._density() * _panel_quad(f3_variant_integrand, cf._n_osc(lam))
-
-    times = np.linspace(0.0, T, samples)
-    _, _, p1 = mode_coefficients(lam, np.pi / 3.0, times)
-    return {
-        "f2_validated": cf.f2(lam),
-        "f2_variant": f2_variant,
-        "F3_validated": cf.F3(lam),
-        "F3_variant": f3_variant,
-        "F3_variant_scale": -128.0,  # validated F3 = -128 x variant at T = 2 pi / W
-        "phase1_time_factor": "p1_k = 4 t (lam - cos k)/e_k; variants omit the 4t",
-        "phase1_slope_at_tau": float(p1[-1] / T),
-    }

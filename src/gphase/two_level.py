@@ -8,10 +8,8 @@ at the critical point lambda = 0:
 with minimum gap Delta at criticality and B = lambda*Delta for z*nu = 1.
 The system couples through Z, so conditioned on the system pointer states
 the environment evolves under two shifted branch Hamiltonians; their
-overlap is the decoherence factor.  ``decoherence_factor_oracle`` computes
-that overlap from exact 2x2 propagators and is the ground truth here;
-``decoherence_factor_analytic`` is a closed form kept for reference, with
-``analytic_formula_report`` quantifying where it deviates from the oracle.
+overlap is the decoherence factor, which ``decoherence_factor_oracle``
+computes from exact 2x2 propagators.
 """
 
 from __future__ import annotations
@@ -22,8 +20,6 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import ValidationError
-
-_TWO_PI = 2.0 * np.pi
 
 
 class CouplingConvention(enum.Enum):
@@ -60,12 +56,6 @@ class TwoLevelBathParams:
         return replace(self, lam=float(lam))
 
 
-def bath_eigenenergies(p: TwoLevelBathParams) -> tuple[float, float]:
-    """(eps_minus, eps_plus) = -/+ Delta*sqrt(1 + lambda^(2 znu))."""
-    e = p.delta_gap * np.sqrt(1.0 + abs(p.lam) ** (2.0 * p.znu))
-    return -e, e
-
-
 def ground_state(p: TwoLevelBathParams) -> np.ndarray:
     """Ground state of B Z + Delta X: |g> = cos(a/2)|0> - sin(a/2)|1>, tan a = -Delta/B.
 
@@ -83,22 +73,26 @@ def _branch_fields(p: TwoLevelBathParams) -> tuple[float, float]:
     return b, b + 2.0 * p.coupling
 
 
-def _overlap_factor(b0: float, b1: float, gap: float, psi: np.ndarray, t):
-    """<psi| e^{+i H1 t} e^{-i H0 t} |psi> for H_j = b_j Z + gap X, vectorized in t.
+def decoherence_factor_oracle(p: TwoLevelBathParams, t, initial=None):
+    """Exact branch-overlap decoherence factor <eps1(t)|eps0(t)>.
 
-    Uses the closed-form 2x2 exponential e^{-iHt} = cos(Et) - i sin(Et) H/E.
+    Branch Hamiltonians H_j = b_j Z + Delta X follow ``p.convention``; the
+    initial environment state defaults to the bath ground state.  Uses the
+    closed-form 2x2 exponential e^{-iHt} = cos(Et) - i sin(Et) H/E.  Never
+    reads the system angle theta: pure dephasing makes r(t) independent of
+    the system state.  Accepts scalar or array t; |r| <= 1 and r(0) = 1
+    exactly.
     """
+    psi = ground_state(p) if initial is None else np.asarray(initial, dtype=complex)
+    b0, b1 = _branch_fields(p)
+    gap = p.delta_gap
     t = np.asarray(t, dtype=float)
 
     def _u(b, tt, sign):
-        e = np.hypot(b, gap)
+        e = np.hypot(b, gap)  # >= gap > 0
         c = np.cos(e * tt)
-        if e == 0.0:
-            s = np.zeros_like(tt)
-            bz, gx = 0.0, 0.0
-        else:
-            s = np.sin(e * tt) * sign
-            bz, gx = b / e, gap / e
+        s = np.sin(e * tt) * sign
+        bz, gx = b / e, gap / e
         u = np.zeros(tt.shape + (2, 2), dtype=complex)
         u[..., 0, 0] = c - 1j * s * bz
         u[..., 1, 1] = c + 1j * s * bz
@@ -110,65 +104,3 @@ def _overlap_factor(b0: float, b1: float, gap: float, psi: np.ndarray, t):
     u0 = _u(b0, t, +1.0)   # e^{-i H0 t}
     out = np.einsum("i,...ij,...jk,k->...", psi.conj(), u1, u0, psi)
     return out if out.shape else complex(out)
-
-
-def decoherence_factor_oracle(p: TwoLevelBathParams, t, initial=None):
-    """Exact branch-overlap decoherence factor <eps1(t)|eps0(t)>.
-
-    Branch Hamiltonians follow ``p.convention``; the initial environment
-    state defaults to the bath ground state.  Never reads the system angle
-    theta: pure dephasing makes r(t) independent of the system state.
-    Accepts scalar or array t; |r| <= 1 and r(0) = 1 exactly.
-    """
-    psi = ground_state(p) if initial is None else np.asarray(initial, dtype=complex)
-    b0, b1 = _branch_fields(p)
-    return _overlap_factor(b0, b1, p.delta_gap, psi, t)
-
-
-def decoherence_factor_analytic(p: TwoLevelBathParams, t):
-    """Closed-form r(t) for the one-sided branch pair (lambda, lambda + delta/Delta).
-
-    Implemented exactly as the reference expression reads, with the shift
-    applied in the dimensionless-lambda slot (delta/Delta).  Its sin
-    coefficient deviates from the exact overlap at first order in
-    lambda*delta; see ``analytic_formula_report``.
-    """
-    t = np.asarray(t, dtype=float)
-    d = p.coupling / p.delta_gap  # dimensionless shift
-    eps_m = -p.delta_gap * np.sqrt(1.0 + abs(p.lam) ** (2.0 * p.znu))
-    lam_s = p.lam + d
-    eps_ms = -p.delta_gap * np.sqrt(1.0 + abs(lam_s) ** (2.0 * p.znu))
-    coeff = (eps_ms**2 - (p.delta_gap * d) ** 2) / (eps_m * eps_ms)
-    r = np.exp(1j * eps_m * t) * (np.cos(eps_ms * t) - 1j * coeff * np.sin(eps_ms * t))
-    return r if r.shape else complex(r)
-
-
-def one_sided_overlap(p: TwoLevelBathParams, t):
-    """Exact overlap for the same one-sided branch pair as the closed form."""
-    psi = ground_state(p)
-    b = p.b_field
-    return _overlap_factor(b + p.coupling, b, p.delta_gap, psi, t)
-
-
-def analytic_formula_report(p: TwoLevelBathParams, samples: int = 512) -> dict:
-    """Compare the closed-form r(t) against exact one-sided branch evolution.
-
-    Returns max deviations of the formula as printed and of the repaired
-    coefficient (eps^2 + eps_shift^2 - Delta^2 d^2) / (2 eps eps_shift) over
-    one magnitude period.  Documentation artifact, not a correctness gate.
-    """
-    d = p.coupling / p.delta_gap
-    eps_m = -p.delta_gap * np.sqrt(1.0 + abs(p.lam) ** (2.0 * p.znu))
-    lam_s = p.lam + d
-    eps_ms = -p.delta_gap * np.sqrt(1.0 + abs(lam_s) ** (2.0 * p.znu))
-    t = np.linspace(0.0, np.pi / abs(eps_ms), samples)
-    exact = one_sided_overlap(p, t)
-    printed = decoherence_factor_analytic(p, t)
-    coeff = (eps_m**2 + eps_ms**2 - (p.delta_gap * d) ** 2) / (2.0 * eps_m * eps_ms)
-    repaired = np.exp(1j * eps_m * t) * (np.cos(eps_ms * t) - 1j * coeff * np.sin(eps_ms * t))
-    return {
-        "max_dev_printed": float(np.max(np.abs(printed - exact))),
-        "max_dev_repaired": float(np.max(np.abs(repaired - exact))),
-        "lambda": p.lam,
-        "shift": d,
-    }

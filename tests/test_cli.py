@@ -1,3 +1,4 @@
+import concurrent.futures
 import dataclasses
 import json
 import time
@@ -5,6 +6,7 @@ import time
 import numpy as np
 import pytest
 
+from gphase import cli
 from gphase.cli import EXPERIMENTS, PRESETS, _results, main, parse_config, presets
 from gphase.errors import GphaseError
 from gphase.gp import SystemParams, build_trace, geometric_phase
@@ -104,6 +106,45 @@ class TestDeterminism:
         _, c = run_cli(argv + ["--workers", "4"], tmp_path, "c.csv")
         assert a == b == c
         assert len(a) > 0
+
+    @pytest.mark.parametrize("workers,points,cpus,sizes", [
+        (64, 2, 8, [2]),      # never more workers than points
+        (64, 5, 3, [3]),      # nor than CPUs
+        (3, 5, 8, [3]),
+        (64, 5, None, []),    # CPU count unknown: serial
+        (64, 1, 8, []),       # one point: serial
+    ], ids=["points", "cpus", "workers", "cpus-unknown", "one-point"])
+    def test_pool_sized_to_work(self, tmp_path, monkeypatch, workers, points, cpus, sizes):
+        created = []
+
+        class InlinePool:
+            """Records its size and runs each task at submit; starts no process."""
+
+            def __init__(self, max_workers):
+                created.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def submit(self, fn, *args):
+                future = concurrent.futures.Future()
+                future.set_result(fn(*args))
+                return future
+
+            def shutdown(self, cancel_futures=False):
+                pass
+
+        monkeypatch.setattr(cli.concurrent.futures, "ProcessPoolExecutor", InlinePool)
+        monkeypatch.setattr(cli.os, "cpu_count", lambda: cpus)
+        argv = ["ising-approx", "--lambda-points", str(points), "--n-spins", "40",
+                "--workers", str(workers)]
+        rc, raw = run_cli(argv, tmp_path, "p.csv")
+        assert rc == 0
+        assert len(raw.decode().strip().splitlines()) == points + 1
+        assert created == sizes
 
     def test_workers_env_default(self, tmp_path, monkeypatch):
         monkeypatch.setenv("GPHASE_WORKERS", "2")

@@ -13,7 +13,6 @@ from gphase.gp import (
     bloch_plus_angle,
     build_trace,
     density_trajectory,
-    dynamical_phase,
     eps_plus,
     geometric_phase,
     gp_from_trajectory,
@@ -188,15 +187,6 @@ class TestBlochPlusAngle:
             c, s = bloch_plus_angle(r, th, eps_plus(r, th))
             assert c**2 + s**2 == pytest.approx(1.0, abs=1e-10)
             assert s >= 0
-
-
-class TestDynamicalPhase:
-    @pytest.mark.parametrize(
-        "theta,expected",
-        [(np.pi / 2, 0.0), (0.0, -np.pi), (np.pi / 4, -np.pi * np.sqrt(2) / 2)],
-    )
-    def test_values(self, theta, expected):
-        assert dynamical_phase(SystemParams(OMEGA, theta)) == pytest.approx(expected, abs=1e-12)
 
 
 class TestGeometricPhase:

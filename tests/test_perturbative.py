@@ -8,7 +8,6 @@ from gphase.errors import DomainError, StencilConditioning, ValidationError
 from gphase.gp import SystemParams, baseline_subtracted_phase, build_trace, geometric_phase
 from gphase.ising import IsingBathParams, decoherence_product, momenta
 from gphase.perturbative import (
-    closed_form_discrepancies,
     elliptic_E,
     elliptic_K,
     extract_coefficients_numeric,
@@ -236,14 +235,30 @@ class TestClosedForms:
         assert cf.F3(lam) == pytest.approx(simpson, rel=1e-6)
 
     def test_discrepancy_report_scale(self):
-        p = IsingBathParams(100, 1.0, 0.5, 5e-5)
-        sp = SystemParams(omega=1.0, theta=np.pi / 4)
-        rep = closed_form_discrepancies(p, sp)
-        assert rep["F3_validated"] / rep["F3_variant"] == pytest.approx(-128.0, rel=1e-9)
-        assert rep["phase1_slope_at_tau"] == pytest.approx(
-            4.0 * (0.5 - np.cos(np.pi / 3)) / (2.0 * np.sqrt(1.25 - np.cos(np.pi / 3))),
-            rel=1e-12,
+        # quoted variants of the per-mode coefficients, mapped onto the
+        # validated ones mode by mode (no k-integral)
+        w, lam = 1.0, 0.5
+        T = 2.0 * np.pi / w
+        k = momenta(64)
+        e = 2.0 * np.sqrt(1.0 + lam**2 - 2.0 * lam * np.cos(k))
+        a = lam - np.cos(k)
+        # F3 integrand quoted with the opposite sign and a 1/128 scale;
+        # validated: Simpson time integral of R3_k over the cycle
+        x = 2.0 * e * T
+        f3_quoted = a * np.sin(k) ** 2 / (8.0 * w * e**7) * (
+            4.0 * np.pi * e * (2.0 + np.cos(x)) - 3.0 * w * np.sin(x)
         )
+        nt = 4097
+        times = np.linspace(0.0, T, nt)
+        _, r3k, _ = mode_coefficients(lam, k[:, None], times[None, :])
+        wts = np.ones(nt)
+        wts[1:-1:2], wts[2:-1:2] = 4.0, 2.0
+        f3_validated = r3k @ wts * (times[1] - times[0]) / 3.0
+        np.testing.assert_allclose(-128.0 * f3_quoted, f3_validated,
+                                   rtol=0, atol=1e-9 * np.max(np.abs(f3_validated)))
+        # linear phase coefficient quoted without its 4t factor
+        _, _, p1 = mode_coefficients(lam, k, T)
+        np.testing.assert_allclose(p1, 4.0 * T * a / e, rtol=1e-12)
 
 
 class TestApproxIsing:

@@ -136,12 +136,6 @@ class TestRunProtocol:
         for r in runs[1:]:
             assert np.max(np.abs(r.trace.r_values - runs[0].trace.r_values)) < 1e-10
 
-    def test_fidelity_range_and_exact_is_one(self):
-        run = run_protocol(make_params())
-        assert np.all(run.fidelity_vs_exact >= 0.0)
-        assert np.all(run.fidelity_vs_exact <= 1.0 + 1e-12)
-        np.testing.assert_allclose(run.fidelity_vs_exact, 1.0, atol=1e-12)
-
     def test_energy_conservation_exact(self):
         p = make_params(b_over_omega=0.12)
         h = build_target_hamiltonian(p)

@@ -16,12 +16,8 @@ from gphase.qmat import X, Z
 from gphase.two_level import (
     CouplingConvention,
     TwoLevelBathParams,
-    analytic_formula_report,
-    bath_eigenenergies,
-    decoherence_factor_analytic,
     decoherence_factor_oracle,
     ground_state,
-    one_sided_overlap,
 )
 
 OMEGA = 100.0 * np.pi
@@ -54,21 +50,27 @@ class TestParams:
 
 
 class TestEigenenergies:
+    # the bath spectrum is +-Delta sqrt(1 + lambda^2); ground_state must pick
+    # the lower level
     def test_critical_point(self):
         p = TwoLevelBathParams(delta_gap=1.7, lam=0.0, coupling=0.0)
-        assert bath_eigenenergies(p) == pytest.approx((-1.7, 1.7), abs=1e-15)
+        g = ground_state(p)
+        h = p.b_field * Z + p.delta_gap * X
+        assert np.vdot(g, h @ g).real == pytest.approx(-1.7, abs=1e-15)
 
     def test_unit_field(self):
         p = TwoLevelBathParams(delta_gap=1.0, lam=1.0, coupling=0.0)
-        lo, hi = bath_eigenenergies(p)
-        assert lo == pytest.approx(-np.sqrt(2), abs=1e-14)
+        g = ground_state(p)
+        h = p.b_field * Z + p.delta_gap * X
+        assert np.vdot(g, h @ g).real == pytest.approx(-np.sqrt(2), abs=1e-14)
 
     def test_matches_diagonalization(self):
         p = TwoLevelBathParams(delta_gap=2 * np.pi, lam=0.5, coupling=0.0)
-        w, _ = np.linalg.eigh(p.b_field * Z + p.delta_gap * X)
-        lo, hi = bath_eigenenergies(p)
-        assert lo == pytest.approx(w[0], abs=1e-12)
-        assert hi == pytest.approx(w[1], abs=1e-12)
+        h = p.b_field * Z + p.delta_gap * X
+        w = np.linalg.eigvalsh(h)
+        g = ground_state(p)
+        assert np.vdot(g, h @ g).real == pytest.approx(w[0], abs=1e-12)
+        assert p.delta_gap * np.hypot(1.0, p.lam) == pytest.approx(w[1], abs=1e-12)
 
 
 class TestGroundState:
@@ -88,7 +90,7 @@ class TestGroundState:
             p = TwoLevelBathParams(delta_gap=1.3, lam=lam, coupling=0.0)
             h = p.b_field * Z + p.delta_gap * X
             g = ground_state(p)
-            lo, _ = bath_eigenenergies(p)
+            lo = np.linalg.eigvalsh(h)[0]
             assert np.linalg.norm(h @ g - lo * g) < 1e-12
 
 
@@ -146,37 +148,58 @@ class TestOracle:
         np.testing.assert_allclose(r_pj, np.conj(r_zz), atol=1e-12)
 
 
+def one_sided_closed_forms(p, t):
+    """Closed forms (z nu = 1) of the overlap for the one-sided branch pair (lambda,
+    lambda + d), d = delta/Delta, from the ground state at lambda, as quoted
+    and with the sin coefficient repaired, and the exact overlap: the oracle
+    on the bath shifted by half the coupling has exactly those branch fields."""
+    d = p.coupling / p.delta_gap
+    eps = -p.delta_gap * np.sqrt(1.0 + p.lam**2)
+    eps_s = -p.delta_gap * np.sqrt(1.0 + (p.lam + d) ** 2)
+    quoted = (eps_s**2 - (p.delta_gap * d) ** 2) / (eps * eps_s)
+    repaired = (eps**2 + eps_s**2 - (p.delta_gap * d) ** 2) / (2.0 * eps * eps_s)
+    forms = [np.exp(1j * eps * t) * (np.cos(eps_s * t) - 1j * c * np.sin(eps_s * t))
+             for c in (quoted, repaired)]
+    half = replace(p.with_b_field(p.b_field + p.coupling / 2.0), coupling=p.coupling / 2.0)
+    exact = decoherence_factor_oracle(half, t, initial=ground_state(p))
+    return forms[0], forms[1], exact
+
+
 class TestAnalyticFormula:
     def test_uncoupled_and_initial(self):
-        p = paper_bath(coupling=0.0)
         t = np.linspace(0, 0.05, 20)
-        np.testing.assert_allclose(decoherence_factor_analytic(p, t), 1.0, atol=1e-12)
-        assert decoherence_factor_analytic(paper_bath(), 0.0) == pytest.approx(1.0, abs=0)
+        for form in one_sided_closed_forms(paper_bath(coupling=0.0), t):
+            np.testing.assert_allclose(form, 1.0, atol=1e-12)
+        for form in one_sided_closed_forms(paper_bath(), 0.0):
+            assert form == pytest.approx(1.0, abs=0)
 
     def test_magnitude_periodicity(self):
+        # |r| of the exact one-sided overlap repeats with the shifted branch's
+        # half period pi / eps_shift
         p = paper_bath()
-        d = p.coupling / p.delta_gap
-        eps_shift = p.delta_gap * np.sqrt(1.0 + (p.lam + d) ** 2)
-        period = np.pi / eps_shift
+        eps_s = p.delta_gap * np.hypot(1.0, p.lam + p.coupling / p.delta_gap)
+        period = np.pi / eps_s
         t = np.linspace(0, period, 40)
-        r0 = np.abs(decoherence_factor_analytic(p, t))
-        r1 = np.abs(decoherence_factor_analytic(p, t + period))
+        r0 = np.abs(one_sided_closed_forms(p, t)[2])
+        r1 = np.abs(one_sided_closed_forms(p, t + period)[2])
         np.testing.assert_allclose(r0, r1, atol=1e-10)
 
     def test_discrepancy_report(self):
-        # the closed form deviates from the exact one-sided overlap at first
-        # order in lam*d; the repaired sin coefficient removes the gap entirely
-        rep = analytic_formula_report(paper_bath())
-        assert rep["max_dev_repaired"] < 1e-12
-        assert rep["max_dev_printed"] > rep["max_dev_repaired"]
+        # the quoted sin coefficient deviates from the exact one-sided overlap
+        # at first order in lam*d; the repaired one removes the gap entirely
+        p = paper_bath()
+        eps_s = p.delta_gap * np.hypot(1.0, p.lam + p.coupling / p.delta_gap)
+        t = np.linspace(0.0, np.pi / eps_s, 512)  # one magnitude period
+        quoted, repaired, exact = one_sided_closed_forms(p, t)
+        dev_repaired = np.max(np.abs(repaired - exact))
+        assert dev_repaired < 1e-12
+        assert np.max(np.abs(quoted - exact)) > dev_repaired
 
     def test_matches_exact_at_critical_point(self):
-        # at lam = 0 the formula's coefficient is exact
-        p = paper_bath(lam=0.0)
+        # at lam = 0 the quoted coefficient is exact
         t = np.linspace(0, 0.02, 100)
-        np.testing.assert_allclose(
-            decoherence_factor_analytic(p, t), one_sided_overlap(p, t), atol=1e-10
-        )
+        quoted, _, exact = one_sided_closed_forms(paper_bath(lam=0.0), t)
+        np.testing.assert_allclose(quoted, exact, atol=1e-10)
 
 
 def dphi(bath, b, sysp, samples):
