@@ -27,6 +27,8 @@ from .errors import DimensionTooLarge, MagnitudeUnderflow, ValidationError
 from .qmat import I2, X, Z
 
 _LOG_FLOOR = -700.0
+# mode-samples per block of the streamed product: a few MB of temporaries
+_BLOCK_SAMPLES = 2**16
 
 
 @dataclass(frozen=True)
@@ -39,6 +41,8 @@ class IsingBathParams:
     coupling: float    # delta, dimensionless shift of lam
 
     def __post_init__(self):
+        if not np.all(np.isfinite([self.j_coupling, self.lam, self.coupling])):
+            raise ValidationError(f"j_coupling, lam and coupling must be finite, got {self}")
         if self.n_spins < 2 or self.n_spins % 2 != 0:
             raise ValidationError(f"n_spins must be even and >= 2, got {self.n_spins}")
         if not (self.j_coupling > 0):
@@ -67,21 +71,35 @@ def decoherence_product(p: IsingBathParams, t):
     Accumulates sum(log R_k) and the total phase in log space, so deep
     collapses do not underflow mode by mode.  If the summed log magnitude
     falls below -700 a MagnitudeUnderflow warning is issued and the value is
-    flushed to zero.  delta = 0 returns exactly 1.  Vectorized in t.
+    flushed to zero.  delta = 0 returns exactly 1.  Vectorized in t: the
+    result has t's shape (a complex for scalar t).
+
+    The modes are streamed in blocks of about ``_BLOCK_SAMPLES`` mode-samples
+    and each block's rows are added into the two length-M sums in mode order,
+    so memory is O(M) for M times rather than O(N M), and the result does not
+    depend on the block size.
     """
     t = np.asarray(t, dtype=float)
+    tt = t.reshape(-1)
     k = momenta(p.n_spins)[:, None]
-    tt = t[None, :] if t.ndim else t.reshape(1)[None, :]
+    lam_hi = p.lam + p.coupling
+    rows = max(1, _BLOCK_SAMPLES // max(tt.size, 1))
 
     # |g_k> is an eigenstate of the lower branch: per-mode closed form
-    lam_hi = p.lam + p.coupling
-    c2a = np.cos(bogoliubov_angle(lam_hi, k) - bogoliubov_angle(p.lam, k))
-    wt = dispersion(lam_hi, k, p.j_coupling) * tt
-    z = np.cos(wt) + 1j * c2a * np.sin(wt)
-    ground_phase = np.sum(dispersion(p.lam, k, p.j_coupling)) * tt[0]
-    with np.errstate(divide="ignore"):  # a mode overlap of exactly 0 gives -inf
-        log_mag = np.sum(np.log(np.abs(z)), axis=0)
-    phase = np.sum(np.angle(z), axis=0) - ground_phase
+    log_mag = np.zeros(tt.size)
+    phase = np.zeros(tt.size)
+    for start in range(0, k.shape[0], rows):
+        kb = k[start:start + rows]
+        c2a = np.cos(bogoliubov_angle(lam_hi, kb) - bogoliubov_angle(p.lam, kb))
+        wt = dispersion(lam_hi, kb, p.j_coupling) * tt
+        z = np.cos(wt) + 1j * c2a * np.sin(wt)
+        with np.errstate(divide="ignore"):  # a mode overlap of exactly 0 gives -inf
+            log_z = np.log(np.abs(z))
+        # row by row: a per-block np.sum would make the bits depend on the block size
+        for row_mag, row_angle in zip(log_z, np.angle(z)):
+            log_mag += row_mag
+            phase += row_angle
+    phase -= np.sum(dispersion(p.lam, k, p.j_coupling)) * tt
 
     under = log_mag < _LOG_FLOOR
     if np.any(under):
@@ -91,7 +109,7 @@ def decoherence_product(p: IsingBathParams, t):
             stacklevel=2,
         )
     out = np.where(under, 0.0, np.exp(np.maximum(log_mag, _LOG_FLOOR))) * np.exp(1j * phase)
-    return out if t.ndim else complex(out[0])
+    return out.reshape(t.shape) if t.ndim else complex(out[0])
 
 
 def _dense_chain(n: int, lam: float, j_coupling: float) -> np.ndarray:

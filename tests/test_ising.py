@@ -1,9 +1,11 @@
+import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
 import scipy.linalg
 
+import gphase.ising
 from gphase.errors import DimensionTooLarge, MagnitudeUnderflow, ValidationError
 from gphase.ising import (
     IsingBathParams,
@@ -24,6 +26,16 @@ class TestParams:
             IsingBathParams(n_spins=0, j_coupling=1.0, lam=0.5, coupling=0.01)
         with pytest.raises(ValidationError):
             IsingBathParams(n_spins=4, j_coupling=-1.0, lam=0.5, coupling=0.01)
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [("lam", np.nan), ("lam", -np.inf), ("coupling", np.nan), ("j_coupling", np.inf)],
+    )
+    def test_non_finite_rejected(self, field, value):
+        kwargs = dict(n_spins=4, j_coupling=1.0, lam=0.5, coupling=0.01)
+        kwargs[field] = value
+        with pytest.raises(ValidationError):
+            IsingBathParams(**kwargs)
 
     def test_momentum_grid(self):
         k = momenta(8)
@@ -110,13 +122,64 @@ class TestProduct:
             halves.append(np.prod(z, axis=0) * np.exp(-1j * np.sum(eps(0.9, ks)) * t))
         np.testing.assert_allclose(halves[0] * halves[1], r_full, atol=1e-12)
 
-    def test_underflow_flushes_to_zero(self):
+    def test_underflow_flushes_to_zero(self, monkeypatch):
         p = IsingBathParams(20000, 1.0, 1.0, 0.5)
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
             val = decoherence_product(p, 7.3)
         assert val == 0j
         assert any(issubclass(w.category, MagnitudeUnderflow) for w in caught)
+
+        # the same flush when the 10000 modes stream through ten blocks
+        monkeypatch.setattr(gphase.ising, "_BLOCK_SAMPLES", 2 * 1000)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            vals = decoherence_product(p, np.array([0.0, 7.3]))
+        assert vals[0] == 1.0 and vals[1] == 0j
+        assert any(issubclass(w.category, MagnitudeUnderflow) for w in caught)
+
+    def test_block_size_invariance(self, monkeypatch):
+        # 500 modes, not a multiple of 7; blocks of 1, 7 and all modes give the
+        # same bits as the product formed as one (N/2, M) array
+        p = IsingBathParams(1000, 1.0, 1.0, 5e-5)
+        t = np.linspace(0, 2 * np.pi, 1025)
+        outs = []
+        for modes in (1, 7, 500):
+            monkeypatch.setattr(gphase.ising, "_BLOCK_SAMPLES", modes * t.size)
+            outs.append(decoherence_product(p, t))
+
+        k = momenta(p.n_spins)[:, None]
+        c2a = np.cos(bogoliubov_angle(1.0 + 5e-5, k) - bogoliubov_angle(1.0, k))
+        wt = dispersion(1.0 + 5e-5, k) * t[None, :]
+        z = np.cos(wt) + 1j * c2a * np.sin(wt)
+        log_mag = np.sum(np.log(np.abs(z)), axis=0)
+        phase = np.sum(np.angle(z), axis=0) - np.sum(dispersion(1.0, k)) * t
+        whole = np.exp(log_mag) * np.exp(1j * phase)
+        for out in outs:
+            assert np.array_equal(out, whole)
+
+    @pytest.mark.parametrize("n", [4, 6])
+    def test_multidimensional_t(self, n):
+        p = IsingBathParams(n, 1.0, 0.7, 0.3)
+        t = np.linspace(0.1, 2.9, 6).reshape(2, 3)
+        out = decoherence_product(p, t)
+        assert out.shape == (2, 3)
+        scalar = np.array([[decoherence_product(p, v) for v in row] for row in t])
+        np.testing.assert_allclose(out, scalar, rtol=0, atol=1e-15)
+
+    def test_memory_flat_in_chain_size(self):
+        t = np.linspace(0, 2 * np.pi, 1025)
+        peaks = {}
+        for n in (1000, 10_000):
+            p = IsingBathParams(n, 1.0, 1.0, 5e-5)
+            tracemalloc.start()
+            try:
+                decoherence_product(p, t)
+                peaks[n] = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert peaks[10_000] < 16e6
+        assert peaks[10_000] < 1.5 * peaks[1000]
 
     def test_criticality_deepens_with_size(self):
         # cycle-averaged |r|^2 at the critical field drops as the chain grows
