@@ -5,7 +5,7 @@ Demonstrates:
 1. The unitary reference value pi (1 - cos theta)
 2. Two independent routes to the open-system phase: the closed-form engine
    and parallel transport along the density-matrix trajectory
-3. The baseline-subtracted correction dPhi(B): peaked at the critical point,
+3. The coupling-induced correction dPhi(B): peaked at the critical point,
    not even under B -> -B
 4. The simulated measurement protocol reproducing the theory curve
 
@@ -61,7 +61,7 @@ def main():
     print(f"\nparallel-transport route: {phi_transport:+.6f}  (gap {gap:+.2e} rad)")
 
     # full field sweep through the simulated protocol
-    print("\nbaseline-subtracted correction across the field range:")
+    print("\ncoupling-induced correction across the field range:")
     b_grid = np.linspace(-0.2 * OMEGA, 0.2 * OMEGA, 21)
     recs = correction_experiment(ProtocolParams(sys=sysp, bath=bath), b_grid)
     print("    B/W     dPhi(protocol)  dPhi(theory)")

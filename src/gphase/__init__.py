@@ -5,18 +5,19 @@ Library layout:
 - :mod:`gphase.qmat`: small dense complex linear algebra (propagators,
   tensor products, partial trace).
 - :mod:`gphase.gp`: geometric phase from a sampled decoherence factor
-  (closed form) and from the density-matrix trajectory (parallel transport),
-  and the correction against an uncoupled reference run
-  (``baseline_subtracted_phase``).
+  (closed form) and from the density-matrix trajectory (parallel transport);
+  ``GpResult.correction`` is the phase minus its uncoupled value
+  pi(1 - cos theta).
 - :mod:`gphase.two_level`: two-level model of a critical environment and its
   exact branch-overlap decoherence factor.
 - :mod:`gphase.ising`: transverse-field Ising chain environment shifted from
   lam to lam + delta, via the free-fermion mode product, with a dense small-N
   oracle.
-- :mod:`gphase.perturbative`: small-coupling expansion of the phase and the
-  Ising closed forms with complete elliptic integrals.
+- :mod:`gphase.perturbative`: small-coupling expansion of the phase
+  correction and the Ising closed forms with complete elliptic integrals.
 - :mod:`gphase.protocol`: software replica of the Trotterized two-qubit
-  simulation protocol, including the baseline-subtracted phase correction.
+  simulation protocol and the phase correction it reads out across a field
+  sweep.
 - :mod:`gphase.cli`: one table of experiments driving parameter sweeps,
   presets and CSV/JSON output.
 """
@@ -25,7 +26,6 @@ from .gp import (
     DecoherenceTrace,
     GpResult,
     SystemParams,
-    baseline_subtracted_phase,
     bloch_plus_angle,
     build_trace,
     density_trajectory,

@@ -4,7 +4,7 @@ Experiments
 -----------
 trace         sample the two-level bath decoherence factor over one cycle
 gp-curve      geometric phase for one parameter set (or a sweep of one axis)
-correction    baseline-subtracted phase correction across a field sweep,
+correction    coupling-induced phase correction across a field sweep,
               protocol simulation plus the theory column
 ising-sweep   exact chain pipeline vs 2nd/3rd order approximations over lambda
 ising-approx  2nd/3rd order approximations only (fast)
@@ -39,7 +39,7 @@ import numpy as np
 
 from . import __version__
 from .errors import ConfigParseError, GphaseError, ValidationError
-from .gp import MIN_SAMPLES, SystemParams, baseline_subtracted_phase, build_trace, geometric_phase
+from .gp import MIN_SAMPLES, SystemParams, build_trace, geometric_phase
 from .ising import IsingBathParams, decoherence_product
 from .perturbative import gp_approx_ising
 from .protocol import (
@@ -169,16 +169,16 @@ def _correction_rows(args) -> list[list[float]]:
 
 
 def _ising_orders_norm(bath: IsingBathParams, sysp: SystemParams) -> list[float]:
-    phi0 = np.pi * (1.0 - np.cos(sysp.theta))
     norm = bath.n_spins * bath.coupling**2
     gp = gp_approx_ising(bath, sysp)
-    return [(gp.order2 - phi0) / norm, (gp.order3 - phi0) / norm]
+    return [gp.order2 / norm, gp.order3 / norm]
 
 
 def _ising_sweep_rows(args) -> list[list[float]]:
     bath, sysp, samples = args
     orders = _ising_orders_norm(bath, sysp)
-    exact = baseline_subtracted_phase(lambda t: decoherence_product(bath, t), sysp, samples)
+    trace = build_trace(lambda t: decoherence_product(bath, t), sysp, samples)
+    exact = geometric_phase(trace, sysp).correction
     return [[bath.lam, exact / (bath.n_spins * bath.coupling**2), *orders]]
 
 
@@ -231,12 +231,14 @@ EXPERIMENTS: dict[str, Experiment] = {
         point=_trace_rows,
     ),
     "gp-curve": Experiment(
+        # znu cannot move a point whose field B is fixed, so it is no --sweep
+        # axis; it stays because it is part of the config hash
         defaults={**_TWO_LEVEL, **_FIELD, "samples": 1024},
         columns=("phi_total", "phi_unitary", "correction", "integral_part",
                  "arctan_part", "eps_plus_final"),
         prepare=lambda p: (*_two_level(p), _samples(p)),
         point=_gp_curve_rows,
-        axes=("omega", "theta", "delta_gap", "coupling", "b_field", "znu"),
+        axes=("omega", "theta", "delta_gap", "coupling", "b_field"),
     ),
     "correction": Experiment(
         # samples is unused; it stays because it is part of the config hash

@@ -143,7 +143,11 @@ def build_trace(sampler, params: SystemParams, samples: int = 256) -> Decoherenc
 
 @dataclass(frozen=True)
 class GpResult:
-    """Total geometric phase and its decomposition over one cycle."""
+    """Total geometric phase and its decomposition over one cycle.
+
+    ``correction`` is the one place the uncoupled (r = 1) phase, known in
+    closed form, is subtracted.
+    """
 
     phi_total: float       # rad
     phi_unitary: float     # pi*(1 - cos theta)
@@ -235,23 +239,6 @@ def geometric_phase(trace: DecoherenceTrace, params: SystemParams) -> GpResult:
         arctan_part=arctan_part,
         eps_plus_final=float(ep[-1]),
     )
-
-
-def _uncoupled(t):
-    return np.ones_like(t, dtype=complex)
-
-
-def baseline_subtracted_phase(sampler, params: SystemParams, samples: int = 256) -> float:
-    """Phase correction Phi[sampler] - Phi[r = 1] over one cycle.
-
-    The uncoupled reference (r identically 1) runs through the same
-    ``build_trace`` / ``geometric_phase`` pipeline on the same grid, mirroring
-    an experiment that subtracts an uncoupled reference run, so discretization
-    error common to both runs cancels.
-    """
-    phi = geometric_phase(build_trace(sampler, params, samples), params).phi_total
-    baseline = geometric_phase(build_trace(_uncoupled, params, samples), params).phi_total
-    return phi - baseline
 
 
 def density_trajectory(trace: DecoherenceTrace, params: SystemParams) -> np.ndarray:

@@ -5,10 +5,11 @@ For weak dephasing the decoherence factor expands as
     |r(t)|^2 = 1 - R2(t) d^2 - R3(t) d^3 + O(d^4),
     arg r(t) = p1(t) d + O(d^2),
 
-and the cycle geometric phase becomes
+and the cycle geometric phase differs from its uncoupled value pi(1 - cos th)
+by the correction
 
-    Phi = pi(1 - cos th) - cos th sin^2 th * [ d^2 (W/4) Int R2
-          + (d^3/24) (3 R2(T) p1(T) + p1(T)^3 + 6 W Int R3 - 6 Int R2 p1') ],
+    dPhi = - cos th sin^2 th * [ d^2 (W/4) Int R2
+           + (d^3/24) (3 R2(T) p1(T) + p1(T)^3 + 6 W Int R3 - 6 Int R2 p1') ],
 
 with W the cycle frequency and T the period (``gp_third_order``).  The
 coefficients are extracted from any bath sampler by Richardson finite
@@ -117,18 +118,18 @@ def extract_coefficients_numeric(
 
 @dataclass(frozen=True)
 class PerturbativeGp:
-    """Geometric phase truncated at second and at third order in the coupling."""
+    """Phase correction truncated at second and at third order in the coupling."""
 
     order2: float
     order3: float
 
 
 def _assemble(theta, omega, delta, int_r2, r2_end, p1_end, int_r3, int_cross) -> PerturbativeGp:
-    """The cycle phase to second and to third order, from Int R2, R2(T), p1(T),
-    Int R3 and Int R2 p1' over one cycle, with ``omega`` in the times' units."""
-    phi0 = np.pi * (1.0 - np.cos(theta))
+    """The cycle phase correction to second and to third order, from Int R2,
+    R2(T), p1(T), Int R3 and Int R2 p1' over one cycle, with ``omega`` in the
+    times' units."""
     pref = np.cos(theta) * np.sin(theta) ** 2
-    order2 = phi0 - pref * delta**2 * (omega / 4.0) * int_r2
+    order2 = -pref * delta**2 * (omega / 4.0) * int_r2
     cubic = 3.0 * r2_end * p1_end + p1_end**3 + 6.0 * omega * int_r3 - 6.0 * int_cross
     order3 = order2 - pref * delta**3 / 24.0 * cubic
     return PerturbativeGp(order2=float(order2), order3=float(order3))
@@ -137,7 +138,7 @@ def _assemble(theta, omega, delta, int_r2, r2_end, p1_end, int_r3, int_cross) ->
 def gp_third_order(
     coeffs: ExpansionCoefficients, sys: SystemParams, delta: float
 ) -> PerturbativeGp:
-    """Assemble the weak-coupling geometric phase from expansion coefficients.
+    """Assemble the weak-coupling phase correction from expansion coefficients.
 
     The coefficient grid must cover exactly one cycle [0, tau].
     """
@@ -246,13 +247,13 @@ def ising_closed_forms(p: IsingBathParams, sys: SystemParams) -> IsingClosedForm
 
 
 def gp_approx_ising(p: IsingBathParams, sys: SystemParams) -> PerturbativeGp:
-    """Weak-coupling geometric phase of a spin against the Ising chain.
+    """Weak-coupling phase correction of a spin against the Ising chain.
 
     Evaluates, with W = Omega/J, T = 2 pi / W and d the dimensionless field
     shift,
 
-        Phi = Phi0 - cos th sin^2 th [ d^2 W F2/4
-              + (d^3/24)(3 T f2 G1 + T^3 G1^3 + 6 W F3 - 6 G1 F2) ],
+        dPhi = - cos th sin^2 th [ d^2 W F2/4
+               + (d^3/24)(3 T f2 G1 + T^3 G1^3 + 6 W F3 - 6 G1 F2) ],
 
     truncated at second and at third order; each closed form is evaluated once.
     """

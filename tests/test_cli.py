@@ -87,6 +87,27 @@ class TestGpCurve:
         assert len({line.split(",", 1)[1] for line in lines[1:]}) == 3
 
 
+class TestWeakCouplingOrders:
+    """The order columns are corrections in their own right, so weak coupling
+    cannot cancel them to multiples of ulp(pi (1 - cos theta)) / (N d^2)."""
+
+    def _orders(self, tmp_path, coupling):
+        argv = ["ising-approx", "--lambda-points", "1", "--lambda-min", "2",
+                "--lambda-max", "2", "--coupling", coupling]
+        rc, raw = run_cli(argv, tmp_path, f"approx-{coupling}.csv")
+        assert rc == 0
+        _, o2, o3, _ = raw.decode().strip().splitlines()[1].split(",")
+        return float(o2), float(o3)
+
+    def test_columns_do_not_quantise(self, tmp_path):
+        tiny, fig = self._orders(tmp_path, "1e-9"), self._orders(tmp_path, "5e-5")
+        # the normalised second order is independent of the coupling
+        assert tiny[0] == pytest.approx(fig[0], rel=1e-12, abs=0)
+        # and the third-order term scales as the coupling
+        ratio = (tiny[1] - tiny[0]) / (fig[1] - fig[0])
+        assert ratio == pytest.approx(1e-9 / 5e-5, rel=1e-10, abs=0)
+
+
 class TestTraceExperiment:
     def test_schema(self, tmp_path):
         rc, raw = run_cli(["trace", "--samples", "64"], tmp_path, "trace.csv")
@@ -287,6 +308,11 @@ class TestRejectedBeforeWork:
     def test_unknown_sweep_axis(self, point_calls):
         # a misspelt axis used to sweep nothing and print identical rows
         assert main(["gp-curve", "--sweep", "bfield", "0", "10", "3"]) == 2
+        assert point_calls == []
+
+    def test_znu_is_no_gp_curve_axis(self, point_calls):
+        # gp-curve fixes B, not lambda, so a znu sweep printed identical rows
+        assert main(["gp-curve", "--sweep", "znu", "0.5", "2", "4"]) == 2
         assert point_calls == []
 
     @pytest.mark.parametrize("argv", [

@@ -5,7 +5,7 @@ import pytest
 from scipy.integrate import quad
 
 from gphase.errors import DomainError, StencilConditioning, ValidationError
-from gphase.gp import SystemParams, baseline_subtracted_phase, build_trace, geometric_phase
+from gphase.gp import SystemParams, build_trace, geometric_phase
 from gphase.ising import IsingBathParams, decoherence_product, momenta
 from gphase.perturbative import (
     elliptic_E,
@@ -130,17 +130,16 @@ class TestThirdOrder:
         times = np.linspace(0, sp.tau, 257)
         co = extract_coefficients_numeric(two_level_sampler, times, h=1e-4 * OMEGA)
         out = gp_third_order(co, sp, 0.0)
-        phi0 = np.pi * (1 - np.cos(sp.theta))
-        assert out.order2 == pytest.approx(phi0, abs=1e-15)
-        assert out.order3 == pytest.approx(phi0, abs=1e-15)
+        assert out.order2 == 0.0
+        assert out.order3 == 0.0
 
     def test_equator_null(self):
         sp = SystemParams(omega=OMEGA, theta=np.pi / 2)
         times = np.linspace(0, sp.tau, 257)
         co = extract_coefficients_numeric(two_level_sampler, times, h=1e-4 * OMEGA)
         out = gp_third_order(co, sp, 0.05 * OMEGA)
-        assert out.order2 == pytest.approx(np.pi, abs=1e-12)
-        assert out.order3 == pytest.approx(np.pi, abs=1e-12)
+        assert out.order2 == pytest.approx(0.0, abs=1e-12)
+        assert out.order3 == pytest.approx(0.0, abs=1e-12)
 
     def test_residual_fourth_order(self):
         # halving the coupling shrinks the third-order residual ~16x
@@ -151,7 +150,7 @@ class TestThirdOrder:
         for d in (0.02 * OMEGA, 0.01 * OMEGA):
             bath = TwoLevelBathParams(delta_gap=0.02 * OMEGA, lam=2.5, coupling=d)
             tr = build_trace(lambda t: decoherence_factor_oracle(bath, t), sp, 4096)
-            exact = geometric_phase(tr, sp).phi_total
+            exact = geometric_phase(tr, sp).correction
             res.append(abs(gp_third_order(co, sp, d).order3 - exact))
         assert res[0] / res[1] == pytest.approx(16.0, rel=0.35)
 
@@ -265,10 +264,9 @@ class TestApproxIsing:
     def test_zero_coupling(self):
         p = IsingBathParams(100, 1.0, 0.5, 0.0)
         sp = SystemParams(omega=1.0, theta=np.pi / 4)
-        phi0 = np.pi * (1 - np.cos(sp.theta))
         out = gp_approx_ising(p, sp)
-        assert out.order2 == pytest.approx(phi0, abs=1e-14)
-        assert out.order3 == pytest.approx(phi0, abs=1e-14)
+        assert out.order2 == 0.0
+        assert out.order3 == 0.0
 
     def test_each_closed_form_evaluated_once(self, monkeypatch):
         calls = []
@@ -281,16 +279,15 @@ class TestApproxIsing:
         assert sorted(calls) == ["F2", "F3", "f2", "g1"]
 
     def test_theta_dependence_factorizes(self):
-        # the correction scales exactly as cos(th) sin^2(th); a non-tiny
-        # coupling keeps the phi0 subtraction noise below the 1e-10 gate
-        p = IsingBathParams(100, 1.0, 0.6, 5e-3)
+        # the correction scales exactly as cos(th) sin^2(th)
+        p = IsingBathParams(100, 1.0, 0.6, 5e-5)
         th1, th2 = 0.5, 1.1
         out = []
         for th in (th1, th2):
             sp = SystemParams(omega=1.0, theta=th)
-            out.append(gp_approx_ising(p, sp).order3 - np.pi * (1 - np.cos(th)))
+            out.append(gp_approx_ising(p, sp).order3)
         expected = (np.cos(th1) * np.sin(th1) ** 2) / (np.cos(th2) * np.sin(th2) ** 2)
-        assert out[0] / out[1] == pytest.approx(expected, abs=1e-10)
+        assert out[0] / out[1] == pytest.approx(expected, abs=1e-12)
 
     def test_third_order_beats_second(self):
         sp = SystemParams(omega=1.0, theta=np.pi / 4)
@@ -298,11 +295,11 @@ class TestApproxIsing:
         lams = [0.3, 0.5, 0.7, 1.3, 1.5]
         for lam in lams:
             p = IsingBathParams(100, 1.0, lam, 5e-5)
-            exact = baseline_subtracted_phase(lambda t: decoherence_product(p, t), sp, 4096)
-            phi0 = np.pi * (1 - np.cos(sp.theta))
+            trace = build_trace(lambda t: decoherence_product(p, t), sp, 4096)
+            exact = geometric_phase(trace, sp).correction
             out = gp_approx_ising(p, sp)
-            e3 = abs(out.order3 - phi0 - exact)
-            e2 = abs(out.order2 - phi0 - exact)
+            e3 = abs(out.order3 - exact)
+            e2 = abs(out.order2 - exact)
             wins += e3 < e2
         assert wins == len(lams)
 
@@ -332,8 +329,5 @@ class TestGenericThirdOrderOnChain:
         approx = gp_third_order(co, sp, 5e-5).order3
 
         tr = build_trace(lambda t: decoherence_product(p, t), sp, 4096)
-        ones = build_trace(lambda t: np.ones_like(t, dtype=complex), sp, 4096)
-        exact = geometric_phase(tr, sp).phi_total
-        baseline = geometric_phase(ones, sp).phi_total
-        correction = exact - baseline
-        assert abs(approx - exact) < 0.05 * abs(correction)
+        exact = geometric_phase(tr, sp).correction
+        assert abs(approx - exact) < 0.05 * abs(exact)

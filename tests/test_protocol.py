@@ -236,6 +236,22 @@ class TestCorrectionExperiment:
         assert max(abs(r.dphi) for r in recs) < 1e-8
         assert max(abs(r.dphi_theory) for r in recs) < 1e-8
 
+    @pytest.mark.parametrize("decomposition, steps", [
+        (Decomposition.EXACT, 64),
+        *[(d, n) for d in (Decomposition.COARSE_TROTTER, Decomposition.PULSE_LEVEL)
+          for n in (64, 128, 512)],
+    ])
+    def test_uncoupled_readout_is_one(self, decomposition, steps):
+        # Z_S commutes with every environment factor, so at d = 0 each step
+        # factorises and the readout is r = 1 to rounding: the correction
+        # needs no uncoupled reference run
+        for b in B_GRID:
+            p = make_params(b_over_omega=b / OMEGA, trotter_steps=steps,
+                            decomposition=decomposition)
+            run = run_protocol(replace(p, bath=replace(p.bath, coupling=0.0)))
+            assert np.max(np.abs(run.trace.r_values - 1.0)) <= 1e-11
+            assert abs(run.gp.correction) <= 1e-11
+
     def test_structure_and_theory_agreement(self):
         recs = correction_experiment(make_params(), B_GRID)
         dphi = np.array([r.dphi for r in recs])

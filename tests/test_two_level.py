@@ -7,8 +7,9 @@ import pytest
 from gphase.errors import UnwrapFailure, ValidationError
 from gphase.gp import (
     SystemParams,
-    baseline_subtracted_phase,
+    build_trace,
     density_trajectory,
+    geometric_phase,
     gp_from_trajectory,
     trace_from_samples,
 )
@@ -203,9 +204,10 @@ class TestAnalyticFormula:
 
 
 def dphi(bath, b, sysp, samples):
-    """Baseline-subtracted phase of the bath at field b."""
+    """Phase correction of the bath at field b."""
     at_b = bath.with_b_field(b)
-    return baseline_subtracted_phase(lambda t: decoherence_factor_oracle(at_b, t), sysp, samples)
+    trace = build_trace(lambda t: decoherence_factor_oracle(at_b, t), sysp, samples)
+    return geometric_phase(trace, sysp).correction
 
 
 class TestCorrectionCurve:
