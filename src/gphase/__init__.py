@@ -2,10 +2,10 @@
 
 Library layout:
 
-- :mod:`gphase.qmat`: small dense complex linear algebra (propagators,
-  tensor products, partial trace).
+- :mod:`gphase.qmat`: Pauli matrices and the two-qubit partial trace.
 - :mod:`gphase.gp`: geometric phase from a sampled decoherence factor
-  (closed form) and from the density-matrix trajectory (parallel transport);
+  (closed form in the Bloch radius of the dephased state) and from the
+  density-matrix trajectory (parallel transport);
   ``GpResult.correction`` is the phase minus its uncoupled value
   pi(1 - cos theta).
 - :mod:`gphase.two_level`: two-level model of a critical environment and its
@@ -16,8 +16,8 @@ Library layout:
 - :mod:`gphase.perturbative`: small-coupling expansion of the phase
   correction and the Ising closed forms with complete elliptic integrals.
 - :mod:`gphase.protocol`: software replica of the Trotterized two-qubit
-  simulation protocol and the phase correction it reads out across a field
-  sweep.
+  simulation protocol, its gates as closed-form Pauli rotations, and the
+  phase correction it reads out across a field sweep.
 - :mod:`gphase.cli`: one table of experiments driving parameter sweeps,
   presets and CSV/JSON output.
 """
@@ -26,10 +26,8 @@ from .gp import (
     DecoherenceTrace,
     GpResult,
     SystemParams,
-    bloch_plus_angle,
     build_trace,
     density_trajectory,
-    eps_plus,
     geometric_phase,
     gp_from_trajectory,
     trace_from_samples,

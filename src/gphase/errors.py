@@ -5,10 +5,6 @@ class GphaseError(Exception):
     """Base class for all errors raised by this package."""
 
 
-class NonHermitianInput(GphaseError):
-    """A matrix that must be Hermitian fails the Hermiticity tolerance."""
-
-
 class DimensionMismatch(GphaseError):
     """Operands have incompatible or unsupported dimensions."""
 

@@ -34,7 +34,7 @@ from .errors import (
 )
 
 _POLE_TOL = 1e-12          # theta pinned to 0 or pi
-_DEGENERACY_TOL = 1e-14    # eigenvector direction undefined below this
+_DEGENERACY_TOL = 1e-14    # Bloch radius below which the + eigenbranch is undefined
 _UNWRAP_STEP_LIMIT = np.pi / 2
 _MAX_REFINEMENTS = 6
 MIN_SAMPLES = 64           # coarsest grid build_trace accepts
@@ -157,30 +157,6 @@ class GpResult:
     eps_plus_final: float  # larger eigenvalue of rho at t = tau
 
 
-def eps_plus(r_abs, theta):
-    """Larger eigenvalue of the dephased qubit state, in [1/2, 1]."""
-    r_abs = np.asarray(r_abs, dtype=float)
-    return 0.5 * (1.0 + np.sqrt(np.cos(theta) ** 2 + r_abs**2 * np.sin(theta) ** 2))
-
-
-def bloch_plus_angle(r_abs, theta, eps_plus_val):
-    """Half-angle cosine/sine of the + eigenvector direction.
-
-    Returns (cos_half, sin_half) with cos_half^2 + sin_half^2 = 1 and
-    sin_half >= 0.  Raises DegenerateEigenvector when the direction is
-    undefined (|r| sin(theta) = 0 with eps_plus = sin^2(theta/2)), which the
-    caller resolves by continuity.
-    """
-    num_c = 2.0 * (np.asarray(eps_plus_val) - np.sin(theta / 2.0) ** 2)
-    num_s = np.asarray(r_abs) * np.sin(theta)
-    den = np.sqrt(num_s**2 + num_c**2)
-    if np.any(den < _DEGENERACY_TOL):
-        raise DegenerateEigenvector(
-            "eigenvector direction undefined (fully mixed point on the trajectory)"
-        )
-    return num_c / den, num_s / den
-
-
 def _simpson(y: np.ndarray, dt: float) -> float:
     n = len(y) - 1
     if n % 2 != 0:
@@ -188,24 +164,22 @@ def _simpson(y: np.ndarray, dt: float) -> float:
     return dt / 3.0 * (y[0] + y[-1] + 4.0 * np.sum(y[1:-1:2]) + 2.0 * np.sum(y[2:-1:2]))
 
 
-def _central_diff(y: np.ndarray, dt: float) -> np.ndarray:
-    d = np.empty_like(y)
-    d[1:-1] = (y[2:] - y[:-2]) / (2.0 * dt)
-    d[0] = (-3.0 * y[0] + 4.0 * y[1] - y[2]) / (2.0 * dt)
-    d[-1] = (3.0 * y[-1] - 4.0 * y[-2] + y[-3]) / (2.0 * dt)
-    return d
-
-
 def geometric_phase(trace: DecoherenceTrace, params: SystemParams) -> GpResult:
     """Geometric phase over one cycle from a sampled decoherence factor.
 
-    Evaluates the quadrature term integral((Omega - dphi/dt) sin^2(theta+/2))
-    with the dphi/dt part integrated by parts (no differentiation of sampled
-    phases), plus the quadrant-aware arctangent closing term.  The poles
-    theta = 0, pi carry no bath dependence and return the unitary value.
+    The + eigenbranch of rho(t) is closed form in its Bloch radius
+    R = sqrt(cos^2 theta + |r|^2 sin^2 theta): eigenvalue (1 + R)/2 and
+    g = sin^2(theta+/2) = (1 - cos(theta)/R)/2.  Evaluates the quadrature
+    term integral((Omega - dphi/dt) g) with the dphi/dt part integrated by
+    parts (no differentiation of sampled phases), plus the quadrant-aware
+    arctangent closing term.  The poles theta = 0, pi carry no bath
+    dependence and return the unitary value.  A trajectory through the fully
+    mixed state (R = 0: theta = pi/2 with |r| = 0) has no + eigenbranch and
+    raises DegenerateEigenvector.
     """
     theta = params.theta
-    phi0 = np.pi * (1.0 - np.cos(theta))
+    cos_t = np.cos(theta)
+    phi0 = np.pi * (1.0 - cos_t)
     if theta < _POLE_TOL or np.pi - theta < _POLE_TOL:
         return GpResult(phi0, phi0, 0.0, phi0, 0.0, 1.0)
 
@@ -216,19 +190,26 @@ def geometric_phase(trace: DecoherenceTrace, params: SystemParams) -> GpResult:
     dt = trace.times[1] - trace.times[0]
     # engine-side sign flip: the closed form wants arg r = -phi
     phi = -trace.phase_unwrapped
-    ep = eps_plus(trace.magnitude, theta)
-    cos_half, sin_half = bloch_plus_angle(trace.magnitude, theta, ep)
-    g = sin_half**2
+    sin2_t = np.sin(theta) ** 2
+    radius = np.sqrt(cos_t**2 + trace.magnitude**2 * sin2_t)
+    if np.min(radius) < _DEGENERACY_TOL:
+        raise DegenerateEigenvector(
+            "eigenvector direction undefined (fully mixed point on the trajectory)"
+        )
+    g = 0.5 * (1.0 - cos_t / radius)
 
     # integral (Omega - phi') g dt = Omega*S(g) - [phi*g]_0^tau + S(phi*g')
-    g_dot = _central_diff(g, dt)
+    g_dot = np.gradient(g, dt, edge_order=2)
     int_phi_term = phi[-1] * g[-1] - _simpson(phi * g_dot, dt)
     integral_part = params.omega * _simpson(g, dt) - int_phi_term
 
-    s0, c0 = np.sin(theta / 2.0), np.cos(theta / 2.0)
-    num = np.sin(phi[-1]) * sin_half[-1] * s0
-    den = np.cos(phi[-1]) * sin_half[-1] * s0 + cos_half[-1] * c0
-    arctan_part = np.arctan2(num, den)
+    # arg(cos(theta/2) cos(theta+/2) + sin(theta/2) sin(theta+/2) e^{i phi}),
+    # scaled by the positive sqrt(2 R (R + cos theta)) / cos(theta/2)
+    r_end, radius_end = trace.magnitude[-1], radius[-1]
+    # R + cos theta; for cos theta < 0 the direct sum cancels to rounding noise
+    lift = radius_end + cos_t if cos_t >= 0 else r_end**2 * sin2_t / (radius_end - cos_t)
+    a = (1.0 - cos_t) * r_end
+    arctan_part = np.arctan2(a * np.sin(phi[-1]), a * np.cos(phi[-1]) + lift)
 
     total = integral_part + arctan_part
     return GpResult(
@@ -237,7 +218,7 @@ def geometric_phase(trace: DecoherenceTrace, params: SystemParams) -> GpResult:
         correction=total - phi0,
         integral_part=integral_part,
         arctan_part=arctan_part,
-        eps_plus_final=float(ep[-1]),
+        eps_plus_final=float(0.5 * (1.0 + radius_end)),
     )
 
 

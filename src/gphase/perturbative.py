@@ -43,7 +43,7 @@ from .errors import (
     StencilConditioning,
     ValidationError,
 )
-from .gp import SystemParams, _central_diff, _simpson
+from .gp import SystemParams, _simpson
 from .ising import IsingBathParams, dispersion
 
 _QUAD_TOL = 1e-10
@@ -149,7 +149,7 @@ def gp_third_order(
     return _assemble(
         sys.theta, sys.omega, delta, int_r2=_simpson(coeffs.R2, dt), r2_end=coeffs.R2[-1],
         p1_end=coeffs.phi1[-1], int_r3=_simpson(coeffs.R3, dt),
-        int_cross=_simpson(coeffs.R2 * _central_diff(coeffs.phi1, dt), dt),
+        int_cross=_simpson(coeffs.R2 * np.gradient(coeffs.phi1, dt, edge_order=2), dt),
     )
 
 

@@ -344,6 +344,12 @@ class TestRejectedBeforeWork:
         assert main(["gp-curve", "--coupling", "nan"]) == 3
         assert point_calls == []
 
+    def test_protocol_convention(self, point_calls):
+        # the protocol simulates the zz coupling whatever the flag says, so
+        # its column used to disagree in sign with the projector theory column
+        assert main(["correction", "--convention", "projector", "--b-points", "3"]) == 3
+        assert point_calls == []
+
     def test_nan_lambda(self, point_calls):
         # used to escape as a bare ValueError
         assert main(["ising-approx", "--lambda-min", "nan"]) == 3

@@ -10,10 +10,8 @@ from gphase.errors import (
 )
 from gphase.gp import (
     SystemParams,
-    bloch_plus_angle,
     build_trace,
     density_trajectory,
-    eps_plus,
     geometric_phase,
     gp_from_trajectory,
     trace_from_samples,
@@ -128,65 +126,99 @@ class TestBuildTrace:
         np.testing.assert_allclose(rebuilt, tr.r_values, atol=1e-12)
 
 
+def decay_to(sp, r_end, samples=256):
+    """Trace of a real r(t) = r_end^(t/tau): r(0) = 1, |r(tau)| = r_end."""
+    return build_trace(lambda t: r_end ** (t / sp.tau) + 0j, sp, samples)
+
+
+def plus_eigenvectors(rho):
+    """+ eigenvectors of a stack of 2x2 states, gauged so the |1> component
+    is real and non-negative."""
+    plus = np.linalg.eigh(rho)[1][..., 1]
+    return plus * np.exp(-1j * np.angle(plus[..., 1:]))
+
+
 class TestEpsPlus:
+    """``eps_plus_final``, the larger eigenvalue (1 + R)/2 of rho(tau)."""
+
     def test_pure_state(self):
-        assert eps_plus(1.0, 0.7) == pytest.approx(1.0, abs=1e-15)
+        sp = SystemParams(omega=OMEGA, theta=0.7)
+        res = geometric_phase(build_trace(ones_sampler, sp, 64), sp)
+        assert res.eps_plus_final == pytest.approx(1.0, abs=1e-15)
 
     def test_dephased_equator(self):
-        assert eps_plus(0.0, np.pi / 2) == pytest.approx(0.5, abs=1e-15)
+        sp = SystemParams(omega=OMEGA, theta=np.pi / 2)
+        assert geometric_phase(decay_to(sp, 1e-13), sp).eps_plus_final == pytest.approx(
+            0.5, abs=1e-13)
 
     def test_intermediate(self):
         # eigenvalue of the explicit 2x2 matrix: (1 + sqrt(0.625))/2
-        assert eps_plus(0.5, np.pi / 4) == pytest.approx(0.5 * (1 + np.sqrt(0.625)), abs=1e-12)
+        sp = SystemParams(omega=OMEGA, theta=np.pi / 4)
+        assert geometric_phase(decay_to(sp, 0.5), sp).eps_plus_final == pytest.approx(
+            0.5 * (1 + np.sqrt(0.625)), abs=1e-12)
 
     def test_matches_direct_diagonalization(self):
         rng = np.random.default_rng(7)
         for _ in range(20):
-            r, th = rng.uniform(0, 1), rng.uniform(0.1, np.pi - 0.1)
-            rho = np.array(
-                [
-                    [np.sin(th / 2) ** 2, 0.5 * np.sin(th) * r],
-                    [0.5 * np.sin(th) * r, np.cos(th / 2) ** 2],
-                ],
-                dtype=complex,
-            )
-            w, _ = np.linalg.eigh(rho)
-            assert eps_plus(r, th) == pytest.approx(w[1], abs=1e-12)
+            r, th = rng.uniform(0.01, 1), rng.uniform(0.1, np.pi - 0.1)
+            sp = SystemParams(omega=OMEGA, theta=th)
+            tr = decay_to(sp, r, 64)
+            w = np.linalg.eigvalsh(density_trajectory(tr, sp)[-1])
+            assert geometric_phase(tr, sp).eps_plus_final == pytest.approx(w[1], abs=1e-12)
 
 
 class TestBlochPlusAngle:
+    """The + eigenvector direction g = sin^2(theta+/2) = (1 - cos(theta)/R)/2
+    and the closing term it sets."""
+
     def test_unitary_limit(self):
+        # r = 1: g = sin^2(theta/2) and the quadrature term is Omega tau g
         th = 0.9
-        c, s = bloch_plus_angle(1.0, th, eps_plus(1.0, th))
-        assert c == pytest.approx(np.cos(th / 2), abs=1e-12)
-        assert s == pytest.approx(np.sin(th / 2), abs=1e-12)
+        sp = SystemParams(omega=OMEGA, theta=th)
+        res = geometric_phase(build_trace(ones_sampler, sp, 64), sp)
+        assert res.integral_part == pytest.approx(2 * np.pi * np.sin(th / 2) ** 2, abs=1e-12)
+        assert res.arctan_part == 0.0
 
     def test_degenerate_equator(self):
+        sp = SystemParams(omega=OMEGA, theta=np.pi / 2)
         with pytest.raises(DegenerateEigenvector):
-            bloch_plus_angle(0.0, np.pi / 2, eps_plus(0.0, np.pi / 2))
+            geometric_phase(decay_to(sp, 0.0), sp)
 
     def test_matches_eigenvector_components(self):
-        th, r = np.pi / 4, 0.5
-        rho = np.array(
-            [
-                [np.sin(th / 2) ** 2, 0.5 * np.sin(th) * r],
-                [0.5 * np.sin(th) * r, np.cos(th / 2) ** 2],
-            ],
-            dtype=complex,
-        )
-        _, v = np.linalg.eigh(rho)
-        c, s = bloch_plus_angle(r, th, eps_plus(r, th))
-        # + eigenvector is (sin(th+/2), cos(th+/2)) for a real coherence
-        assert s == pytest.approx(abs(v[0, 1]), abs=1e-10)
-        assert c == pytest.approx(abs(v[1, 1]), abs=1e-10)
+        # closing term = arg <v+(0)|v+(tau)> with both + eigenvectors in the
+        # gauge whose |1> component is real positive
+        sp = SystemParams(omega=OMEGA, theta=np.pi / 4)
+        tr = build_trace(lambda t: 0.5 ** (t / sp.tau) * np.exp(0.7j * t / sp.tau), sp, 64)
+        plus = plus_eigenvectors(density_trajectory(tr, sp)[[0, -1]])
+        res = geometric_phase(tr, sp)
+        assert res.arctan_part == pytest.approx(np.angle(np.vdot(plus[0], plus[1])), abs=1e-12)
 
     def test_normalization_property(self):
+        # the same over random states, both hemispheres, down to |r(tau)| = 1e-6
         rng = np.random.default_rng(13)
         for _ in range(50):
-            r, th = rng.uniform(0.05, 1), rng.uniform(0.1, np.pi - 0.1)
-            c, s = bloch_plus_angle(r, th, eps_plus(r, th))
-            assert c**2 + s**2 == pytest.approx(1.0, abs=1e-10)
-            assert s >= 0
+            r, th, ph = 10 ** rng.uniform(-6, 0), rng.uniform(0.1, np.pi - 0.1), rng.uniform(-3, 3)
+            sp = SystemParams(omega=OMEGA, theta=th)
+            tr = build_trace(lambda t: r ** (t / sp.tau) * np.exp(1j * ph * t / sp.tau), sp, 64)
+            plus = plus_eigenvectors(density_trajectory(tr, sp)[[0, -1]])
+            assert geometric_phase(tr, sp).arctan_part == pytest.approx(
+                np.angle(np.vdot(plus[0], plus[1])), abs=1e-10)
+
+    def test_closing_term_without_cancellation(self):
+        # south of the equator at |r(tau)| ~ 1e-8, R + cos(theta) ~ 3e-17 is
+        # below the rounding of either term; a direct sum is off by 3e-9 here
+        mpmath = pytest.importorskip("mpmath")
+        sp = SystemParams(omega=OMEGA, theta=2.5)
+        r_end = 1.2456613801138862e-08
+        tr = build_trace(lambda t: r_end ** (t / sp.tau) * np.exp(0.5j * np.pi * t / sp.tau),
+                         sp, 64)
+        with mpmath.workdps(50):
+            c, s = mpmath.cos(sp.theta), mpmath.sin(sp.theta)
+            m, ph = mpmath.mpf(tr.magnitude[-1]), mpmath.mpf(-tr.phase_unwrapped[-1])
+            a = (1 - c) * m
+            lift = mpmath.sqrt(c**2 + m**2 * s**2) + c
+            expected = float(mpmath.atan2(a * mpmath.sin(ph), a * mpmath.cos(ph) + lift))
+        assert geometric_phase(tr, sp).arctan_part == pytest.approx(expected, abs=1e-12)
 
 
 class TestGeometricPhase:
@@ -226,6 +258,17 @@ class TestGeometricPhase:
         with pytest.raises(DegenerateEigenvector):
             geometric_phase(build_trace(decay, sp, 256), sp)
 
+    def test_deep_dephasing_south_of_equator(self):
+        # |r(tau)| ~ 1e-85 at theta = 2.5 is no degeneracy: the eigenvalue gap
+        # stays >= |cos(theta)| = 0.8
+        sp = SystemParams(omega=OMEGA, theta=2.5)
+        decay = lambda t: np.exp(-((14.0 * t / sp.tau) ** 2)
+                                 + 0.3j * np.sin(2 * np.pi * t / sp.tau))
+        tr = build_trace(decay, sp, 2048)
+        closed = geometric_phase(tr, sp).phi_total
+        transported = gp_from_trajectory(density_trajectory(tr, sp))
+        assert abs((closed - transported + np.pi) % (2 * np.pi) - np.pi) < 1e-6
+
     def test_grid_convergence(self):
         sp = SystemParams(omega=OMEGA, theta=np.pi / 4)
         bath = paper_bath()
@@ -254,8 +297,8 @@ class TestGeometricPhase:
         )
         res0, res1 = geometric_phase(base, sp), geometric_phase(mod, sp)
 
-        ep = eps_plus(base.magnitude, sp.theta)
-        _, sh = bloch_plus_angle(base.magnitude, sp.theta, ep)
+        plus = plus_eigenvectors(density_trajectory(base, sp))
+        sh = np.abs(plus[:, 0])
         g = sh**2
         dt = base.times[1] - base.times[0]
         w = np.ones(len(g))

@@ -1,6 +1,8 @@
-"""No module imports a name it never uses (stdlib ``ast``; no linter needed).
+"""No module imports a name it never uses, and no module-level definition of
+the package goes unread (stdlib ``ast``; no linter needed).
 
-Package ``__init__.py`` files re-export names and are skipped.
+Package ``__init__.py`` files re-export names and are skipped by the import
+check; a re-export is no read.
 """
 
 import ast
@@ -9,12 +11,9 @@ from pathlib import Path
 import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
-MODULES = sorted(
-    path
-    for folder in ("src/gphase", "tests", "demos")
-    for path in (ROOT / folder).glob("*.py")
-    if path.name != "__init__.py"
-)
+SOURCES = sorted(path for folder in ("src/gphase", "tests", "demos")
+                 for path in (ROOT / folder).glob("*.py"))
+MODULES = [path for path in SOURCES if path.name != "__init__.py"]
 
 
 def unused_imports(source: str) -> list[str]:
@@ -32,6 +31,34 @@ def unused_imports(source: str) -> list[str]:
     return [f"line {line}: {name}" for name, line in imported.items() if name not in used]
 
 
+def definitions(source: str) -> dict[str, int]:
+    """Module-level functions, classes and assigned names, with their lines."""
+    defined = {}
+    for node in ast.parse(source).body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            defined[node.name] = node.lineno
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            for name in (n for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)):
+                defined[name.id] = node.lineno
+    return defined
+
+
+def unread_definitions(modules: dict[str, str], readers: list[str]) -> list[str]:
+    """Definitions of ``modules`` (label -> source) whose name no source in
+    ``readers`` reads, as a variable or as an attribute.  Matching is by name
+    alone, so a same-named read anywhere keeps a definition."""
+    read = set()
+    for source in readers:
+        for node in ast.walk(ast.parse(source)):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                read.add(node.attr)
+    return [f"{label} line {line}: {name}" for label, source in modules.items()
+            for name, line in definitions(source).items() if name not in read]
+
+
 def test_modules_found():
     assert len(MODULES) > 10
 
@@ -44,3 +71,17 @@ def test_no_unused_imports(path):
 def test_detects_an_unused_import():
     source = "import os\nimport numpy as np\nfrom x import a, b as c\nprint(np, c)\n"
     assert unused_imports(source) == ["line 1: os", "line 3: a"]
+
+
+def test_every_package_definition_is_read():
+    package = {str(p.relative_to(ROOT)): p.read_text()
+               for p in SOURCES if p.parent.name == "gphase"}
+    assert unread_definitions(package, [p.read_text() for p in SOURCES]) == []
+
+
+def test_detects_an_unread_definition():
+    module = ("X = 1\nY: int = 2\nA, (B, C) = 3, (4, 5)\n"
+              "def f(): return Y\nclass K: pass\ndef g(): pass\n")
+    reader = "import m\nprint(m.K, B, f)\nC = 0\n"
+    assert unread_definitions({"m": module}, [module, reader]) == [
+        "m line 1: X", "m line 3: A", "m line 3: C", "m line 6: g"]

@@ -2,15 +2,17 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from gphase.errors import DimensionMismatch, InvalidDensityMatrix, NonHermitianInput
-from gphase.qmat import (
-    I2,
-    X,
-    Z,
-    expm_hermitian,
-    kron,
-    partial_trace_env,
-)
+from gphase.errors import InvalidDensityMatrix
+from gphase.gp import SystemParams
+from gphase.protocol import ProtocolParams, _rotation, build_target_hamiltonian
+from gphase.qmat import I2, X, Y, Z, partial_trace_env
+from gphase.two_level import TwoLevelBathParams
+
+# every Pauli string a protocol step exponentiates
+STEP_PAULIS = {
+    "XI": np.kron(X, I2), "YI": np.kron(Y, I2), "ZI": np.kron(Z, I2),
+    "IX": np.kron(I2, X), "IY": np.kron(I2, Y), "IZ": np.kron(I2, Z), "ZZ": np.kron(Z, Z),
+}
 
 
 def random_hermitian(dim, rng):
@@ -18,71 +20,79 @@ def random_hermitian(dim, rng):
     return (a + a.conj().T) / 2
 
 
+def random_density(dim, rng):
+    a = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+    rho = a @ a.conj().T
+    return rho / np.trace(rho).real
+
+
 class TestExpm:
+    """The closed-form Pauli rotation e^{-i a P} = cos a - i sin a P of the
+    protocol gates, against scipy's scaling-and-squaring matrix exponential."""
+
     def test_zero_generator(self):
-        u = expm_hermitian(np.zeros((4, 4)), 1.234)
-        np.testing.assert_allclose(u, np.eye(4), atol=1e-15)
+        for p in STEP_PAULIS.values():
+            np.testing.assert_array_equal(_rotation(p, 0.0), np.eye(4))
 
     def test_diagonal_z(self):
-        u = expm_hermitian(Z, np.pi / 2)
+        u = _rotation(Z, np.pi / 2)
         expected = np.diag([np.exp(-1j * np.pi / 2), np.exp(1j * np.pi / 2)])
-        np.testing.assert_allclose(u, expected, atol=1e-14)
+        np.testing.assert_allclose(u, expected, atol=1e-15)
 
     def test_against_pade_oracle(self):
-        # scipy's expm is an independent scaling-and-squaring algorithm
         rng = np.random.default_rng(11)
-        for _ in range(5):
-            h = random_hermitian(4, rng)
-            u = expm_hermitian(h, 0.37)
-            np.testing.assert_allclose(u, scipy.linalg.expm(-1j * h * 0.37), atol=1e-10)
+        angles = np.concatenate([[0.0, np.pi / 4.0], rng.uniform(-2.0 * np.pi, 2.0 * np.pi, 20)])
+        for p in STEP_PAULIS.values():
+            for a in angles:
+                np.testing.assert_allclose(
+                    _rotation(p, a), scipy.linalg.expm(-1j * a * p), rtol=0, atol=1e-15
+                )
 
     def test_unitarity(self):
-        rng = np.random.default_rng(5)
-        h = random_hermitian(4, rng)
-        u = expm_hermitian(h, 2.9)
-        assert np.max(np.abs(u.conj().T @ u - np.eye(4))) < 1e-12
+        for p in STEP_PAULIS.values():
+            u = _rotation(p, 2.9)
+            assert np.max(np.abs(u.conj().T @ u - np.eye(4))) < 1e-15
 
     def test_group_property(self):
         rng = np.random.default_rng(17)
-        for _ in range(5):
-            h = random_hermitian(4, rng)
+        for p in STEP_PAULIS.values():
             s, t = rng.uniform(-2, 2, 2)
-            lhs = expm_hermitian(h, s + t)
-            rhs = expm_hermitian(h, s) @ expm_hermitian(h, t)
-            assert np.max(np.abs(lhs - rhs)) < 1e-10
-
-    def test_rejects_non_hermitian(self):
-        with pytest.raises(NonHermitianInput):
-            expm_hermitian(np.array([[0.0, 1.0], [0.0, 0.0]]), 1.0)
+            lhs = _rotation(p, s + t)
+            rhs = _rotation(p, s) @ _rotation(p, t)
+            assert np.max(np.abs(lhs - rhs)) < 1e-15
 
     def test_norm_preserved(self):
-        rng = np.random.default_rng(3)
-        h = random_hermitian(2, rng)
-        psi = np.array([0.6, 0.8], dtype=complex)
-        out = expm_hermitian(h, 1.7) @ psi
-        assert abs(np.linalg.norm(out) - 1.0) < 1e-12
+        psi = np.array([0.6, 0.48, 0.0, 0.64], dtype=complex)
+        for p in STEP_PAULIS.values():
+            out = _rotation(p, 1.7) @ psi
+            assert abs(np.linalg.norm(out) - 1.0) < 1e-15
 
 
 class TestKron:
+    """The (system x environment) ordering of ``np.kron`` that the target
+    Hamiltonian and ``partial_trace_env`` share."""
+
     def test_identity(self):
-        np.testing.assert_allclose(kron(I2, I2), np.eye(4), atol=0)
+        # a maximally mixed environment traces out to the system state
+        rho_s = random_density(2, np.random.default_rng(31))
+        np.testing.assert_allclose(partial_trace_env(np.kron(rho_s, I2 / 2)), rho_s, atol=1e-15)
 
     def test_zz_diagonal(self):
-        np.testing.assert_allclose(kron(Z, Z), np.diag([1, -1, -1, 1.0]), atol=0)
+        # the coupling term alone is d diag(1, -1, -1, 1)
+        bath = TwoLevelBathParams(delta_gap=1e-300, lam=0.0, coupling=0.3)
+        p = ProtocolParams(sys=SystemParams(omega=1e-300, theta=0.5), bath=bath)
+        np.testing.assert_allclose(build_target_hamiltonian(p), np.diag([0.3, -0.3, -0.3, 0.3]),
+                                   rtol=0, atol=1e-15)
 
     def test_index_formula(self):
-        # (A (x) B)[i*db+k, j*db+l] = A[i,j] B[k,l], all 16 entries
-        out = kron(X, Z)
+        # (A (x) B)[i*2+k, j*2+l] = A[i,j] B[k,l]; the trace runs over k = l
+        rng = np.random.default_rng(37)
+        rho = random_density(4, rng)
+        out = partial_trace_env(rho)
         for i in range(2):
             for j in range(2):
-                for k in range(2):
-                    for l in range(2):
-                        assert out[i * 2 + k, j * 2 + l] == X[i, j] * Z[k, l]
-
-    def test_dimension_ceiling(self):
-        big = np.eye(2**10)
-        with pytest.raises(DimensionMismatch):
-            kron(big, np.eye(4))
+                assert out[i, j] == pytest.approx(rho[i * 2, j * 2] + rho[i * 2 + 1, j * 2 + 1],
+                                                  abs=1e-16)
 
 
 class TestPartialTrace:
@@ -106,15 +116,15 @@ class TestPartialTrace:
         theta = np.pi / 3
         bath = TwoLevelBathParams(delta_gap=0.02 * omega, lam=2.5, coupling=0.1 * omega)
         h = (
-            omega * kron(Z, I2)
-            + bath.coupling * kron(Z, Z)
-            + bath.b_field * kron(I2, Z)
-            + bath.delta_gap * kron(I2, X)
+            omega * np.kron(Z, I2)
+            + bath.coupling * np.kron(Z, Z)
+            + bath.b_field * np.kron(I2, Z)
+            + bath.delta_gap * np.kron(I2, X)
         )
         psi_s = np.array([np.sin(theta / 2), np.cos(theta / 2)], dtype=complex)
         psi0 = np.kron(psi_s, ground_state(bath))
         for t in (0.0, 0.003, 0.011):
-            psi = expm_hermitian(h, t) @ psi0
+            psi = scipy.linalg.expm(-1j * h * t) @ psi0
             rho_r = partial_trace_env(np.outer(psi, psi.conj()))
             expected = (
                 np.sin(theta) / 2
@@ -126,9 +136,8 @@ class TestPartialTrace:
     def test_linearity_on_tensor_products(self):
         rng = np.random.default_rng(23)
         for _ in range(10):
-            a = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
-            b = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
-            out = partial_trace_env(np.kron(a, b), validate=False)
+            a, b = random_density(2, rng), random_density(2, rng)
+            out = partial_trace_env(np.kron(a, b))
             np.testing.assert_allclose(out, a * np.trace(b), atol=1e-12)
 
     def test_unit_trace_result(self):
