@@ -55,3 +55,7 @@ class ConfigParseError(GphaseError):
 
 class MagnitudeUnderflow(RuntimeWarning):
     """Mode-product magnitude underflowed below exp(-700); value flushed to zero."""
+
+
+class PerturbativeBreakdown(RuntimeWarning):
+    """First-order cycle phase |d T G1| reached 1 rad; the weak-coupling series is unreliable."""

@@ -1,11 +1,15 @@
 """No module imports a name it never uses, and no module-level definition of
-the package goes unread (stdlib ``ast``; no linter needed).
+the package goes unread (stdlib ``ast``; no linter needed).  The CLI's import
+leaves out the scipy subpackages it does not need.
 
 Package ``__init__.py`` files re-export names and are skipped by the import
 check; a re-export is no read.
 """
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -85,3 +89,13 @@ def test_detects_an_unread_definition():
     reader = "import m\nprint(m.K, B, f)\nC = 0\n"
     assert unread_definitions({"m": module}, [module, reader]) == [
         "m line 1: X", "m line 3: A", "m line 3: C", "m line 6: g"]
+
+
+def test_cli_import_leaves_out_scipy_integrate():
+    # scipy.integrate would add about 0.25 s and 26 MB to the start of every run
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))}
+    out = subprocess.run(
+        [sys.executable, "-c", "import sys, gphase.cli; print('scipy.integrate' in sys.modules)"],
+        env=env, capture_output=True, text=True, timeout=60, check=True)
+    assert out.stdout.strip() == "False"

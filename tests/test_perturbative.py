@@ -1,13 +1,29 @@
+import warnings
 from dataclasses import replace
 
 import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from gphase.errors import DomainError, StencilConditioning, ValidationError
+import gphase.perturbative as perturbative
+from gphase.errors import (
+    DomainError,
+    PerturbativeBreakdown,
+    QuadratureNonconvergence,
+    StencilConditioning,
+    ValidationError,
+)
 from gphase.gp import SystemParams, build_trace, geometric_phase
-from gphase.ising import IsingBathParams, decoherence_product, momenta
+from gphase.ising import IsingBathParams, decoherence_product, dispersion, momenta
 from gphase.perturbative import (
+    _QK21_GAUSS,
+    _QK21_KRONROD,
+    _QK21_NODES,
+    _QUAD_TOL,
+    _energy,
+    _f3_bracket,
+    _one_minus_sinc,
+    _panel_quad,
     elliptic_E,
     elliptic_K,
     extract_coefficients_numeric,
@@ -184,6 +200,36 @@ class TestClosedForms:
         assert cf.g1(1e-7) == pytest.approx(100 * 1e-7 / 2, rel=1e-4)
         assert cf.g1(1e-3) == pytest.approx(100 * 1e-3 / 2, rel=1e-2)
 
+    @pytest.mark.parametrize("lam", [
+        1e-7, 1e-6, 1e-4, 0.005, 0.3, 0.4999999, 0.5, 0.995, 1.0 - 3e-9, 1.0 + 3e-9, 1.5])
+    def test_g1_against_mpmath(self, lam):
+        # (lam+1) E(m) + (lam-1) K(m), m = 4 lam/(1 + lam)^2, cancels to O(lam)
+        # at small lam, and m rounds to 1 at 1 -+ 3e-9, where K(m) is infinite
+        mpmath = pytest.importorskip("mpmath")
+        with mpmath.workdps(30):
+            L = mpmath.mpf(lam)
+            def integrand(k):
+                e = 2 * mpmath.sqrt((1 - L) ** 2 + 4 * L * mpmath.sin(k / 2) ** 2)
+                return 4 * (L - mpmath.cos(k)) / e
+
+            ref = 100 / (2 * mpmath.pi) * mpmath.quad(
+                integrand, [0, mpmath.mpf("1e-8"), mpmath.mpf("1e-4"), 0.1, mpmath.pi])
+        cf = IsingClosedForms(n_spins=100, t_period=2.0 * np.pi)
+        assert abs((cf.g1(lam) - ref) / ref) <= 1e-14
+
+    def test_negative_lam_by_symmetry(self):
+        # k -> pi - k: f2 and F2 are even in lam, F3 and G1 odd
+        cf = IsingClosedForms(n_spins=100, t_period=2.0 * np.pi)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for lam in (0.3, 1.0 - 1e-5, 1.0 + 1e-8, 1.7):
+                assert cf.f2(-lam) == cf.f2(lam) and cf.F2(-lam) == cf.F2(lam)
+                assert cf.F3(-lam) == -cf.F3(lam) and cf.g1(-lam) == -cf.g1(lam)
+        # against the mode sum at -lam directly, k = pi - k' unmapped
+        k = momenta(100)
+        ksum = np.sum(4.0 * (-0.5 - np.cos(k)) / dispersion(-0.5, k))
+        assert cf.g1(-0.5) == pytest.approx(ksum, rel=1e-3)
+
     def test_f2_positive(self):
         cf = ising_closed_forms(
             IsingBathParams(100, 1.0, 0.0, 0.0), SystemParams(omega=1.0, theta=0.5)
@@ -260,6 +306,109 @@ class TestClosedForms:
         np.testing.assert_allclose(p1, 4.0 * T * a / e, rtol=1e-12)
 
 
+class TestPanelQuad:
+    @staticmethod
+    def _against_scalar_quad(record):
+        """A stand-in for _panel_quad that returns scipy's scalar quad on the
+        same panels at the same targets, and appends (vectorised value, quad
+        value, integral of |f|, calls of f) to ``record``."""
+        def oracle(f, n_osc):
+            panels = max(8, int(np.ceil(2.0 * n_osc)))
+            edges = np.linspace(0.0, np.pi, panels + 1)
+            ref = scale = 0.0
+            for a, b in zip(edges[:-1], edges[1:]):
+                ref += quad(f, a, b, epsabs=_QUAD_TOL / panels, epsrel=1e-12, limit=200)[0]
+                scale += quad(lambda k: abs(f(k)), a, b, limit=200)[0]
+            calls = []
+            got = _panel_quad(lambda k: calls.append(k.size) or f(k), n_osc)
+            record.append((got, ref, scale, len(calls)))
+            return ref
+        return oracle
+
+    # scalar quad resolves the width-|1 - lam| dip at k = 0 down to 1e-5; at
+    # 1e-6 its first rule misses it (TestSmallArgumentForms checks mpmath there)
+    _NEAR_CRITICAL = (1.0 - 1e-4, 1.0 + 1e-4, 1.0 - 1e-5, 1.0 + 1e-5)
+
+    @pytest.mark.parametrize("name, lam", [
+        *((name, lam) for lam in (0.0, 0.5, 0.985, 1.0, 1.5, 2.0, *_NEAR_CRITICAL)
+          for name in ("f2", "F2", "F3")),
+    ])
+    def test_matches_scalar_quad(self, name, lam, monkeypatch):
+        record = []
+        monkeypatch.setattr(perturbative, "_panel_quad", self._against_scalar_quad(record))
+        getattr(IsingClosedForms(n_spins=1000, t_period=2.0 * np.pi), name)(lam)
+        (got, ref, scale, calls), = record
+        # the atol bites only where the k-integral cancels to rounding: F3 is
+        # 0 at lam = 0 by symmetry
+        np.testing.assert_allclose(got, ref, rtol=1e-12, atol=1e-14 * scale)
+        if lam == 0.985 or (name != "F3" and lam in self._NEAR_CRITICAL):
+            assert calls > 1  # the width-|1 - lam| feature at k = 0 needs bisection
+
+    def test_qk21_rules_integrate_polynomials_exactly(self):
+        assert _QK21_NODES.shape == (21,)
+        np.testing.assert_array_equal(_QK21_NODES, -_QK21_NODES[::-1])
+        for d in range(32):
+            exact = 2.0 / (d + 1) if d % 2 == 0 else 0.0
+            assert _QK21_NODES**d @ _QK21_KRONROD == pytest.approx(exact, abs=1e-15)
+            if d <= 19:
+                assert _QK21_NODES**d @ _QK21_GAUSS == pytest.approx(exact, abs=1e-15)
+
+    def test_non_integrable_or_nan_integrand_raises(self):
+        with pytest.raises(QuadratureNonconvergence, match="limit of 200 intervals"):
+            _panel_quad(lambda k: 1.0 / k, 1.0)
+        with pytest.raises(QuadratureNonconvergence):
+            _panel_quad(lambda k: np.where(k > 3.0, np.nan, 1.0), 1.0)
+
+
+class TestSmallArgumentForms:
+    @pytest.mark.parametrize("x", [1e-6, 1e-3, 0.1, 1.0, 1.999, 2.0, 2.001, 5.0, 30.0])
+    def test_against_mpmath(self, x):
+        mpmath = pytest.importorskip("mpmath")
+        with mpmath.workdps(80):  # the direct forms cancel to O(x^2) and O(x^5)
+            X = mpmath.mpf(x)
+            sinc_ref = 1 - mpmath.sin(X) / X
+            bracket_ref = 48 * mpmath.sin(X) - 16 * X * (2 + mpmath.cos(X))
+            assert abs((_one_minus_sinc(x) - sinc_ref) / sinc_ref) <= 1e-15
+            assert abs((_f3_bracket(x) - bracket_ref) / bracket_ref) <= 1e-14
+
+    def test_energy_is_the_dispersion(self):
+        k = np.linspace(0.0, np.pi, 101)
+        for lam in (0.0, 0.3, 1.0, 1.7):
+            np.testing.assert_allclose(_energy(lam, k), dispersion(lam, k), rtol=1e-14, atol=1e-7)
+
+    @pytest.mark.parametrize("name, lam", [
+        ("f2", 1.0 - 1e-6), ("F2", 1.0 + 1e-6),
+        # F3's dip weighs only 1e-9 here, and the first qk21 pass, whose nodes
+        # nearest k = 0 sit at 4e-4, accepts the panel without seeing it
+        pytest.param("F3", 1.0 - 1e-6, marks=pytest.mark.xfail(
+            strict=True, reason="a dip much narrower than the node spacing is stepped over")),
+    ])
+    def test_near_critical_against_mpmath(self, name, lam):
+        # the closed form with the width-1e-6 dip at k = 0 split off (the dip
+        # weighs about 1e-5 of f2 and F2); 50 digits, as the F3 bracket cancels
+        # to O(x^5) with x down to 1e-5
+        mpmath = pytest.importorskip("mpmath")
+        T = 2.0 * np.pi
+        with mpmath.workdps(50):
+            L = mpmath.mpf(lam)
+
+            def integrand(k):
+                e = 2 * mpmath.sqrt((1 - L) ** 2 + 4 * L * mpmath.sin(k / 2) ** 2)
+                x, s2 = 2 * e * T, mpmath.sin(k) ** 2
+                return {
+                    "f2": lambda: 16 * s2 * mpmath.sin(e * T) ** 2 / e**4,
+                    "F2": lambda: 8 * T * s2 / e**4 * (1 - mpmath.sin(x) / x),
+                    "F3": lambda: (L - mpmath.cos(k)) * s2
+                    * (48 * mpmath.sin(x) - 16 * x * (2 + mpmath.cos(x))) / e**7,
+                }[name]()
+
+            pts = [0, mpmath.mpf("1e-6"), mpmath.mpf("1e-4")] + [
+                mpmath.pi * i / 64 for i in range(1, 65)]
+            ref = 1000 / (2 * mpmath.pi) * mpmath.quad(integrand, pts)
+        got = getattr(IsingClosedForms(n_spins=1000, t_period=T), name)(lam)
+        assert abs((got - ref) / ref) <= 1e-13
+
+
 class TestApproxIsing:
     def test_zero_coupling(self):
         p = IsingBathParams(100, 1.0, 0.5, 0.0)
@@ -277,6 +426,19 @@ class TestApproxIsing:
             monkeypatch.setattr(IsingClosedForms, name, counted)
         gp_approx_ising(IsingBathParams(100, 1.0, 0.5, 5e-5), SystemParams(omega=1.0, theta=0.5))
         assert sorted(calls) == ["F2", "F3", "f2", "g1"]
+
+    def test_breakdown_warns_far_outside_weak_coupling(self):
+        # N d = 5 at the critical point: |d T G1| = 5e-5 * 2 pi * 2e5 / pi = 20 rad
+        p = IsingBathParams(100_000, 1.0, 1.0, 5e-5)
+        with pytest.warns(PerturbativeBreakdown, match="= 20 rad"):
+            gp_approx_ising(p, SystemParams(omega=1.0, theta=np.pi / 4))
+
+    def test_weak_coupling_sweep_is_silent(self):
+        sp = SystemParams(omega=1.0, theta=np.pi / 4)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for lam in np.linspace(0.0, 2.0, 41):
+                gp_approx_ising(IsingBathParams(1000, 1.0, lam, 5e-5), sp)
 
     def test_theta_dependence_factorizes(self):
         # the correction scales exactly as cos(th) sin^2(th)
