@@ -9,6 +9,8 @@ Demonstrates:
 Writes decoherence_landscape.csv with columns t, B, abs_r_squared.
 """
 
+from dataclasses import replace
+
 import numpy as np
 
 from gphase import SystemParams, TwoLevelBathParams, build_trace, decoherence_factor_oracle
@@ -22,13 +24,11 @@ def main():
     print("=" * 64)
 
     sysp = SystemParams(omega=OMEGA, theta=np.pi / 4)
-    bath = TwoLevelBathParams(delta_gap=0.02 * OMEGA, lam=0.0, coupling=0.1 * OMEGA)
+    bath = TwoLevelBathParams(delta_gap=0.02 * OMEGA, b_field=0.05 * OMEGA, coupling=0.1 * OMEGA)
     print(f"\ncycle tau = {sysp.tau:.4f} s, gap = 0.02 W, coupling = 0.1 W")
 
     # single trace at B = 0.05 W
-    trace = build_trace(
-        lambda t: decoherence_factor_oracle(bath.with_b_field(0.05 * OMEGA), t), sysp, 256
-    )
+    trace = build_trace(lambda t: decoherence_factor_oracle(bath, t), sysp, 256)
     print("\nr(t) at B = 0.05 W (every 32nd sample):")
     print("    t/tau     |r|      phase")
     for i in range(0, 257, 32):
@@ -43,7 +43,7 @@ def main():
     rows = []
     mins = []
     for b in b_grid:
-        r = decoherence_factor_oracle(bath.with_b_field(b), t_grid)
+        r = decoherence_factor_oracle(replace(bath, b_field=b), t_grid)
         r2 = np.abs(r) ** 2
         mins.append(r2.min())
         rows.extend((t, b, v) for t, v in zip(t_grid, r2))

@@ -38,13 +38,10 @@ def main():
     sysp = SystemParams(omega=OMEGA, theta=theta)
     print(f"\nunitary reference: pi(1 - cos th) = {np.pi * (1 - np.cos(theta)):.6f} rad")
 
-    bath = TwoLevelBathParams(delta_gap=0.02 * OMEGA, lam=0.0, coupling=0.1 * OMEGA)
-    b0 = 0.05 * OMEGA
+    bath = TwoLevelBathParams(delta_gap=0.02 * OMEGA, b_field=0.05 * OMEGA, coupling=0.1 * OMEGA)
 
     # route 1: closed form from the sampled decoherence factor
-    trace = build_trace(
-        lambda t: decoherence_factor_oracle(bath.with_b_field(b0), t), sysp, 4096
-    )
+    trace = build_trace(lambda t: decoherence_factor_oracle(bath, t), sysp, 4096)
     gp = geometric_phase(trace, sysp)
     print(f"\nclosed-form engine at B = 0.05 W:")
     print(f"    quadrature term  {gp.integral_part:+.6f}")
@@ -53,9 +50,7 @@ def main():
     print(f"    correction       {gp.correction:+.6f}")
 
     # route 2: parallel transport along the reconstructed trajectory
-    tr_hi = build_trace(
-        lambda t: decoherence_factor_oracle(bath.with_b_field(b0), t), sysp, 32768
-    )
+    tr_hi = build_trace(lambda t: decoherence_factor_oracle(bath, t), sysp, 32768)
     phi_transport = gp_from_trajectory(density_trajectory(tr_hi, sysp))
     gap = (gp.phi_total - phi_transport + np.pi) % (2 * np.pi) - np.pi
     print(f"\nparallel-transport route: {phi_transport:+.6f}  (gap {gap:+.2e} rad)")

@@ -37,12 +37,11 @@ def main():
     print("=" * 64)
 
     sysp = SystemParams(omega=OMEGA, theta=np.pi / 4)
-    bath = TwoLevelBathParams(delta_gap=0.02 * OMEGA, lam=0.0, coupling=0.1 * OMEGA)
+    bath = TwoLevelBathParams(delta_gap=0.02 * OMEGA, b_field=0.1 * OMEGA, coupling=0.1 * OMEGA)
     b_grid = np.linspace(-0.2 * OMEGA, 0.2 * OMEGA, 21)
 
     # full-cycle operator error vs step count
-    p = ProtocolParams(sys=sysp, bath=bath.with_b_field(0.1 * OMEGA),
-                       decomposition=Decomposition.COARSE_TROTTER)
+    p = ProtocolParams(sys=sysp, bath=bath, decomposition=Decomposition.COARSE_TROTTER)
     h = build_target_hamiltonian(p)
     u_exact = scipy.linalg.expm(-1j * sysp.tau * h)
     print("\nfull-cycle operator error (Strang splitting, ~n^-2):")
@@ -69,7 +68,7 @@ def main():
 
     # readout consistency
     print("\ncoherence readout vs branch-overlap oracle (exact evolution):")
-    pb = ProtocolParams(sys=sysp, bath=bath.with_b_field(0.05 * OMEGA))
+    pb = ProtocolParams(sys=sysp, bath=replace(bath, b_field=0.05 * OMEGA))
     for th_in, label in ((np.pi / 6, "pi/6"), (np.pi / 2, "pi/2")):
         run = run_protocol(pb, input_theta=th_in)
         ref = decoherence_factor_oracle(pb.bath, run.trace.times)

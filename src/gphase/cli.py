@@ -101,12 +101,16 @@ def _samples(p: dict) -> int:
 
 
 def _two_level(p: dict) -> tuple[SystemParams, TwoLevelBathParams]:
-    """System cycle and two-level bath at field ``b_field`` (0 if absent)."""
+    """System cycle and two-level bath at field ``b_field`` (0 if absent).
+
+    ``znu`` cannot move a bath set by its field; it is only checked here."""
+    if not p.get("znu", 1.0) > 0:
+        raise ValidationError(f"znu must be positive, got {p['znu']}")
     bath = TwoLevelBathParams(
-        delta_gap=p["delta_gap"], lam=0.0, coupling=p["coupling"],
-        znu=p.get("znu", 1.0), convention=CouplingConvention(p.get("convention", "zz")),
+        delta_gap=p["delta_gap"], b_field=p.get("b_field", 0.0), coupling=p["coupling"],
+        convention=CouplingConvention(p.get("convention", "zz")),
     )
-    return SystemParams(omega=p["omega"], theta=p["theta"]), bath.with_b_field(p.get("b_field", 0.0))
+    return SystemParams(omega=p["omega"], theta=p["theta"]), bath
 
 
 def _chain(p: dict) -> tuple[IsingBathParams, SystemParams]:
@@ -277,6 +281,12 @@ EXPERIMENTS: dict[str, Experiment] = {
     ),
 }
 
+# every physical flag's dest and a default of it; each experiment accepts
+# those in its defaults
+_PARAMS = {k: v for exp in EXPERIMENTS.values() for k, v in exp.defaults.items()}
+_CHOICES = {"convention": [c.value for c in CouplingConvention],
+            "decomposition": [d.value for d in Decomposition]}
+
 # Bundled parameter sets: each is its experiment's defaults.
 PRESETS: dict[str, str] = {
     "paper-fig1c": "correction",
@@ -337,7 +347,7 @@ def _rows(config: RunConfig) -> tuple[list[str], list[list]]:
             head = [p[a] for a in axis]
             if isinstance(result, Exception):
                 label = exp.label(p)
-                where = "".join(f" {c}={x:.6g}" for c, x in zip(columns, head + label))
+                where = "".join(f" {c}={float(x)!r}" for c, x in zip(columns, head + label))
                 msg = f"point{where}: {type(result).__name__}: {result}"
                 log.warning("point failed: %s", msg)
                 if not config.keep_going:
@@ -405,9 +415,7 @@ def _build_parser() -> argparse.ArgumentParser:
     ap.add_argument("--preset", choices=list(PRESETS), help="start from a bundled parameter set")
     ap.add_argument("--output", help="output file (default: stdout)")
     ap.add_argument("--format", dest="fmt", choices=("csv", "json"), default="csv")
-    ap.add_argument("--workers", type=int,
-                    default=int(os.environ.get("GPHASE_WORKERS", "1")),
-                    help="parallel sweep workers (env GPHASE_WORKERS)")
+    ap.add_argument("--workers", type=int, default=1, help="parallel sweep workers")
     ap.add_argument("--keep-going", action="store_true",
                     help="flag failed sweep points instead of aborting")
     ap.add_argument("--sweep", nargs=4, metavar=("AXIS", "MIN", "MAX", "POINTS"),
@@ -416,34 +424,14 @@ def _build_parser() -> argparse.ArgumentParser:
                                      for name, exp in EXPERIMENTS.items() if exp.axes))
     ap.add_argument("--verbose", action="store_true", help="log progress to stderr")
 
-    phys = ap.add_argument_group("physical parameters")
-    phys.add_argument("--omega", type=float, help="system angular frequency, rad/s")
-    phys.add_argument("--theta", type=float, help="Bloch polar angle, rad")
-    phys.add_argument("--delta-gap", dest="delta_gap", type=float, help="bath minimum gap, rad/s")
-    phys.add_argument("--coupling", type=float,
-                      help="dephasing coupling (rad/s; dimensionless for ising)")
-    phys.add_argument("--b-field", dest="b_field", type=float, help="bath field B, rad/s")
-    phys.add_argument("--znu", type=float, help="critical exponent product")
-    phys.add_argument("--convention", choices=("zz", "projector"))
-    phys.add_argument("--samples", type=int, help="trace samples per cycle")
-    phys.add_argument("--b-min", dest="b_min", type=float)
-    phys.add_argument("--b-max", dest="b_max", type=float)
-    phys.add_argument("--b-points", dest="b_points", type=int)
-    phys.add_argument("--trotter-steps", dest="trotter_steps", type=int)
-    phys.add_argument("--decomposition", choices=[d.value for d in Decomposition])
-    phys.add_argument("--n-spins", dest="n_spins", type=int)
-    phys.add_argument("--j-coupling", dest="j_coupling", type=float)
-    phys.add_argument("--omega-over-j", dest="omega_over_j", type=float)
-    phys.add_argument("--lambda-min", dest="lambda_min", type=float)
-    phys.add_argument("--lambda-max", dest="lambda_max", type=float)
-    phys.add_argument("--lambda-points", dest="lambda_points", type=int)
-    phys.add_argument("--fidelity-threshold", dest="fidelity_threshold", type=float)
-    phys.add_argument("--max-steps", dest="max_steps", type=int)
+    phys = ap.add_argument_group(
+        "physical parameters",
+        "each experiment accepts only the flags of its defaults; "
+        "units: README, 'Units and conventions'")
+    for key, default in _PARAMS.items():
+        phys.add_argument(f"--{key.replace('_', '-')}", type=type(default),
+                          choices=_CHOICES.get(key))
     return ap
-
-
-# every physical flag's dest; each experiment accepts those in its defaults
-_PARAM_KEYS = tuple(dict.fromkeys(k for exp in EXPERIMENTS.values() for k in exp.defaults))
 
 
 def parse_config(argv) -> RunConfig | None:
@@ -463,7 +451,7 @@ def parse_config(argv) -> RunConfig | None:
         )
     exp = EXPERIMENTS[experiment]
     params = dict(exp.defaults)
-    for key in _PARAM_KEYS:
+    for key in _PARAMS:
         val = getattr(args, key)
         if val is None:
             continue

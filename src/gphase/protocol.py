@@ -225,7 +225,7 @@ def cycle_fidelity(p: ProtocolParams) -> float:
 
 def worst_cycle_fidelity(p: ProtocolParams, b_values) -> float:
     """Smallest cycle fidelity of ``p`` over the bath fields ``b_values``, capped at 1."""
-    return min([1.0] + [cycle_fidelity(replace(p, bath=p.bath.with_b_field(b)))
+    return min([1.0] + [cycle_fidelity(replace(p, bath=replace(p.bath, b_field=b)))
                         for b in np.asarray(b_values, dtype=float)])
 
 
@@ -271,7 +271,7 @@ def correction_experiment(p: ProtocolParams, b_grid) -> list[CorrectionRecord]:
     """
     records: list[CorrectionRecord] = []
     for b in np.asarray(b_grid, dtype=float):
-        bath_b = p.bath.with_b_field(b)
+        bath_b = replace(p.bath, b_field=b)
         dphi = run_protocol(replace(p, bath=bath_b)).gp.correction
         theory = build_trace(lambda t: decoherence_factor_oracle(bath_b, t), p.sys, THEORY_SAMPLES)
         records.append(CorrectionRecord(float(b), dphi, geometric_phase(theory, p.sys).correction))

@@ -1,11 +1,13 @@
 """Two-level model of a critical environment and its decoherence factor.
 
 A finite-size critical bath is mimicked by a single qubit whose gap closes
-at the critical point lambda = 0:
+at the critical point B = 0:
 
-    H_env = sign(lambda)|lambda|^{z nu} * Delta * Z + Delta * X = B Z + Delta X,
+    H_env = B Z + Delta X,
 
-with minimum gap Delta at criticality and B = lambda*Delta for z*nu = 1.
+with minimum gap Delta at criticality.  The paper reaches B from the
+dimensionless distance lambda to the critical point as
+B = sign(lambda)|lambda|^{z nu} Delta; this module takes B itself.
 The system couples through Z, so conditioned on the system pointer states
 the environment evolves under two shifted branch Hamiltonians; their
 overlap is the decoherence factor, which ``decoherence_factor_oracle``
@@ -15,7 +17,7 @@ computes from exact 2x2 propagators.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -34,26 +36,13 @@ class TwoLevelBathParams:
     """Parameters of the two-level critical bath and its system coupling."""
 
     delta_gap: float   # minimum gap Delta, rad/s
-    lam: float         # dimensionless field lambda
+    b_field: float     # field B, rad/s
     coupling: float    # delta, rad/s
-    znu: float = 1.0   # critical exponent product z*nu
     convention: CouplingConvention = CouplingConvention.ZZ_TARGET
 
     def __post_init__(self):
         if not (self.delta_gap > 0 and np.isfinite(self.delta_gap)):
             raise ValidationError(f"delta_gap must be positive, got {self.delta_gap}")
-        if not (self.znu > 0):
-            raise ValidationError(f"znu must be positive, got {self.znu}")
-
-    @property
-    def b_field(self) -> float:
-        """Transverse field B = sign(lambda)|lambda|^znu * Delta (= lambda*Delta at znu=1)."""
-        return float(np.sign(self.lam) * abs(self.lam) ** self.znu * self.delta_gap)
-
-    def with_b_field(self, b: float) -> "TwoLevelBathParams":
-        """Copy with lambda chosen so that b_field == b (znu-aware)."""
-        lam = np.sign(b) * (abs(b) / self.delta_gap) ** (1.0 / self.znu)
-        return replace(self, lam=float(lam))
 
 
 def ground_state(p: TwoLevelBathParams) -> np.ndarray:

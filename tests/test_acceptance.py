@@ -42,9 +42,7 @@ B_GRID = np.linspace(-0.2 * OMEGA, 0.2 * OMEGA, 21)
 
 
 def paper_bath(b=0.05 * OMEGA):
-    return TwoLevelBathParams(
-        delta_gap=0.02 * OMEGA, lam=0.0, coupling=0.1 * OMEGA
-    ).with_b_field(b)
+    return TwoLevelBathParams(delta_gap=0.02 * OMEGA, b_field=b, coupling=0.1 * OMEGA)
 
 
 def ones(t):

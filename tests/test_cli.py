@@ -6,7 +6,7 @@ import time
 import numpy as np
 import pytest
 
-from gphase import cli
+from gphase import cli, protocol
 from gphase.cli import EXPERIMENTS, PRESETS, _results, main, parse_config, presets
 from gphase.errors import GphaseError
 from gphase.gp import SystemParams, build_trace, geometric_phase
@@ -65,7 +65,7 @@ class TestGpCurve:
         assert rc == 0
         doc = json.loads(raw)
         sysp = SystemParams(omega=314.159, theta=0.7853981634)
-        bath = TwoLevelBathParams(delta_gap=6.2832, lam=15.708 / 6.2832, coupling=31.416)
+        bath = TwoLevelBathParams(delta_gap=6.2832, b_field=15.708, coupling=31.416)
         ref = geometric_phase(
             build_trace(lambda t: decoherence_factor_oracle(bath, t), sysp, 1024), sysp
         )
@@ -167,11 +167,6 @@ class TestDeterminism:
         assert len(raw.decode().strip().splitlines()) == points + 1
         assert created == sizes
 
-    def test_workers_env_default(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("GPHASE_WORKERS", "2")
-        cfg = parse_config(["ising-approx", "--lambda-points", "2"])
-        assert cfg.workers == 2
-
     def test_hash_ignores_output_and_workers(self):
         base = parse_config(["ising-approx", "--lambda-points", "2"])
         other = parse_config(["ising-approx", "--lambda-points", "2", "--workers", "7",
@@ -227,6 +222,22 @@ class TestExitCodes:
         results.close()
         assert len(list(tmp_path.iterdir())) < len(tasks) // 2
 
+    def test_failed_point_label_is_exact(self, monkeypatch, caplog):
+        # a .6g label named a failure at lambda = 1 + 1e-8 "lambda=1"
+        exp = EXPERIMENTS["ising-approx"]
+
+        def point(args):
+            if args[0].lam != 1.0:
+                raise RuntimeError("fails off the critical point")
+            return exp.point(args)
+
+        monkeypatch.setitem(EXPERIMENTS, "ising-approx", dataclasses.replace(exp, point=point))
+        config = parse_config(["ising-approx", "--lambda-min", "1", "--lambda-max", "1.00000001",
+                               "--lambda-points", "2"])
+        with pytest.raises(GphaseError, match=r"^point lambda=1\.00000001: RuntimeError"):
+            cli.run(config)
+        assert "lambda=1.00000001: RuntimeError" in caplog.text
+
     def test_keep_going_flags_and_succeeds(self, tmp_path):
         rc, raw = run_cli(self._BAD + ["--keep-going"], tmp_path, "kg.csv")
         assert rc == 0
@@ -265,12 +276,51 @@ class TestScaleInvariance:
         for scale in (1.0, 10.0):
             w = 100.0 * np.pi * scale
             sysp = SystemParams(omega=w, theta=np.pi / 4)
-            bath = TwoLevelBathParams(
-                delta_gap=0.02 * w, lam=0.0, coupling=0.1 * w
-            ).with_b_field(0.05 * w)
+            bath = TwoLevelBathParams(delta_gap=0.02 * w, b_field=0.05 * w, coupling=0.1 * w)
             tr = build_trace(lambda t: decoherence_factor_oracle(bath, t), sysp, 1024)
             outs.append(geometric_phase(tr, sysp).phi_total)
         assert abs(outs[0] - outs[1]) < 1e-10
+
+
+class TestPhysicalFlags:
+    @pytest.mark.parametrize("key", sorted({k for e in EXPERIMENTS.values() for k in e.defaults}))
+    def test_flag_parses_for_each_experiment_with_the_key(self, key):
+        # one flag per key, typed by the key's default in every experiment
+        owners = {name: exp.defaults[key] for name, exp in EXPERIMENTS.items()
+                  if key in exp.defaults}
+        assert len({type(v) for v in owners.values()}) == 1
+        for name, default in owners.items():
+            argv = [name, f"--{key.replace('_', '-')}", str(default)]
+            value = parse_config(argv).parameters[key]
+            assert type(value) is type(default)
+            assert value == default
+
+
+def test_two_level_bath_holds_the_grid_field_exactly(monkeypatch):
+    # solving lambda from B and mapping it back moved 7 of the 21 default
+    # correction fields by one ulp
+    def hexes(values):
+        return [float(v).hex() for v in values]
+
+    seen = []
+    run_protocol = protocol.run_protocol
+    monkeypatch.setattr(protocol, "run_protocol",
+                        lambda p: seen.append(p.bath.b_field) or run_protocol(p))
+    exp = EXPERIMENTS["correction"]
+    points = exp.grid(exp.defaults)
+    assert hexes(exp.prepare(p)[0].bath.b_field for p in points) == hexes(
+        p["b_field"] for p in points)
+    for p in points:
+        exp.point(exp.prepare(p))
+    assert hexes(seen) == hexes(p["b_field"] for p in points)
+
+    seen.clear()
+    monkeypatch.setattr(protocol, "cycle_fidelity", lambda p: seen.append(p.bath.b_field) or 1.0)
+    exp = EXPERIMENTS["trotter-check"]
+    proto, b_grid = exp.prepare(exp.grid(exp.defaults)[0])
+    assert len(b_grid) == 21
+    exp.point((proto, b_grid))
+    assert hexes(seen) == hexes(b_grid)
 
 
 # config_hash of each experiment's defaults, as written by earlier releases;
@@ -362,6 +412,7 @@ class TestRejectedBeforeWork:
         ["ising-sweep", "--n-spins", "5"],
         ["ising-approx", "--omega-over-j", "-1"],
         ["gp-curve", "--sweep", "theta", "0.5", "0.7", "0"],
+        ["trace", "--znu", "0"],
         # 2 steps cannot reach the readout grid's 64 intervals
         ["correction", "--decomposition", "coarse-trotter", "--trotter-steps", "2",
          "--b-points", "3"],
@@ -387,7 +438,7 @@ def test_trotter_check_agrees_with_library(tmp_path):
                  if float(fid) >= TROTTER_FIDELITY_THRESHOLD)
 
     p = parse_config(argv).parameters
-    bath = TwoLevelBathParams(delta_gap=p["delta_gap"], lam=0.0, coupling=p["coupling"])
+    bath = TwoLevelBathParams(delta_gap=p["delta_gap"], b_field=0.0, coupling=p["coupling"])
     proto = ProtocolParams(sys=SystemParams(omega=p["omega"], theta=p["theta"]), bath=bath)
     b_grid = np.linspace(p["b_min"], p["b_max"], p["b_points"])
     assert len(b_grid) == 21

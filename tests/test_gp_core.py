@@ -27,8 +27,8 @@ def ones_sampler(t):
 
 def paper_bath(b_over_omega=0.05, coupling=0.1):
     return TwoLevelBathParams(
-        delta_gap=0.02 * OMEGA, lam=0.0, coupling=coupling * OMEGA
-    ).with_b_field(b_over_omega * OMEGA)
+        delta_gap=0.02 * OMEGA, b_field=b_over_omega * OMEGA, coupling=coupling * OMEGA
+    )
 
 
 class TestSystemParams:
@@ -327,7 +327,7 @@ class TestTrajectoryRoute:
             th = rng.uniform(0.3, 2.7)
             b = rng.uniform(-0.2, 0.2) * OMEGA
             sp = SystemParams(omega=OMEGA, theta=th)
-            bath = paper_bath().with_b_field(b)
+            bath = paper_bath(b_over_omega=b / OMEGA)
             eq3 = geometric_phase(
                 build_trace(lambda t: decoherence_factor_oracle(bath, t), sp, 4096), sp
             ).phi_total

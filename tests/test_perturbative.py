@@ -78,7 +78,7 @@ class TestElliptic:
 
 
 def two_level_sampler(delta, t):
-    bath = TwoLevelBathParams(delta_gap=0.02 * OMEGA, lam=2.5, coupling=delta)
+    bath = TwoLevelBathParams(delta_gap=0.02 * OMEGA, b_field=0.05 * OMEGA, coupling=delta)
     return decoherence_factor_oracle(bath, t)
 
 
@@ -164,7 +164,7 @@ class TestThirdOrder:
         co = extract_coefficients_numeric(two_level_sampler, times, h=1e-4 * OMEGA)
         res = []
         for d in (0.02 * OMEGA, 0.01 * OMEGA):
-            bath = TwoLevelBathParams(delta_gap=0.02 * OMEGA, lam=2.5, coupling=d)
+            bath = TwoLevelBathParams(delta_gap=0.02 * OMEGA, b_field=0.05 * OMEGA, coupling=d)
             tr = build_trace(lambda t: decoherence_factor_oracle(bath, t), sp, 4096)
             exact = geometric_phase(tr, sp).correction
             res.append(abs(gp_third_order(co, sp, d).order3 - exact))

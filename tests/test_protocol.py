@@ -40,16 +40,15 @@ def propagator(h, t):
 def make_params(b_over_omega=0.05, theta=np.pi / 4, **kw):
     sysp = SystemParams(omega=OMEGA, theta=theta)
     bath = TwoLevelBathParams(
-        delta_gap=0.02 * OMEGA, lam=0.0, coupling=0.1 * OMEGA
-    ).with_b_field(b_over_omega * OMEGA)
+        delta_gap=0.02 * OMEGA, b_field=b_over_omega * OMEGA, coupling=0.1 * OMEGA
+    )
     return ProtocolParams(sys=sysp, bath=bath, **kw)
 
 
 class TestHamiltonian:
     def test_commuting_diagonal(self):
-        p = make_params()
-        p = replace(p, bath=replace(p.bath.with_b_field(0.3 * OMEGA), coupling=0.0,
-                                    delta_gap=1e-300))
+        p = make_params(b_over_omega=0.3)
+        p = replace(p, bath=replace(p.bath, coupling=0.0, delta_gap=1e-300))
         h = build_target_hamiltonian(p)
         b = p.bath.b_field
         np.testing.assert_allclose(

@@ -79,7 +79,7 @@ class TestKron:
 
     def test_zz_diagonal(self):
         # the coupling term alone is d diag(1, -1, -1, 1)
-        bath = TwoLevelBathParams(delta_gap=1e-300, lam=0.0, coupling=0.3)
+        bath = TwoLevelBathParams(delta_gap=1e-300, b_field=0.0, coupling=0.3)
         p = ProtocolParams(sys=SystemParams(omega=1e-300, theta=0.5), bath=bath)
         np.testing.assert_allclose(build_target_hamiltonian(p), np.diag([0.3, -0.3, -0.3, 0.3]),
                                    rtol=0, atol=1e-15)
@@ -114,7 +114,8 @@ class TestPartialTrace:
 
         omega = 100 * np.pi
         theta = np.pi / 3
-        bath = TwoLevelBathParams(delta_gap=0.02 * omega, lam=2.5, coupling=0.1 * omega)
+        bath = TwoLevelBathParams(delta_gap=0.02 * omega, b_field=0.05 * omega,
+                                  coupling=0.1 * omega)
         h = (
             omega * np.kron(Z, I2)
             + bath.coupling * np.kron(Z, Z)

@@ -1,5 +1,5 @@
 import inspect
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -25,70 +25,61 @@ OMEGA = 100.0 * np.pi
 
 
 def paper_bath(**kw):
-    base = TwoLevelBathParams(delta_gap=0.02 * OMEGA, lam=2.5, coupling=0.1 * OMEGA)
+    base = TwoLevelBathParams(delta_gap=0.02 * OMEGA, b_field=0.05 * OMEGA, coupling=0.1 * OMEGA)
     return replace(base, **kw) if kw else base
 
 
 class TestParams:
-    def test_b_field_linear_exponent(self):
-        p = TwoLevelBathParams(delta_gap=2.0, lam=0.7, coupling=0.1)
-        assert p.b_field == pytest.approx(1.4, abs=1e-15)
-
-    def test_b_field_general_exponent(self):
-        p = TwoLevelBathParams(delta_gap=2.0, lam=-0.5, coupling=0.1, znu=2.0)
-        assert p.b_field == pytest.approx(-2.0 * 0.25, abs=1e-15)
-
-    def test_with_b_field_roundtrip(self):
-        p = TwoLevelBathParams(delta_gap=3.0, lam=0.0, coupling=0.2, znu=1.5)
-        q = p.with_b_field(-1.1)
-        assert q.b_field == pytest.approx(-1.1, rel=1e-12)
+    def test_fields(self):
+        # the bath is set by its field B; the paper's lambda and z*nu map onto
+        # B outside this record
+        names = [f.name for f in fields(TwoLevelBathParams)]
+        assert names == ["delta_gap", "b_field", "coupling", "convention"]
 
     def test_validation(self):
         with pytest.raises(ValidationError):
-            TwoLevelBathParams(delta_gap=-1.0, lam=0.0, coupling=0.1)
-        with pytest.raises(ValidationError):
-            TwoLevelBathParams(delta_gap=1.0, lam=0.0, coupling=0.1, znu=0.0)
+            TwoLevelBathParams(delta_gap=-1.0, b_field=0.0, coupling=0.1)
 
 
 class TestEigenenergies:
-    # the bath spectrum is +-Delta sqrt(1 + lambda^2); ground_state must pick
+    # the bath spectrum is +-sqrt(B^2 + Delta^2); ground_state must pick
     # the lower level
     def test_critical_point(self):
-        p = TwoLevelBathParams(delta_gap=1.7, lam=0.0, coupling=0.0)
+        p = TwoLevelBathParams(delta_gap=1.7, b_field=0.0, coupling=0.0)
         g = ground_state(p)
         h = p.b_field * Z + p.delta_gap * X
         assert np.vdot(g, h @ g).real == pytest.approx(-1.7, abs=1e-15)
 
     def test_unit_field(self):
-        p = TwoLevelBathParams(delta_gap=1.0, lam=1.0, coupling=0.0)
+        p = TwoLevelBathParams(delta_gap=1.0, b_field=1.0, coupling=0.0)
         g = ground_state(p)
         h = p.b_field * Z + p.delta_gap * X
         assert np.vdot(g, h @ g).real == pytest.approx(-np.sqrt(2), abs=1e-14)
 
     def test_matches_diagonalization(self):
-        p = TwoLevelBathParams(delta_gap=2 * np.pi, lam=0.5, coupling=0.0)
+        p = TwoLevelBathParams(delta_gap=2 * np.pi, b_field=np.pi, coupling=0.0)
         h = p.b_field * Z + p.delta_gap * X
         w = np.linalg.eigvalsh(h)
         g = ground_state(p)
         assert np.vdot(g, h @ g).real == pytest.approx(w[0], abs=1e-12)
-        assert p.delta_gap * np.hypot(1.0, p.lam) == pytest.approx(w[1], abs=1e-12)
+        assert np.hypot(p.b_field, p.delta_gap) == pytest.approx(w[1], abs=1e-12)
 
 
 class TestGroundState:
     def test_zero_field(self):
-        p = TwoLevelBathParams(delta_gap=1.0, lam=0.0, coupling=0.0)
+        p = TwoLevelBathParams(delta_gap=1.0, b_field=0.0, coupling=0.0)
         g = ground_state(p)
         np.testing.assert_allclose(g, [1 / np.sqrt(2), -1 / np.sqrt(2)], atol=1e-14)
 
     def test_vanishing_gap_limit(self):
-        p = TwoLevelBathParams(delta_gap=1e-9, lam=1e9, coupling=0.0)  # B = 1, gap -> 0
+        p = TwoLevelBathParams(delta_gap=1e-9, b_field=1.0, coupling=0.0)  # gap -> 0
         g = ground_state(p)
         w, v = np.linalg.eigh(p.b_field * Z + p.delta_gap * X)
         assert abs(abs(np.vdot(v[:, 0], g)) - 1.0) < 1e-9
 
     def test_residual(self):
-        for lam in (1.0, -0.3, 0.0, 4.0):
-            p = TwoLevelBathParams(delta_gap=1.3, lam=lam, coupling=0.0)
+        for b in (1.3, -0.39, 0.0, 5.2):
+            p = TwoLevelBathParams(delta_gap=1.3, b_field=b, coupling=0.0)
             h = p.b_field * Z + p.delta_gap * X
             g = ground_state(p)
             lo = np.linalg.eigvalsh(h)[0]
@@ -109,7 +100,7 @@ class TestOracle:
 
     def test_classical_field_limit(self):
         # gap -> 0, initial |1>: commuting branches give a pure phase e^{2 i d t}
-        p = TwoLevelBathParams(delta_gap=1e-300, lam=1e300, coupling=0.3)  # B = 1
+        p = TwoLevelBathParams(delta_gap=1e-300, b_field=1.0, coupling=0.3)
         t = np.linspace(0, 5, 64)
         r = decoherence_factor_oracle(p, t, initial=np.array([0.0, 1.0]))
         np.testing.assert_allclose(np.abs(r), 1.0, atol=1e-12)
@@ -123,7 +114,7 @@ class TestOracle:
         # independent oracle: dense matrix exponentials of the branch pair
         import scipy.linalg
 
-        p = paper_bath().with_b_field(0.07 * OMEGA)
+        p = paper_bath(b_field=0.07 * OMEGA)
         g = ground_state(p)
         h_plus = (p.b_field + p.coupling) * Z + p.delta_gap * X
         h_minus = (p.b_field - p.coupling) * Z + p.delta_gap * X
@@ -137,9 +128,9 @@ class TestOracle:
         # projector branches (B, B+2d) match the zz pair at field B+d with the
         # same initial state: equal magnitudes, conjugate phases
         d, gap, b = 0.11, 0.35, 0.6
-        zz = TwoLevelBathParams(delta_gap=gap, lam=(b + d) / gap, coupling=d)
+        zz = TwoLevelBathParams(delta_gap=gap, b_field=b + d, coupling=d)
         pj = TwoLevelBathParams(
-            delta_gap=gap, lam=b / gap, coupling=d, convention=CouplingConvention.PROJECTOR
+            delta_gap=gap, b_field=b, coupling=d, convention=CouplingConvention.PROJECTOR
         )
         psi = ground_state(pj)
         t = np.linspace(0, 20, 200)
@@ -151,17 +142,18 @@ class TestOracle:
 
 def one_sided_closed_forms(p, t):
     """Closed forms (z nu = 1) of the overlap for the one-sided branch pair (lambda,
-    lambda + d), d = delta/Delta, from the ground state at lambda, as quoted
-    and with the sin coefficient repaired, and the exact overlap: the oracle
-    on the bath shifted by half the coupling has exactly those branch fields."""
-    d = p.coupling / p.delta_gap
-    eps = -p.delta_gap * np.sqrt(1.0 + p.lam**2)
-    eps_s = -p.delta_gap * np.sqrt(1.0 + (p.lam + d) ** 2)
+    lambda + d), lambda = B/Delta and d = delta/Delta, from the ground state at
+    lambda, as quoted and with the sin coefficient repaired, and the exact
+    overlap: the oracle on the bath shifted by half the coupling has exactly
+    those branch fields."""
+    lam, d = p.b_field / p.delta_gap, p.coupling / p.delta_gap
+    eps = -p.delta_gap * np.sqrt(1.0 + lam**2)
+    eps_s = -p.delta_gap * np.sqrt(1.0 + (lam + d) ** 2)
     quoted = (eps_s**2 - (p.delta_gap * d) ** 2) / (eps * eps_s)
     repaired = (eps**2 + eps_s**2 - (p.delta_gap * d) ** 2) / (2.0 * eps * eps_s)
     forms = [np.exp(1j * eps * t) * (np.cos(eps_s * t) - 1j * c * np.sin(eps_s * t))
              for c in (quoted, repaired)]
-    half = replace(p.with_b_field(p.b_field + p.coupling / 2.0), coupling=p.coupling / 2.0)
+    half = replace(p, b_field=p.b_field + p.coupling / 2.0, coupling=p.coupling / 2.0)
     exact = decoherence_factor_oracle(half, t, initial=ground_state(p))
     return forms[0], forms[1], exact
 
@@ -178,7 +170,7 @@ class TestAnalyticFormula:
         # |r| of the exact one-sided overlap repeats with the shifted branch's
         # half period pi / eps_shift
         p = paper_bath()
-        eps_s = p.delta_gap * np.hypot(1.0, p.lam + p.coupling / p.delta_gap)
+        eps_s = np.hypot(p.delta_gap, p.b_field + p.coupling)
         period = np.pi / eps_s
         t = np.linspace(0, period, 40)
         r0 = np.abs(one_sided_closed_forms(p, t)[2])
@@ -189,7 +181,7 @@ class TestAnalyticFormula:
         # the quoted sin coefficient deviates from the exact one-sided overlap
         # at first order in lam*d; the repaired one removes the gap entirely
         p = paper_bath()
-        eps_s = p.delta_gap * np.hypot(1.0, p.lam + p.coupling / p.delta_gap)
+        eps_s = np.hypot(p.delta_gap, p.b_field + p.coupling)
         t = np.linspace(0.0, np.pi / eps_s, 512)  # one magnitude period
         quoted, repaired, exact = one_sided_closed_forms(p, t)
         dev_repaired = np.max(np.abs(repaired - exact))
@@ -197,15 +189,15 @@ class TestAnalyticFormula:
         assert np.max(np.abs(quoted - exact)) > dev_repaired
 
     def test_matches_exact_at_critical_point(self):
-        # at lam = 0 the quoted coefficient is exact
+        # at B = 0 the quoted coefficient is exact
         t = np.linspace(0, 0.02, 100)
-        quoted, _, exact = one_sided_closed_forms(paper_bath(lam=0.0), t)
+        quoted, _, exact = one_sided_closed_forms(paper_bath(b_field=0.0), t)
         np.testing.assert_allclose(quoted, exact, atol=1e-10)
 
 
 def dphi(bath, b, sysp, samples):
     """Phase correction of the bath at field b."""
-    at_b = bath.with_b_field(b)
+    at_b = replace(bath, b_field=b)
     trace = build_trace(lambda t: decoherence_factor_oracle(at_b, t), sysp, samples)
     return geometric_phase(trace, sysp).correction
 
@@ -236,7 +228,7 @@ class TestCorrectionCurve:
         )
 
         sysp = SystemParams(omega=OMEGA, theta=np.pi / 4)
-        bath = paper_bath().with_b_field(0.1 * OMEGA)
+        bath = paper_bath(b_field=0.1 * OMEGA)
         point = dphi(bath, bath.b_field, sysp, 2048)
         p = ProtocolParams(sys=sysp, bath=bath)
         times = np.linspace(0.0, sysp.tau, 32769)
@@ -265,13 +257,13 @@ class TestLandscape:
         bs = np.linspace(-0.2 * OMEGA, 0.2 * OMEGA, 21)
         t = np.linspace(0.0, sysp.tau, 257)
         mins = [
-            np.min(np.abs(decoherence_factor_oracle(bath.with_b_field(b), t)) ** 2)
+            np.min(np.abs(decoherence_factor_oracle(replace(bath, b_field=b), t)) ** 2)
             for b in bs
         ]
         assert np.argmin(mins) == np.argmin(np.abs(bs))
         # collapse-revival: the critical trace dips well below 1 and revives
         # (the revival period ~pi/sqrt(d^2+D^2) spans several cycles)
         t5 = np.linspace(0.0, 5.0 * sysp.tau, 1025)
-        r2 = np.abs(decoherence_factor_oracle(bath.with_b_field(0.0), t5)) ** 2
+        r2 = np.abs(decoherence_factor_oracle(replace(bath, b_field=0.0), t5)) ** 2
         assert np.min(r2) < 0.2
         assert np.max(r2[np.argmin(r2):]) > 0.9
