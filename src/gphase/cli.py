@@ -114,8 +114,6 @@ def _two_level(p: dict) -> tuple[SystemParams, TwoLevelBathParams]:
 
 
 def _chain(p: dict) -> tuple[IsingBathParams, SystemParams]:
-    if not p["omega_over_j"] > 0:
-        raise ValidationError(f"omega_over_j must be positive, got {p['omega_over_j']}")
     bath = IsingBathParams(
         n_spins=int(p["n_spins"]), j_coupling=p["j_coupling"],
         lam=p["lambda"], coupling=p["coupling"],

@@ -1,20 +1,22 @@
 """Software replica of the two-qubit quantum-simulation protocol.
 
 The target Hamiltonian H = W Z_S + d Z_S Z_E + B Z_E + G X_E (system x
-environment ordering) is evolved either exactly or with the second-order
-Strang splitting
+environment ordering) is built from the four Pauli strings ZI, ZZ, IZ and
+IX, and evolved either exactly or with the second-order Strang splitting
 
     U(dt) ~ e^{-i G dt X_E / 2} e^{-i d dt Z_S Z_E} e^{-i W dt Z_S}
-            e^{-i B dt Z_E} e^{-i G dt X_E / 2},
+            e^{-i B dt Z_E} e^{-i G dt X_E / 2}.
 
-optionally with the Z rotations realized as X-conjugated Y rotations
-(pulse-level form).  Every factor exponentiates one Pauli string P, so it is
-the closed form e^{-i a P} = cos(a) I - i sin(a) P.  The decoherence factor
-is read out from the system coherence and the geometric phase computed from
-the resulting trace; its coupling-induced correction is
+Every factor exponentiates one of those strings P, so it is the closed form
+e^{-i a P} = cos(a) I - i sin(a) P.  The paper's NMR simulator applies its Z
+rotations as X-conjugated Y pulses, e^{-i pi X/4} e^{-i a Y} e^{+i pi X/4} =
+e^{-i a Z}: an exact identity, so the pulse sequence is this same step.  Its
+coupling gate, an evolution time 2 d dt / (pi J) under a (pi J / 2) Z_S Z_E
+coupling, is the ZZ rotation by d dt.  The decoherence factor is read out from the system coherence and the geometric
+phase computed from the resulting trace; its coupling-induced correction is
 ``GpResult.correction``.  An uncoupled (d = 0) run needs no simulating: Z_S
-commutes with every environment factor, so each exact, Strang or
-pulse-level step factorises and its readout is r = 1 to rounding.
+commutes with every environment factor, so each exact or Strang step
+factorises and its readout is r = 1 to rounding.
 """
 
 from __future__ import annotations
@@ -33,7 +35,7 @@ from .gp import (
     geometric_phase,
     trace_from_samples,
 )
-from .qmat import I2, X, Y, Z
+from .qmat import I2, X, Z
 from .two_level import (
     CouplingConvention,
     TwoLevelBathParams,
@@ -60,11 +62,16 @@ READOUT_SAMPLES = 64
 # Samples per cycle of correction_experiment's theory column.
 THEORY_SAMPLES = 1024
 
+# The Pauli strings of H, system (x) environment.
+ZI = np.kron(Z, I2)
+ZZ = np.kron(Z, Z)
+IZ = np.kron(I2, Z)
+IX = np.kron(I2, X)
+
 
 class Decomposition(enum.Enum):
     EXACT = "exact"
     COARSE_TROTTER = "coarse-trotter"
-    PULSE_LEVEL = "pulse-level"
 
 
 @dataclass(frozen=True)
@@ -97,12 +104,7 @@ class ProtocolRun:
 def build_target_hamiltonian(p: ProtocolParams) -> np.ndarray:
     """Dense 4x4 H = W Z_S + d Z_S Z_E + B Z_E + G X_E."""
     b = p.bath
-    return (
-        p.sys.omega * np.kron(Z, I2)
-        + b.coupling * np.kron(Z, Z)
-        + b.b_field * np.kron(I2, Z)
-        + b.delta_gap * np.kron(I2, X)
-    )
+    return p.sys.omega * ZI + b.coupling * ZZ + b.b_field * IZ + b.delta_gap * IX
 
 
 def _rotation(pauli: np.ndarray, angle: float) -> np.ndarray:
@@ -110,31 +112,14 @@ def _rotation(pauli: np.ndarray, angle: float) -> np.ndarray:
     return np.cos(angle) * np.eye(len(pauli)) - 1j * np.sin(angle) * pauli
 
 
-def _pulse_z_rotation(angle: float, axis_y: np.ndarray, axis_x: np.ndarray) -> np.ndarray:
-    """e^{-i angle Z} realized as e^{-i pi X/4} e^{-i angle Y} e^{+i pi X/4}.
-
-    The coupling gate needs no such identity: its angle bookkeeping (an
-    evolution time 2 d t / (pi J) under a (pi J / 2) Z_S Z_E coupling) reduces
-    to angle = d * t, the natural Z_S Z_E evolution.
-    """
-    wrap = _rotation(axis_x, np.pi / 4.0)
-    return wrap @ _rotation(axis_y, angle) @ wrap.conj().T
-
-
 def trotter_step(p: ProtocolParams, dt: float) -> np.ndarray:
     """One Strang splitting step for time dt, as a product of Pauli rotations."""
     if dt <= 0:
         raise ValidationError("dt must be positive")
     b = p.bath
-    half_x = _rotation(np.kron(I2, X), b.delta_gap * dt / 2.0)
-    zz = _rotation(np.kron(Z, Z), b.coupling * dt)
-    if p.decomposition is Decomposition.PULSE_LEVEL:
-        z_s = _pulse_z_rotation(p.sys.omega * dt, np.kron(Y, I2), np.kron(X, I2))
-        z_e = _pulse_z_rotation(b.b_field * dt, np.kron(I2, Y), np.kron(I2, X))
-    else:
-        z_s = _rotation(np.kron(Z, I2), p.sys.omega * dt)
-        z_e = _rotation(np.kron(I2, Z), b.b_field * dt)
-    return half_x @ zz @ z_s @ z_e @ half_x
+    half_x = _rotation(IX, b.delta_gap * dt / 2.0)
+    return (half_x @ _rotation(ZZ, b.coupling * dt) @ _rotation(ZI, p.sys.omega * dt)
+            @ _rotation(IZ, b.b_field * dt) @ half_x)
 
 
 def _initial_state(p: ProtocolParams, input_theta: float) -> np.ndarray:
@@ -215,7 +200,8 @@ def run_protocol(p: ProtocolParams, input_theta: float = np.pi / 2.0) -> Protoco
 
 def cycle_fidelity(p: ProtocolParams) -> float:
     """Full-cycle state fidelity of the stepped evolution against exact, from
-    run_protocol's default input state."""
+    run_protocol's default input state.  ``p.decomposition`` is not read:
+    there is one step scheme."""
     psi0 = _initial_state(p, np.pi / 2.0)
     tau = np.array([p.sys.tau])
     psi_exact = _exact_states(p, tau, psi0)[0]
@@ -239,12 +225,9 @@ def step_counts(max_steps: int) -> list[int]:
 def find_min_trotter_steps(p: ProtocolParams, b_values) -> int:
     """Smallest power-of-two step count up to MAX_TROTTER_STEPS whose worst
     cycle fidelity over ``b_values`` meets TROTTER_FIDELITY_THRESHOLD."""
-    base = p if p.decomposition is not Decomposition.EXACT else replace(
-        p, decomposition=Decomposition.COARSE_TROTTER
-    )
     for n in step_counts(MAX_TROTTER_STEPS):
-        trial = replace(base, trotter_steps=n)
-        if worst_cycle_fidelity(trial, b_values) >= TROTTER_FIDELITY_THRESHOLD:
+        worst = worst_cycle_fidelity(replace(p, trotter_steps=n), b_values)
+        if worst >= TROTTER_FIDELITY_THRESHOLD:
             return n
     raise ValidationError(
         f"no power-of-two step count <= {MAX_TROTTER_STEPS} reaches fidelity "

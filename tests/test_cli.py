@@ -375,6 +375,14 @@ class TestRejectedBeforeWork:
         assert main(argv) == 2
         assert point_calls == []
 
+    def test_pulse_level_is_no_decomposition(self, point_calls):
+        # the pulse form of the Z rotations is the coarse step itself; argparse
+        # rejects the choice with exit status 2
+        with pytest.raises(SystemExit) as exc:
+            main(["correction", "--decomposition", "pulse-level"])
+        assert exc.value.code == 2
+        assert point_calls == []
+
     def test_flag_the_experiment_does_not_use(self, point_calls):
         # omega used to enter the parameters and the hash and change nothing
         assert main(["ising-approx", "--omega", "5"]) == 2
@@ -411,6 +419,7 @@ class TestRejectedBeforeWork:
         ["trotter-check", "--max-steps", "0"],
         ["ising-sweep", "--n-spins", "5"],
         ["ising-approx", "--omega-over-j", "-1"],
+        ["ising-approx", "--omega-over-j", "0"],
         ["gp-curve", "--sweep", "theta", "0.5", "0.7", "0"],
         ["trace", "--znu", "0"],
         # 2 steps cannot reach the readout grid's 64 intervals

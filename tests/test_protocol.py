@@ -10,7 +10,7 @@ from gphase.protocol import (
     PINNED_TROTTER_STEPS,
     Decomposition,
     ProtocolParams,
-    _pulse_z_rotation,
+    _rotation,
     build_target_hamiltonian,
     correction_experiment,
     cycle_fidelity,
@@ -100,12 +100,6 @@ class TestTrotterStep:
         u = trotter_step(make_params(), 0.001)
         assert np.max(np.abs(u.conj().T @ u - np.eye(4))) < 1e-12
 
-    def test_pulse_level_identical(self):
-        p = make_params()
-        coarse = trotter_step(replace(p, decomposition=Decomposition.COARSE_TROTTER), 0.002)
-        pulse = trotter_step(replace(p, decomposition=Decomposition.PULSE_LEVEL), 0.002)
-        assert np.max(np.abs(coarse - pulse)) < 1e-12
-
     def test_cycle_error_second_order(self):
         p = make_params(b_over_omega=0.1)
         h = build_target_hamiltonian(p)
@@ -122,13 +116,16 @@ class TestTrotterStep:
 
 class TestPulseIdentities:
     def test_z_rotation_matches_expm(self):
+        # the NMR pulse form of a Z rotation, e^{-i pi X/4} e^{-i a Y} e^{+i pi X/4}
+        # = e^{-i a Z}, is the Z gate of the Strang step on either qubit
         rng = np.random.default_rng(7)
         angles = np.concatenate([[0.0, np.pi / 3.0], rng.uniform(-2.0 * np.pi, 2.0 * np.pi, 100)])
-        for a in angles:
-            env = _pulse_z_rotation(a, np.kron(I2, Y), np.kron(I2, X))
-            sys_ = _pulse_z_rotation(a, np.kron(Y, I2), np.kron(X, I2))
-            assert np.max(np.abs(env - propagator(np.kron(I2, Z), a))) < 1e-12
-            assert np.max(np.abs(sys_ - propagator(np.kron(Z, I2), a))) < 1e-12
+        for x, y, z in ((np.kron(I2, X), np.kron(I2, Y), np.kron(I2, Z)),
+                        (np.kron(X, I2), np.kron(Y, I2), np.kron(Z, I2))):
+            wrap = _rotation(x, np.pi / 4.0)
+            for a in angles:
+                pulse = wrap @ _rotation(y, a) @ wrap.conj().T
+                assert np.max(np.abs(pulse - propagator(z, a))) < 1e-12
 
 
 class TestRunProtocol:
@@ -216,15 +213,15 @@ class TestTrotterPinning:
 class TestFidelityScan:
     def test_cycle_fidelity_against_matrix_power(self):
         # the cycle readout of the stepped states against an independent
-        # propagator product, for each decomposition that steps
-        for decomposition in (Decomposition.COARSE_TROTTER, Decomposition.PULSE_LEVEL):
-            for n in (1, 3, 16):
-                p = make_params(b_over_omega=0.13, trotter_steps=n, decomposition=decomposition)
-                psi0 = np.kron([np.sqrt(0.5), np.sqrt(0.5)], ground_state(p.bath))
-                u_step = np.linalg.matrix_power(trotter_step(p, p.sys.tau / n), n)
-                u_exact = propagator(build_target_hamiltonian(p), p.sys.tau)
-                expected = abs(np.vdot(u_exact @ psi0, u_step @ psi0)) ** 2
-                assert cycle_fidelity(p) == pytest.approx(expected, abs=1e-12)
+        # propagator product
+        for n in (1, 3, 16):
+            p = make_params(b_over_omega=0.13, trotter_steps=n,
+                            decomposition=Decomposition.COARSE_TROTTER)
+            psi0 = np.kron([np.sqrt(0.5), np.sqrt(0.5)], ground_state(p.bath))
+            u_step = np.linalg.matrix_power(trotter_step(p, p.sys.tau / n), n)
+            u_exact = propagator(build_target_hamiltonian(p), p.sys.tau)
+            expected = abs(np.vdot(u_exact @ psi0, u_step @ psi0)) ** 2
+            assert cycle_fidelity(p) == pytest.approx(expected, abs=1e-12)
 
     def test_worst_is_capped_at_one(self):
         p = make_params(trotter_steps=4, decomposition=Decomposition.COARSE_TROTTER)
@@ -255,8 +252,7 @@ class TestCorrectionExperiment:
 
     @pytest.mark.parametrize("decomposition, steps", [
         (Decomposition.EXACT, 64),
-        *[(d, n) for d in (Decomposition.COARSE_TROTTER, Decomposition.PULSE_LEVEL)
-          for n in (64, 128, 512)],
+        *[(Decomposition.COARSE_TROTTER, n) for n in (64, 128, 512)],
     ])
     def test_uncoupled_readout_is_one(self, decomposition, steps):
         # Z_S commutes with every environment factor, so at d = 0 each step

@@ -4,15 +4,12 @@ import scipy.linalg
 
 from gphase.errors import InvalidDensityMatrix
 from gphase.gp import SystemParams
-from gphase.protocol import ProtocolParams, _rotation, build_target_hamiltonian
-from gphase.qmat import I2, X, Y, Z, partial_trace_env
+from gphase.protocol import IX, IZ, ZI, ZZ, ProtocolParams, _rotation, build_target_hamiltonian
+from gphase.qmat import I2, X, Z, partial_trace_env
 from gphase.two_level import TwoLevelBathParams
 
-# every Pauli string a protocol step exponentiates
-STEP_PAULIS = {
-    "XI": np.kron(X, I2), "YI": np.kron(Y, I2), "ZI": np.kron(Z, I2),
-    "IX": np.kron(I2, X), "IY": np.kron(I2, Y), "IZ": np.kron(I2, Z), "ZZ": np.kron(Z, Z),
-}
+# every Pauli string a protocol step exponentiates: the four of H
+STEP_PAULIS = {"ZI": ZI, "ZZ": ZZ, "IZ": IZ, "IX": IX}
 
 
 def random_hermitian(dim, rng):
