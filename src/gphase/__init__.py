@@ -16,8 +16,9 @@ Library layout:
 - :mod:`gphase.perturbative`: small-coupling expansion of the phase
   correction and the Ising closed forms with complete elliptic integrals.
 - :mod:`gphase.protocol`: software replica of the Trotterized two-qubit
-  simulation protocol, its gates as closed-form Pauli rotations, and the
-  phase correction it reads out across a field sweep.
+  simulation protocol, its gates as closed-form Pauli rotations; a run
+  returns its readout ``DecoherenceTrace``, and ``correction_point`` sets
+  its phase correction beside the oracle's at one field.
 - :mod:`gphase.cli`: one table of experiments driving parameter sweeps,
   presets and CSV/JSON output.
 """
@@ -50,9 +51,8 @@ from .perturbative import (
 from .protocol import (
     Decomposition,
     ProtocolParams,
-    ProtocolRun,
     build_target_hamiltonian,
-    correction_experiment,
+    correction_point,
     run_protocol,
     trotter_step,
 )

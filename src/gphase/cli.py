@@ -46,7 +46,7 @@ from .protocol import (
     READOUT_SAMPLES,
     Decomposition,
     ProtocolParams,
-    correction_experiment,
+    correction_point,
     step_counts,
     worst_cycle_fidelity,
 )
@@ -121,7 +121,7 @@ def _chain(p: dict) -> tuple[IsingBathParams, SystemParams]:
     return bath, SystemParams(omega=p["omega_over_j"] * p["j_coupling"], theta=p["theta"])
 
 
-def _protocol(p: dict) -> tuple[ProtocolParams, float]:
+def _protocol(p: dict) -> tuple[ProtocolParams]:
     sysp, bath = _two_level(p)
     proto = ProtocolParams(
         sys=sysp, bath=bath, trotter_steps=int(p["trotter_steps"]),
@@ -132,7 +132,7 @@ def _protocol(p: dict) -> tuple[ProtocolParams, float]:
             f"{proto.decomposition.value} needs trotter_steps to be a multiple of the "
             f"{READOUT_SAMPLES} readout intervals, got {proto.trotter_steps}"
         )
-    return proto, p["b_field"]
+    return (proto,)
 
 
 def _trotter_scan(p: dict) -> tuple[ProtocolParams, np.ndarray]:
@@ -165,9 +165,8 @@ def _gp_curve_rows(args) -> list[list[float]]:
 
 
 def _correction_rows(args) -> list[list[float]]:
-    proto, b = args
-    rec = correction_experiment(proto, [b])[0]
-    return [[b / proto.sys.omega, rec.dphi, rec.dphi_theory]]
+    (proto,) = args
+    return [[proto.bath.b_field / proto.sys.omega, *correction_point(proto)]]
 
 
 def _ising_orders_norm(bath: IsingBathParams, sysp: SystemParams) -> list[float]:
@@ -358,8 +357,6 @@ def _rows(config: RunConfig) -> tuple[list[str], list[list]]:
 def _fmt_cell(x) -> str:
     if isinstance(x, str):
         return x
-    if isinstance(x, (int, np.integer)):
-        return str(int(x))
     return format(float(x), ".17g")
 
 

@@ -12,11 +12,15 @@ e^{-i a P} = cos(a) I - i sin(a) P.  The paper's NMR simulator applies its Z
 rotations as X-conjugated Y pulses, e^{-i pi X/4} e^{-i a Y} e^{+i pi X/4} =
 e^{-i a Z}: an exact identity, so the pulse sequence is this same step.  Its
 coupling gate, an evolution time 2 d dt / (pi J) under a (pi J / 2) Z_S Z_E
-coupling, is the ZZ rotation by d dt.  The decoherence factor is read out from the system coherence and the geometric
-phase computed from the resulting trace; its coupling-induced correction is
-``GpResult.correction``.  An uncoupled (d = 0) run needs no simulating: Z_S
-commutes with every environment factor, so each exact or Strang step
-factorises and its readout is r = 1 to rounding.
+coupling, is the ZZ rotation by d dt.
+
+``run_protocol`` reads the decoherence factor out from the system coherence
+and returns it as a ``DecoherenceTrace``, the same record ``build_trace``
+returns for the oracle; ``geometric_phase`` takes either.  Its
+coupling-induced correction is ``GpResult.correction``.  An uncoupled
+(d = 0) run needs no simulating: Z_S commutes with every environment
+factor, so each exact or Strang step factorises and its readout is r = 1 to
+rounding.
 """
 
 from __future__ import annotations
@@ -27,14 +31,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import InvalidDensityMatrix, ValidationError
-from .gp import (
-    DecoherenceTrace,
-    GpResult,
-    SystemParams,
-    build_trace,
-    geometric_phase,
-    trace_from_samples,
-)
+from .gp import DecoherenceTrace, SystemParams, build_trace, geometric_phase, trace_from_samples
 from .qmat import I2, X, Z
 from .two_level import (
     CouplingConvention,
@@ -59,7 +56,7 @@ MAX_TROTTER_STEPS = 512
 # reaches every readout time only with a multiple of it as steps.
 READOUT_SAMPLES = 64
 
-# Samples per cycle of correction_experiment's theory column.
+# Samples per cycle of correction_point's theory column.
 THEORY_SAMPLES = 1024
 
 # The Pauli strings of H, system (x) environment.
@@ -91,14 +88,6 @@ class ProtocolParams:
                 "the target Hamiltonian couples through Z_S Z_E only, got convention "
                 f"{self.bath.convention.value!r}"
             )
-
-
-@dataclass(frozen=True)
-class ProtocolRun:
-    """Readout trace and the geometric phase computed from it."""
-
-    trace: DecoherenceTrace
-    gp: GpResult
 
 
 def build_target_hamiltonian(p: ProtocolParams) -> np.ndarray:
@@ -135,23 +124,21 @@ def _exact_states(p: ProtocolParams, times: np.ndarray, psi0: np.ndarray) -> np.
     return (phases * coeff) @ v.T
 
 
-def _stepped_states(p: ProtocolParams, times: np.ndarray, psi0: np.ndarray) -> np.ndarray:
-    dt = p.sys.tau / p.trotter_steps
-    ratio = times / dt
-    idx = np.rint(ratio).astype(int)
-    if np.max(np.abs(ratio - idx)) > 1e-9:
+def _stepped_states(p: ProtocolParams, intervals: int, psi0: np.ndarray) -> np.ndarray:
+    """psi0 and the state after each of ``intervals`` equal slices of the
+    ``p.trotter_steps`` Strang steps of one cycle (intervals + 1 rows)."""
+    per_interval, rest = divmod(p.trotter_steps, intervals)
+    if rest:
         raise ValidationError(
-            "sample times must be integer multiples of tau/trotter_steps for "
-            f"{p.decomposition.value} evolution"
+            f"{p.decomposition.value} evolution needs trotter_steps to be a multiple of "
+            f"the {intervals} readout intervals, got {p.trotter_steps}"
         )
-    u = trotter_step(p, dt)
-    states = np.empty((len(times), 4), dtype=complex)
-    psi = psi0.copy()
-    step = 0
-    for j, n in enumerate(idx.tolist()):
-        while step < n:
+    u = trotter_step(p, p.sys.tau / p.trotter_steps)
+    states = np.empty((intervals + 1, 4), dtype=complex)
+    states[0] = psi = psi0
+    for j in range(1, intervals + 1):
+        for _ in range(per_interval):
             psi = u @ psi
-            step += 1
         states[j] = psi
     return states
 
@@ -169,17 +156,17 @@ def _system_coherence(states: np.ndarray) -> np.ndarray:
     return np.einsum("te,te->t", psi[:, 0, :], psi[:, 1, :].conj())
 
 
-def run_protocol(p: ProtocolParams, input_theta: float = np.pi / 2.0) -> ProtocolRun:
-    """Simulate the full measurement protocol over one cycle.
+def run_protocol(p: ProtocolParams, input_theta: float = np.pi / 2.0) -> DecoherenceTrace:
+    """Simulate the full measurement protocol over one cycle; returns the readout trace.
 
     The input state is (sin(th_in/2)|0> + cos(th_in/2)|1>) (x) |g>, evolved by
     the chosen decomposition and read out at each sample time: the system
     coherence <0|rho|1> is rescaled by 2 e^{+2 i W t} / sin(th_in) to recover
     the decoherence factor (the system's own precession enters the coherence
-    at twice the cycle frequency).  The geometric phase is then evaluated for
-    the analysis angle ``p.sys.theta``, which is independent of th_in because
-    the coupling is purely dephasing.  The readout grid has READOUT_SAMPLES
-    intervals.
+    at twice the cycle frequency).  The readout does not depend on th_in,
+    because the coupling is purely dephasing; its geometric phase is
+    ``geometric_phase(trace, p.sys)`` at the analysis angle ``p.sys.theta``.
+    The readout grid has READOUT_SAMPLES intervals.
     """
     times = np.linspace(0.0, p.sys.tau, READOUT_SAMPLES + 1)
     if not (0.0 < input_theta < np.pi):
@@ -189,13 +176,12 @@ def run_protocol(p: ProtocolParams, input_theta: float = np.pi / 2.0) -> Protoco
     if p.decomposition is Decomposition.EXACT:
         states = _exact_states(p, times, psi0)
     else:
-        states = _stepped_states(p, times, psi0)
+        states = _stepped_states(p, READOUT_SAMPLES, psi0)
 
     r_hat = _system_coherence(states) * 2.0 / np.sin(input_theta)
     r_hat *= np.exp(+2j * p.sys.omega * times)
 
-    trace = trace_from_samples(times, r_hat)
-    return ProtocolRun(trace=trace, gp=geometric_phase(trace, p.sys))
+    return trace_from_samples(times, r_hat)
 
 
 def cycle_fidelity(p: ProtocolParams) -> float:
@@ -203,9 +189,8 @@ def cycle_fidelity(p: ProtocolParams) -> float:
     run_protocol's default input state.  ``p.decomposition`` is not read:
     there is one step scheme."""
     psi0 = _initial_state(p, np.pi / 2.0)
-    tau = np.array([p.sys.tau])
-    psi_exact = _exact_states(p, tau, psi0)[0]
-    psi = _stepped_states(p, tau, psi0)[0]
+    psi_exact = _exact_states(p, np.array([p.sys.tau]), psi0)[0]
+    psi = _stepped_states(p, 1, psi0)[-1]
     return float(np.abs(np.vdot(psi_exact, psi)) ** 2)
 
 
@@ -235,27 +220,15 @@ def find_min_trotter_steps(p: ProtocolParams, b_values) -> int:
     )
 
 
-@dataclass(frozen=True)
-class CorrectionRecord:
-    """Coupling-induced phase correction at one bath field value."""
+def correction_point(p: ProtocolParams) -> tuple[float, float]:
+    """Coupling-induced phase correction at the field ``p.bath.b_field``, as
+    (protocol, theory).
 
-    b_field: float
-    dphi: float
-    dphi_theory: float
-
-
-def correction_experiment(p: ProtocolParams, b_grid) -> list[CorrectionRecord]:
-    """Coupling-induced phase correction across a field sweep.
-
-    For each B the protocol runs once and its ``gp.correction`` is the
-    correction.  A theory column computes the same correction from the
-    branch-overlap decoherence factor without simulating the protocol.  A
-    failing B raises its own typed error.
+    The protocol column is the ``GpResult.correction`` of one protocol run's
+    readout.  The theory column computes the same correction from the
+    branch-overlap decoherence factor without simulating the protocol.  The
+    protocol runs first, so a failing field raises its typed error there.
     """
-    records: list[CorrectionRecord] = []
-    for b in np.asarray(b_grid, dtype=float):
-        bath_b = replace(p.bath, b_field=b)
-        dphi = run_protocol(replace(p, bath=bath_b)).gp.correction
-        theory = build_trace(lambda t: decoherence_factor_oracle(bath_b, t), p.sys, THEORY_SAMPLES)
-        records.append(CorrectionRecord(float(b), dphi, geometric_phase(theory, p.sys).correction))
-    return records
+    dphi = geometric_phase(run_protocol(p), p.sys).correction
+    theory = build_trace(lambda t: decoherence_factor_oracle(p.bath, t), p.sys, THEORY_SAMPLES)
+    return dphi, geometric_phase(theory, p.sys).correction

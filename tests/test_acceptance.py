@@ -30,7 +30,7 @@ from gphase.protocol import (
     PINNED_TROTTER_STEPS,
     Decomposition,
     ProtocolParams,
-    correction_experiment,
+    correction_point,
     find_min_trotter_steps,
     run_protocol,
     worst_cycle_fidelity,
@@ -105,9 +105,9 @@ def test_c03_protocol_vs_branch_oracle():
         worst = 0.0
         for b in B_GRID:
             bath = paper_bath(b)
-            run = run_protocol(ProtocolParams(sys=sp, bath=bath))
-            ref = decoherence_factor_oracle(bath, run.trace.times)
-            worst = max(worst, float(np.max(np.abs(run.trace.r_values - ref))))
+            trace = run_protocol(ProtocolParams(sys=sp, bath=bath))
+            ref = decoherence_factor_oracle(bath, trace.times)
+            worst = max(worst, float(np.max(np.abs(trace.r_values - ref))))
         assert worst < 1e-10
     print(f"\nC03 protocol vs branch oracle: PASS (worst {worst:.2e}, {bud.elapsed:.1f}s)")
 
@@ -127,8 +127,8 @@ def test_c04_trotter_fidelity_claim():
 def test_c05_correction_curve_structure():
     with Budget(30.0) as bud:
         sp = SystemParams(omega=OMEGA, theta=np.pi / 4)
-        recs = correction_experiment(ProtocolParams(sys=sp, bath=paper_bath()), B_GRID)
-        dphi = np.array([r.dphi for r in recs])
+        dphi = np.array([correction_point(ProtocolParams(sys=sp, bath=paper_bath(b)))[0]
+                         for b in B_GRID])
         assert np.argmax(np.abs(dphi)) == np.argmin(np.abs(B_GRID))
         ip = np.argmin(np.abs(B_GRID - 0.1 * OMEGA))
         im = np.argmin(np.abs(B_GRID + 0.1 * OMEGA))

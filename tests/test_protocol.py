@@ -5,14 +5,18 @@ import pytest
 import scipy.linalg
 
 from gphase.errors import InvalidDensityMatrix, UnwrapFailure, ValidationError
-from gphase.gp import SystemParams
+from gphase.gp import SystemParams, build_trace, geometric_phase
 from gphase.protocol import (
     PINNED_TROTTER_STEPS,
+    READOUT_SAMPLES,
+    THEORY_SAMPLES,
     Decomposition,
     ProtocolParams,
+    _initial_state,
     _rotation,
+    _stepped_states,
     build_target_hamiltonian,
-    correction_experiment,
+    correction_point,
     cycle_fidelity,
     find_min_trotter_steps,
     run_protocol,
@@ -43,6 +47,12 @@ def make_params(b_over_omega=0.05, theta=np.pi / 4, **kw):
         delta_gap=0.02 * OMEGA, b_field=b_over_omega * OMEGA, coupling=0.1 * OMEGA
     )
     return ProtocolParams(sys=sysp, bath=bath, **kw)
+
+
+def corrections(p, b_grid):
+    """(protocol, theory) correction columns of ``p`` over ``b_grid``."""
+    return np.array([correction_point(replace(p, bath=replace(p.bath, b_field=b)))
+                     for b in b_grid]).T
 
 
 class TestHamiltonian:
@@ -132,28 +142,28 @@ class TestRunProtocol:
     def test_uncoupled_trivial(self):
         p = make_params()
         p = replace(p, bath=replace(p.bath, coupling=0.0))
-        run = run_protocol(p)
-        np.testing.assert_allclose(run.trace.r_values, 1.0, atol=1e-12)
+        trace = run_protocol(p)
+        np.testing.assert_allclose(trace.r_values, 1.0, atol=1e-12)
         phi0 = np.pi * (1 - np.cos(p.sys.theta))
-        assert run.gp.phi_total == pytest.approx(phi0, abs=1e-8)
+        assert geometric_phase(trace, p.sys).phi_total == pytest.approx(phi0, abs=1e-8)
 
     def test_readout_matches_oracle(self):
         for b in (-0.15, 0.0, 0.05, 0.2):
             p = make_params(b_over_omega=b)
-            run = run_protocol(p)
-            expected = decoherence_factor_oracle(p.bath, run.trace.times)
-            assert np.max(np.abs(run.trace.r_values - expected)) < 1e-10
+            trace = run_protocol(p)
+            expected = decoherence_factor_oracle(p.bath, trace.times)
+            assert np.max(np.abs(trace.r_values - expected)) < 1e-10
 
     def test_readout_input_angle_independent(self):
         p = make_params(b_over_omega=0.07)
-        runs = [run_protocol(p, input_theta=th) for th in (np.pi / 6, np.pi / 4, np.pi / 2)]
-        for r in runs[1:]:
-            assert np.max(np.abs(r.trace.r_values - runs[0].trace.r_values)) < 1e-10
+        traces = [run_protocol(p, input_theta=th) for th in (np.pi / 6, np.pi / 4, np.pi / 2)]
+        for tr in traces[1:]:
+            assert np.max(np.abs(tr.r_values - traces[0].r_values)) < 1e-10
 
     def test_energy_conservation_exact(self):
         p = make_params(b_over_omega=0.12)
         h = build_target_hamiltonian(p)
-        from gphase.protocol import _exact_states, _initial_state
+        from gphase.protocol import _exact_states
 
         psi0 = _initial_state(p, np.pi / 2)
         states = _exact_states(p, np.linspace(0, p.sys.tau, 65), psi0)
@@ -162,15 +172,30 @@ class TestRunProtocol:
 
     def test_norms_preserved(self):
         p = make_params(trotter_steps=64, decomposition=Decomposition.COARSE_TROTTER)
-        from gphase.protocol import _initial_state, _stepped_states
-
-        states = _stepped_states(p, np.linspace(0, p.sys.tau, 65), _initial_state(p, np.pi / 2))
+        states = _stepped_states(p, READOUT_SAMPLES, _initial_state(p, np.pi / 2))
+        assert states.shape == (READOUT_SAMPLES + 1, 4)
         np.testing.assert_allclose(np.linalg.norm(states, axis=1), 1.0, atol=1e-12)
 
     def test_incompatible_sample_grid_rejected(self):
         p = make_params(trotter_steps=3, decomposition=Decomposition.COARSE_TROTTER)
         with pytest.raises(ValidationError):
             run_protocol(p)
+
+    @pytest.mark.parametrize("steps", [64, 128, 512])
+    def test_stepped_states_one_step_at_a_time(self, steps):
+        # the readout states are those of a plain loop over single steps,
+        # bit for bit
+        p = make_params(b_over_omega=0.13, trotter_steps=steps,
+                        decomposition=Decomposition.COARSE_TROTTER)
+        psi = _initial_state(p, np.pi / 2)
+        u = trotter_step(p, p.sys.tau / steps)
+        expected = [psi]
+        for n in range(1, steps + 1):
+            psi = u @ psi
+            if n % (steps // READOUT_SAMPLES) == 0:
+                expected.append(psi)
+        states = _stepped_states(p, READOUT_SAMPLES, _initial_state(p, np.pi / 2))
+        assert np.array_equal(states, np.array(expected))
 
     def test_coherence_matches_partial_trace(self):
         from gphase.protocol import _system_coherence
@@ -246,9 +271,9 @@ class TestCorrectionExperiment:
     def test_uncoupled_is_zero(self):
         p = make_params()
         p = replace(p, bath=replace(p.bath, coupling=0.0))
-        recs = correction_experiment(p, B_GRID[::4])
-        assert max(abs(r.dphi) for r in recs) < 1e-8
-        assert max(abs(r.dphi_theory) for r in recs) < 1e-8
+        dphi, theory = corrections(p, B_GRID[::4])
+        assert np.max(np.abs(dphi)) < 1e-8
+        assert np.max(np.abs(theory)) < 1e-8
 
     @pytest.mark.parametrize("decomposition, steps", [
         (Decomposition.EXACT, 64),
@@ -261,16 +286,24 @@ class TestCorrectionExperiment:
         for b in B_GRID:
             p = make_params(b_over_omega=b / OMEGA, trotter_steps=steps,
                             decomposition=decomposition)
-            run = run_protocol(replace(p, bath=replace(p.bath, coupling=0.0)))
-            assert np.max(np.abs(run.trace.r_values - 1.0)) <= 1e-11
-            assert abs(run.gp.correction) <= 1e-11
+            trace = run_protocol(replace(p, bath=replace(p.bath, coupling=0.0)))
+            assert np.max(np.abs(trace.r_values - 1.0)) <= 1e-11
+            assert abs(geometric_phase(trace, p.sys).correction) <= 1e-11
 
     def test_structure_and_theory_agreement(self):
-        recs = correction_experiment(make_params(), B_GRID)
-        dphi = np.array([r.dphi for r in recs])
-        theory = np.array([r.dphi_theory for r in recs])
+        dphi, theory = corrections(make_params(), B_GRID)
         assert np.argmax(np.abs(dphi)) == np.argmin(np.abs(B_GRID))
         assert np.max(np.abs(dphi - theory)) < 1e-4 * max(1.0, np.max(np.abs(dphi)))
+
+    def test_point_is_the_phase_of_each_trace(self):
+        # the protocol column is the phase of run_protocol's trace, and the
+        # theory column that of the oracle's, at the field of p
+        for b in (-0.13, 0.0, 0.05):
+            p = make_params(b_over_omega=b)
+            oracle = build_trace(lambda t: decoherence_factor_oracle(p.bath, t), p.sys,
+                                 THEORY_SAMPLES)
+            assert correction_point(p) == (geometric_phase(run_protocol(p), p.sys).correction,
+                                           geometric_phase(oracle, p.sys).correction)
 
     def test_exact_vs_trotter_robustness(self):
         # stepped evolution at the sample-grid resolution shifts the curve by
@@ -278,12 +311,12 @@ class TestCorrectionExperiment:
         p_exact = make_params()
         p_trot = make_params(trotter_steps=64, decomposition=Decomposition.COARSE_TROTTER)
         grid = B_GRID[::4]
-        d_exact = np.array([r.dphi for r in correction_experiment(p_exact, grid)])
-        d_trot = np.array([r.dphi for r in correction_experiment(p_trot, grid)])
+        d_exact = corrections(p_exact, grid)[0]
+        d_trot = corrections(p_trot, grid)[0]
         assert np.max(np.abs(d_exact - d_trot)) < 0.02 * np.max(np.abs(d_exact))
 
     def test_failing_point_raises_typed_error(self):
-        p = make_params()
+        p = make_params(b_over_omega=0.0)
         p = replace(p, bath=replace(p.bath, coupling=1e6 * OMEGA))
         with pytest.raises(UnwrapFailure):
-            correction_experiment(p, [0.0])
+            correction_point(p)

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from gphase.errors import InvalidDensityMatrix
+from gphase.errors import DimensionMismatch, InvalidDensityMatrix
 from gphase.gp import SystemParams
 from gphase.protocol import IX, IZ, ZI, ZZ, ProtocolParams, _rotation, build_target_hamiltonian
 from gphase.qmat import I2, X, Z, partial_trace_env
@@ -158,3 +158,6 @@ class TestPartialTrace:
         bad[0, 1] = 0.5
         with pytest.raises(InvalidDensityMatrix):
             partial_trace_env(bad)  # not Hermitian
+        for wrong in (np.eye(2) / 2, np.zeros((4, 2)), np.zeros((2, 4, 4))):
+            with pytest.raises(DimensionMismatch):
+                partial_trace_env(wrong)
