@@ -74,6 +74,18 @@ def decoherence_product(p: IsingBathParams, t):
     flushed to zero.  delta = 0 returns exactly 1.  Vectorized in t: the
     result has t's shape (a complex for scalar t).
 
+    Mode k contributes z_k = cos(x) + i cos(D) sin(x), with x = e_hi t at the
+    upper field and D = theta_hi - theta_lo.  Both parts come from the one
+    half-angle tangent u = tan(x / 2), with sin(x) = 2u / (1 + u^2):
+
+        log|z_k| = 1/2 log1p(-sin^2(D) 4u^2 / (1 + u^2)^2),
+        arg z_k  = atan2(2 cos(D) u, 1 - u^2).
+
+    At weak coupling |z_k|^2 = 1 - sin^2(D) sin^2(x) lies within O(delta^2)
+    of 1, where rounding |z_k|^2 itself would lose the digits of the small
+    term; log1p takes that term directly.  At the pole x = pi of the
+    tangent, u is huge but finite and both forms stay finite (z_k = -1).
+
     The modes are streamed in blocks of about ``_BLOCK_SAMPLES`` mode-samples
     and each block's rows are added into the two length-M sums in mode order,
     so memory is O(M) for M times rather than O(N M), and the result does not
@@ -90,13 +102,15 @@ def decoherence_product(p: IsingBathParams, t):
     phase = np.zeros(tt.size)
     for start in range(0, k.shape[0], rows):
         kb = k[start:start + rows]
-        c2a = np.cos(bogoliubov_angle(lam_hi, kb) - bogoliubov_angle(p.lam, kb))
-        wt = dispersion(lam_hi, kb, p.j_coupling) * tt
-        z = np.cos(wt) + 1j * c2a * np.sin(wt)
+        d = bogoliubov_angle(lam_hi, kb) - bogoliubov_angle(p.lam, kb)
+        u = np.tan(0.5 * dispersion(lam_hi, kb, p.j_coupling) * tt)
+        u2 = u * u
+        sin_wt = 2.0 * u / (1.0 + u2)
         with np.errstate(divide="ignore"):  # a mode overlap of exactly 0 gives -inf
-            log_z = np.log(np.abs(z))
+            log_z = 0.5 * np.log1p(-np.sin(d) ** 2 * sin_wt * sin_wt)
+        angle_z = np.arctan2(2.0 * np.cos(d) * u, 1.0 - u2)
         # row by row: a per-block np.sum would make the bits depend on the block size
-        for row_mag, row_angle in zip(log_z, np.angle(z)):
+        for row_mag, row_angle in zip(log_z, angle_z):
             log_mag += row_mag
             phase += row_angle
     phase -= np.sum(dispersion(p.lam, k, p.j_coupling)) * tt

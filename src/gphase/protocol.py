@@ -30,12 +30,13 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import InvalidDensityMatrix, ValidationError
+from .errors import InvalidDensityMatrix, UnwrapFailure, ValidationError
 from .gp import DecoherenceTrace, SystemParams, build_trace, geometric_phase, trace_from_samples
 from .qmat import I2, X, Z
 from .two_level import (
     CouplingConvention,
     TwoLevelBathParams,
+    bandwidth,
     decoherence_factor_oracle,
     ground_state,
 )
@@ -166,11 +167,20 @@ def run_protocol(p: ProtocolParams, input_theta: float = np.pi / 2.0) -> Decoher
     at twice the cycle frequency).  The readout does not depend on th_in,
     because the coupling is purely dephasing; its geometric phase is
     ``geometric_phase(trace, p.sys)`` at the analysis angle ``p.sys.theta``.
-    The readout grid has READOUT_SAMPLES intervals.
+    The readout grid has READOUT_SAMPLES intervals; a bath whose bandwidth
+    would alias on it (a phase step of pi or more per interval) raises
+    UnwrapFailure before any evolution.
     """
     times = np.linspace(0.0, p.sys.tau, READOUT_SAMPLES + 1)
     if not (0.0 < input_theta < np.pi):
         raise ValidationError("input_theta must lie strictly inside (0, pi)")
+    band = bandwidth(p.bath)
+    if band * p.sys.tau / READOUT_SAMPLES >= np.pi:
+        raise UnwrapFailure(
+            f"readout grid of {READOUT_SAMPLES} intervals per cycle aliases the decoherence "
+            f"factor: bandwidth {band:.6g} rad/s needs more than "
+            f"{band * p.sys.tau / np.pi:.6g} intervals over tau = {p.sys.tau:.6g} s"
+        )
 
     psi0 = _initial_state(p, input_theta)
     if p.decomposition is Decomposition.EXACT:

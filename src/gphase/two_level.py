@@ -62,6 +62,15 @@ def _branch_fields(p: TwoLevelBathParams) -> tuple[float, float]:
     return b, b + 2.0 * p.coupling
 
 
+def bandwidth(p: TwoLevelBathParams) -> float:
+    """Largest angular frequency in the decoherence factor, rad/s.
+
+    r(t) = <eps1(t)|eps0(t)> beats the branch energies +-E_0 against +-E_1,
+    E_j = hypot(b_j, Delta), so its fastest component is E_0 + E_1."""
+    b0, b1 = _branch_fields(p)
+    return float(np.hypot(b0, p.delta_gap) + np.hypot(b1, p.delta_gap))
+
+
 def decoherence_factor_oracle(p: TwoLevelBathParams, t, initial=None):
     """Exact branch-overlap decoherence factor <eps1(t)|eps0(t)>.
 

@@ -196,9 +196,10 @@ class TestExitCodes:
     def test_bad_sweep_spec(self):
         assert main(["gp-curve", "--sweep", "b_field", "0", "1", "xyz"]) == 2
 
-    # at B = 0 this coupling makes r(t) a sign-flipping real cosine whose
-    # unwrap fails at every resolution; the grid includes that point
-    _BAD = ["correction", "--coupling", str(1e6 * 100 * np.pi),
+    # at B = 0 this coupling (d = omega) makes r(t) a sign-flipping real
+    # cosine whose unwrap fails at every resolution; the grid includes that
+    # point, and at B = +-0.2 omega both columns resolve r(t)
+    _BAD = ["correction", "--coupling", str(100 * np.pi),
             "--b-points", "3", "--samples", "64"]
 
     def test_runtime_failure_without_keep_going(self, tmp_path):
@@ -244,6 +245,16 @@ class TestExitCodes:
         rows = raw.decode().strip().splitlines()[1:]
         assert len(rows) == 3
         assert any("nan" in r for r in rows)
+
+    def test_aliasing_coupling_fails_every_point(self, tmp_path):
+        # r(t) winds about 2e6 times per cycle, far beyond the protocol's
+        # 64-interval readout grid: every field fails in both columns
+        rc, raw = run_cli(["correction", "--coupling", "314159265.3589793", "--b-points", "3",
+                           "--keep-going"], tmp_path, "alias.csv")
+        assert rc == 0
+        rows = [r.split(",") for r in raw.decode().strip().splitlines()[1:]]
+        assert len(rows) == 3
+        assert all(r[1] == "nan" and r[2] == "nan" for r in rows)
 
 
 class TestOutputFormats:

@@ -139,24 +139,63 @@ class TestProduct:
         assert any(issubclass(w.category, MagnitudeUnderflow) for w in caught)
 
     def test_block_size_invariance(self, monkeypatch):
-        # 500 modes, not a multiple of 7; blocks of 1, 7 and all modes give the
-        # same bits as the product formed as one (N/2, M) array
+        # 500 modes, not a multiple of 7; blocks of 1, 7 and all 500 modes (the
+        # whole (N/2, M) array) give the same bits
         p = IsingBathParams(1000, 1.0, 1.0, 5e-5)
         t = np.linspace(0, 2 * np.pi, 1025)
         outs = []
         for modes in (1, 7, 500):
             monkeypatch.setattr(gphase.ising, "_BLOCK_SAMPLES", modes * t.size)
             outs.append(decoherence_product(p, t))
+        assert np.array_equal(outs[0], outs[1])
+        assert np.array_equal(outs[0], outs[2])
 
-        k = momenta(p.n_spins)[:, None]
-        c2a = np.cos(bogoliubov_angle(1.0 + 5e-5, k) - bogoliubov_angle(1.0, k))
-        wt = dispersion(1.0 + 5e-5, k) * t[None, :]
-        z = np.cos(wt) + 1j * c2a * np.sin(wt)
-        log_mag = np.sum(np.log(np.abs(z)), axis=0)
-        phase = np.sum(np.angle(z), axis=0) - np.sum(dispersion(1.0, k)) * t
-        whole = np.exp(log_mag) * np.exp(1j * phase)
-        for out in outs:
-            assert np.array_equal(out, whole)
+    @pytest.mark.parametrize("lam", [0.0, 0.4, 1.0, 2.0])
+    def test_log_magnitude_against_mpmath(self, lam):
+        # sum_k log|z_k| at 40 digits, with |z_k|^2 = cos^2 x + cos^2 D sin^2 x;
+        # each |z_k| sits within 1e-6 of 1 here, where forming |z_k| before the
+        # log loses digits.  Returning r as a complex double rounds |r| near 1
+        # to about ulp(1), an absolute floor on log|r| of a few 1e-16.
+        mpmath = pytest.importorskip("mpmath")
+        n, delta = 100, 1e-3
+        t = np.array([0.37, 1.1, 2.9, 4.4, 6.2])
+        got = np.log(np.abs(decoherence_product(IsingBathParams(n, 1.0, lam, delta), t)))
+        with mpmath.workdps(40):
+            lo, hi = mpmath.mpf(lam), mpmath.mpf(lam) + mpmath.mpf(delta)
+            want = []
+            for tv in t:
+                total = mpmath.mpf(0)
+                for m in range(1, n // 2 + 1):
+                    k = (2 * m - 1) * mpmath.pi / n
+                    d = (mpmath.atan2(mpmath.sin(k), hi - mpmath.cos(k))
+                         - mpmath.atan2(mpmath.sin(k), lo - mpmath.cos(k)))
+                    x = 2 * mpmath.sqrt(1 + hi**2 - 2 * hi * mpmath.cos(k)) * mpmath.mpf(tv)
+                    total += mpmath.log(mpmath.cos(x) ** 2 + (mpmath.cos(d) * mpmath.sin(x)) ** 2) / 2
+                want.append(float(total))
+        want = np.array(want)
+        assert np.all(np.abs(got - want) <= 3e-10 * np.abs(want) + np.finfo(float).eps)
+
+    def test_half_angle_pole(self):
+        # e_hi t / 2 lands on the float nearest pi/2 for one mode, where the
+        # half-angle tangent is about 1e16; the product stays finite and
+        # matches cos + i c sin
+        p = IsingBathParams(8, 1.0, 0.7, 0.05)
+        k = momenta(p.n_spins)
+        half_e = 0.5 * dispersion(p.lam + p.coupling, k[:, None], p.j_coupling)[1, 0]
+        t = np.pi / 2 / half_e
+        for _ in range(8):
+            if half_e * t == np.pi / 2:
+                break
+            t = np.nextafter(t, np.inf if half_e * t < np.pi / 2 else -np.inf)
+        assert half_e * t == np.pi / 2 and abs(np.tan(half_e * t)) > 1e15
+
+        r = decoherence_product(p, t)
+        c = np.cos(bogoliubov_angle(p.lam + p.coupling, k) - bogoliubov_angle(p.lam, k))
+        wt = dispersion(p.lam + p.coupling, k) * t
+        direct = (np.prod(np.cos(wt) + 1j * c * np.sin(wt))
+                  * np.exp(-1j * np.sum(dispersion(p.lam, k)) * t))
+        assert np.isfinite(r)
+        assert abs(r - direct) < 1e-12
 
     @pytest.mark.parametrize("n", [4, 6])
     def test_multidimensional_t(self, n):

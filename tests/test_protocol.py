@@ -315,6 +315,26 @@ class TestCorrectionExperiment:
         d_trot = corrections(p_trot, grid)[0]
         assert np.max(np.abs(d_exact - d_trot)) < 0.02 * np.max(np.abs(d_exact))
 
+    @pytest.mark.parametrize("d_over_omega, failure", [
+        (0.1, None), (7.0, None), (15.99, "phase step"),
+        (16.01, "bandwidth"), (1e3, "bandwidth"), (1e6, "bandwidth"),
+    ])
+    def test_readout_grid_bandwidth_bound(self, d_over_omega, failure):
+        # the readout grid resolves r(t) only while its fastest frequency
+        # E_+ + E_-, E_+- = hypot(B +- d, G), turns by less than pi per
+        # interval; above that the readout is rejected before any evolution,
+        # below it the unwrap step check still catches steps >= pi/2
+        p = make_params()
+        p = replace(p, bath=replace(p.bath, coupling=d_over_omega * OMEGA))
+        b, g, d = p.bath.b_field, p.bath.delta_gap, p.bath.coupling
+        turn = (np.hypot(b + d, g) + np.hypot(b - d, g)) * p.sys.tau / READOUT_SAMPLES
+        assert (turn >= np.pi) == (failure == "bandwidth")
+        if failure is None:
+            assert run_protocol(p).samples == READOUT_SAMPLES
+        else:
+            with pytest.raises(UnwrapFailure, match=failure):
+                run_protocol(p)
+
     def test_failing_point_raises_typed_error(self):
         p = make_params(b_over_omega=0.0)
         p = replace(p, bath=replace(p.bath, coupling=1e6 * OMEGA))

@@ -17,6 +17,7 @@ from gphase.qmat import X, Z
 from gphase.two_level import (
     CouplingConvention,
     TwoLevelBathParams,
+    bandwidth,
     decoherence_factor_oracle,
     ground_state,
 )
@@ -123,6 +124,17 @@ class TestOracle:
                 -1j * h_plus * t
             ) @ g
             assert abs(decoherence_factor_oracle(p, t) - direct) < 1e-12
+
+    @pytest.mark.parametrize("convention", list(CouplingConvention))
+    def test_bandwidth_is_the_widest_branch_beat(self, convention):
+        # r(t) = <psi| e^{+i H1 t} e^{-i H0 t} |psi> beats every eigenvalue of
+        # H1 against every eigenvalue of H0
+        p = paper_bath(b_field=-0.13 * OMEGA, convention=convention)
+        b, d = p.b_field, p.coupling
+        b0, b1 = (b + d, b - d) if convention is CouplingConvention.ZZ_TARGET else (b, b + 2 * d)
+        e0 = np.linalg.eigvalsh(b0 * Z + p.delta_gap * X)
+        e1 = np.linalg.eigvalsh(b1 * Z + p.delta_gap * X)
+        assert bandwidth(p) == pytest.approx(np.max(np.abs(e1[:, None] - e0[None, :])), rel=1e-13)
 
     def test_convention_bridge(self):
         # projector branches (B, B+2d) match the zz pair at field B+d with the
