@@ -26,10 +26,9 @@ from gphase import (
     build_trace,
     correction_point,
     decoherence_factor_oracle,
-    density_trajectory,
     geometric_phase,
-    gp_from_trajectory,
 )
+from gphase.reference import density_trajectory, gp_from_trajectory
 
 OMEGA = 100.0 * np.pi
 

@@ -16,13 +16,13 @@ import numpy as np
 from gphase import (
     IsingBathParams,
     SystemParams,
-    brute_force_oracle,
     build_trace,
     decoherence_product,
     geometric_phase,
     gp_approx_ising,
 )
 from gphase.perturbative import ising_closed_forms
+from gphase.reference import brute_force_oracle
 
 N, DELTA, OMEGA_J = 100, 5e-5, 1.0
 

@@ -28,8 +28,9 @@ from gphase import (
     run_protocol,
     trotter_step,
 )
-from gphase.protocol import PINNED_TROTTER_STEPS, find_min_trotter_steps, worst_cycle_fidelity
+from gphase.protocol import worst_cycle_fidelity
 from gphase.qmat import X, Y, Z
+from gphase.reference import PINNED_TROTTER_STEPS, find_min_trotter_steps
 
 OMEGA = 100.0 * np.pi
 

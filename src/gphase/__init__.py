@@ -4,15 +4,13 @@ Library layout:
 
 - :mod:`gphase.qmat`: Pauli matrices and the two-qubit partial trace.
 - :mod:`gphase.gp`: geometric phase from a sampled decoherence factor
-  (closed form in the Bloch radius of the dephased state) and from the
-  density-matrix trajectory (parallel transport);
+  (closed form in the Bloch radius of the dephased state);
   ``GpResult.correction`` is the phase minus its uncoupled value
   pi(1 - cos theta).
-- :mod:`gphase.two_level`: two-level model of a critical environment and its
-  exact branch-overlap decoherence factor.
+- :mod:`gphase.two_level`: two-level model of a critical environment, its
+  exact branch-overlap decoherence factor and the grid that resolves it.
 - :mod:`gphase.ising`: transverse-field Ising chain environment shifted from
-  lam to lam + delta, via the free-fermion mode product, with a dense small-N
-  oracle.
+  lam to lam + delta, via the free-fermion mode product.
 - :mod:`gphase.perturbative`: small-coupling expansion of the phase
   correction and the Ising closed forms with complete elliptic integrals.
 - :mod:`gphase.protocol`: software replica of the Trotterized two-qubit
@@ -21,6 +19,10 @@ Library layout:
   its phase correction beside the oracle's at one field.
 - :mod:`gphase.cli`: one table of experiments driving parameter sweeps,
   presets and CSV/JSON output.
+- :mod:`gphase.reference`: the second route of every quantity above
+  (parallel transport, the dense 2^N chain, Richardson coefficients, the
+  pinned Trotter step count), for tests and demos; the package does not
+  import it.
 """
 
 from .gp import (
@@ -28,24 +30,15 @@ from .gp import (
     GpResult,
     SystemParams,
     build_trace,
-    density_trajectory,
     geometric_phase,
-    gp_from_trajectory,
     trace_from_samples,
 )
-from .ising import (
-    IsingBathParams,
-    brute_force_oracle,
-    decoherence_product,
-)
+from .ising import IsingBathParams, decoherence_product
 from .perturbative import (
-    ExpansionCoefficients,
     IsingClosedForms,
     elliptic_E,
     elliptic_K,
-    extract_coefficients_numeric,
     gp_approx_ising,
-    gp_third_order,
     ising_closed_forms,
 )
 from .protocol import (

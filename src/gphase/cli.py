@@ -50,7 +50,7 @@ from .protocol import (
     step_counts,
     worst_cycle_fidelity,
 )
-from .two_level import CouplingConvention, TwoLevelBathParams, decoherence_factor_oracle
+from .two_level import CouplingConvention, TwoLevelBathParams, oracle_trace
 
 log = logging.getLogger("gphase")
 
@@ -68,14 +68,14 @@ class RunConfig:
     keep_going: bool
 
     @property
+    def identity(self) -> dict:
+        """What names the output: the JSON ``config`` block and the hash's input."""
+        return {"experiment": self.experiment, "parameters": self.parameters,
+                "sweep": self.sweep, "format": self.fmt}
+
+    @property
     def config_hash(self) -> str:
-        payload = {
-            "experiment": self.experiment,
-            "parameters": self.parameters,
-            "sweep": self.sweep,
-            "format": self.fmt,
-        }
-        blob = json.dumps(payload, sort_keys=True, default=str).encode()
+        blob = json.dumps(self.identity, sort_keys=True, default=str).encode()
         return hashlib.sha256(blob).hexdigest()[:16]
 
 
@@ -118,6 +118,8 @@ def _chain(p: dict) -> tuple[IsingBathParams, SystemParams]:
         n_spins=int(p["n_spins"]), j_coupling=p["j_coupling"],
         lam=p["lambda"], coupling=p["coupling"],
     )
+    if bath.coupling == 0:
+        raise ValidationError("coupling must be nonzero: the columns are normalised by N delta^2")
     return bath, SystemParams(omega=p["omega_over_j"] * p["j_coupling"], theta=p["theta"])
 
 
@@ -149,7 +151,7 @@ def _trotter_scan(p: dict) -> tuple[ProtocolParams, np.ndarray]:
 
 def _trace_rows(args) -> list[list[float]]:
     sysp, bath, samples = args
-    trace = build_trace(lambda t: decoherence_factor_oracle(bath, t), sysp, samples)
+    trace = oracle_trace(bath, sysp, samples)
     return [
         [t, r.real, r.imag, m, ph]
         for t, r, m, ph in zip(trace.times, trace.r_values, trace.magnitude, trace.phase_unwrapped)
@@ -158,8 +160,7 @@ def _trace_rows(args) -> list[list[float]]:
 
 def _gp_curve_rows(args) -> list[list[float]]:
     sysp, bath, samples = args
-    trace = build_trace(lambda t: decoherence_factor_oracle(bath, t), sysp, samples)
-    g = geometric_phase(trace, sysp)
+    g = geometric_phase(oracle_trace(bath, sysp, samples), sysp)
     return [[g.phi_total, g.phi_unitary, g.correction, g.integral_part,
              g.arctan_part, g.eps_plus_final]]
 
@@ -369,12 +370,7 @@ def _render_csv(columns: list[str], rows: list[list]) -> str:
 
 def _render_json(config: RunConfig, columns: list[str], rows: list[list]) -> str:
     doc = {
-        "config": {
-            "experiment": config.experiment,
-            "parameters": {k: config.parameters[k] for k in sorted(config.parameters)},
-            "sweep": list(config.sweep) if config.sweep else None,
-            "format": config.fmt,
-        },
+        "config": config.identity,
         "provenance": {"version": __version__, "config_hash": config.config_hash},
         "columns": columns,
         "rows": [[x if isinstance(x, str) else float(x) for x in row] for row in rows],

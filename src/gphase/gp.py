@@ -8,10 +8,9 @@ an environment has the reduced density matrix
 
 with r(t) the complex decoherence factor, r(0) = 1.  Over one cycle
 tau = 2*pi/Omega the geometric phase splits into a quadrature term plus a
-quadrant-aware arctangent closing term (``geometric_phase``).  The same
-quantity is obtained independently from the eigenvector trajectory of
-rho(t) by discrete parallel transport (``gp_from_trajectory``); the two
-routes agree mod 2*pi and cross-validate each other.
+quadrant-aware arctangent closing term (``geometric_phase``).  Its second
+route, discrete parallel transport along the eigenvector trajectory of
+rho(t), is ``reference.gp_from_trajectory``; the two agree mod 2*pi.
 
 Phase bookkeeping: a trace stores phi with r = |r| e^{-i phi}, unwrapped and
 phi(0) = 0.  The closed-form engine consumes arg r = -phi; that single sign
@@ -24,14 +23,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import (
-    DegenerateEigenvector,
-    EigenbranchCrossing,
-    InvalidDensityMatrix,
-    InvalidInitialValue,
-    UnwrapFailure,
-    ValidationError,
-)
+from .errors import DegenerateEigenvector, InvalidInitialValue, UnwrapFailure, ValidationError
 
 _POLE_TOL = 1e-12          # theta pinned to 0 or pi
 _DEGENERACY_TOL = 1e-14    # Bloch radius below which the + eigenbranch is undefined
@@ -113,10 +105,11 @@ def build_trace(sampler, params: SystemParams, samples: int = 256) -> Decoherenc
 
     ``sampler`` is called with the full time grid (an ndarray) and must return
     the complex r values.  Each try samples a grid of twice the density once;
-    its even points are the candidate trace, and unwrapping is accepted only
-    if the full grid reproduces the same endpoint phase (an aliased winding
-    cannot); otherwise the grid is doubled, up to 2^6 times.  A persistent
-    phase step near pi (e.g. r crossing zero) raises UnwrapFailure.
+    its even points are the trace.  Both grids must unwrap with every phase
+    step under pi/2 (so the two unwraps agree at the even points), or the grid
+    is doubled, up to 2^6 times; a persistent step near pi (e.g. r crossing
+    zero) raises UnwrapFailure.  A winding aliased on both grids passes, so a
+    sampler's bandwidth is checked before sampling (``two_level.oracle_trace``).
     """
     if samples < MIN_SAMPLES:
         raise ValidationError(f"samples must be >= {MIN_SAMPLES}, got {samples}")
@@ -128,16 +121,14 @@ def build_trace(sampler, params: SystemParams, samples: int = 256) -> Decoherenc
             raise ValidationError("sampler must return one value per time point")
         try:
             trace = trace_from_samples(times[::2], r[::2])
-            check = trace_from_samples(times, r)
+            trace_from_samples(times, r)
         except UnwrapFailure:
             m *= 2
             continue
-        if abs(trace.phase_unwrapped[-1] - check.phase_unwrapped[-1]) < 1e-6:
-            return trace
-        m *= 2
+        return trace
     raise UnwrapFailure(
-        f"phase unwrapping not stable at {m // 2} samples (step >= "
-        f"{_UNWRAP_STEP_LIMIT:.3f} rad or unresolved winding)"
+        f"phase unwrapping failed up to {m // 2} samples (a phase step >= "
+        f"{_UNWRAP_STEP_LIMIT:.3f} rad persists)"
     )
 
 
@@ -220,55 +211,3 @@ def geometric_phase(trace: DecoherenceTrace, params: SystemParams) -> GpResult:
         arctan_part=arctan_part,
         eps_plus_final=float(0.5 * (1.0 + radius_end)),
     )
-
-
-def density_trajectory(trace: DecoherenceTrace, params: SystemParams) -> np.ndarray:
-    """Reduced density matrices rho(t_i) reconstructed from a trace.
-
-    The coherence rotates once per cycle (e^{-i omega t} r(t)), the
-    convention under which the trajectory route and the closed form agree.
-    """
-    theta = params.theta
-    a = np.sin(theta / 2.0) ** 2
-    c = 0.5 * np.sin(theta) * np.exp(-1j * params.omega * trace.times) * trace.r_values
-    rho = np.zeros((len(trace.times), 2, 2), dtype=complex)
-    rho[:, 0, 0] = a
-    rho[:, 1, 1] = 1.0 - a
-    rho[:, 0, 1] = c
-    rho[:, 1, 0] = c.conj()
-    return rho
-
-
-def gp_from_trajectory(rho_t) -> float:
-    """Geometric phase by discrete parallel transport of the + eigenbranch.
-
-    Diagonalizes every rho(t_i), gauge-smooths the + eigenvectors by maximal
-    overlap with the previous step, accumulates the parallel-transport factor
-    through the overlap chain and returns the argument of the + mode summand.
-    Result is defined mod 2*pi.  Raises EigenbranchCrossing if the two
-    eigenvalue branches approach within 1e-8 anywhere on the grid.
-    """
-    rho = np.asarray(rho_t, dtype=complex)
-    if rho.ndim != 3 or rho.shape[1:] != (2, 2):
-        raise ValidationError("expected an (M+1, 2, 2) stack of density matrices")
-    if np.max(np.abs(rho - rho.conj().transpose(0, 2, 1))) > 1e-10:
-        raise InvalidDensityMatrix("trajectory contains a non-Hermitian matrix")
-    if np.max(np.abs(np.einsum("tii->t", rho).real - 1.0)) > 1e-10:
-        raise InvalidDensityMatrix("trajectory contains a matrix with trace != 1")
-
-    w, v = np.linalg.eigh(rho)
-    if np.min(w[:, 1] - w[:, 0]) < 1e-8:
-        raise EigenbranchCrossing("eigenvalue gap below 1e-8 on the trajectory")
-
-    plus = v[:, :, 1]
-    # gauge smoothing: rotate each vector so the step overlap is real positive
-    ov = np.einsum("ti,ti->t", plus[:-1].conj(), plus[1:])
-    gauge = np.concatenate([[1.0], np.exp(1j * np.cumsum(np.angle(ov)))])
-    plus = plus * gauge[:, None].conj()
-
-    transported = np.einsum("ti,ti->t", plus[:-1].conj(), plus[1:])
-    # parallel-transport exponential: e^{-sum log <k_i|k_{i+1}>}; the smoothed
-    # overlaps are real positive so only the endpoint overlap carries phase
-    weight = np.sqrt(w[-1, 1] * w[0, 1]) * np.exp(-np.sum(np.log(transported.real)))
-    summand = weight * np.vdot(plus[0], plus[-1])
-    return float(np.angle(summand))

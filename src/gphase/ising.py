@@ -12,8 +12,8 @@ with eps_k = 2 J sqrt(1 + lam^2 - 2 lam cos k) and the Bogoliubov angle
 theta_k = atan2(sin k, lam - cos k).  The chain starts in its ground state
 at lam and the branch fields are (lam, lam+delta), the one-sided Loschmidt
 echo under which the closed forms in :mod:`gphase.perturbative` are written.
-``brute_force_oracle`` checks the product against dense 2^N diagonalization
-for N <= 11.
+Its second route, dense 2^N diagonalization for N <= 11, is
+``reference.brute_force_oracle``.
 """
 
 from __future__ import annotations
@@ -23,8 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionTooLarge, MagnitudeUnderflow, ValidationError
-from .qmat import I2, X, Z
+from .errors import MagnitudeUnderflow, ValidationError
 
 _LOG_FLOOR = -700.0
 # mode-samples per block of the streamed product: a few MB of temporaries
@@ -124,40 +123,3 @@ def decoherence_product(p: IsingBathParams, t):
         )
     out = np.where(under, 0.0, np.exp(np.maximum(log_mag, _LOG_FLOOR))) * np.exp(1j * phase)
     return out.reshape(t.shape) if t.ndim else complex(out[0])
-
-
-def _dense_chain(n: int, lam: float, j_coupling: float) -> np.ndarray:
-    """Dense -J (sum Z_n Z_{n+1} + lam sum X_n) with periodic boundaries."""
-    dim = 2**n
-    h = np.zeros((dim, dim), dtype=complex)
-    for site in range(n):
-        zz = np.ones((1, 1), dtype=complex)
-        for m in range(n):
-            on = Z if m in (site, (site + 1) % n) else I2
-            zz = np.kron(zz, on)
-        h -= j_coupling * zz
-        xs = np.ones((1, 1), dtype=complex)
-        for m in range(n):
-            xs = np.kron(xs, X if m == site else I2)
-        h -= j_coupling * lam * xs
-    return h
-
-
-def brute_force_oracle(p: IsingBathParams, t):
-    """Exact 2^N decoherence factor <g| e^{+i H(lam) t} e^{-i H(lam+delta) t} |g>.
-
-    |g> is the dense ground state of the chain at field lam.  N <= 11 only.
-    """
-    if p.n_spins > 11:
-        raise DimensionTooLarge(f"dense oracle limited to N <= 11, got {p.n_spins}")
-    t = np.asarray(t, dtype=float)
-    tt = t if t.ndim else t.reshape(1)
-
-    w_g, v_g = np.linalg.eigh(_dense_chain(p.n_spins, p.lam, p.j_coupling))
-    g = v_g[:, 0]
-
-    # e^{+i H(lam) t}|g> is a pure phase e^{-i E_g t} acting leftwards
-    w_hi, v_hi = np.linalg.eigh(_dense_chain(p.n_spins, p.lam + p.coupling, p.j_coupling))
-    weights = np.abs(v_hi.conj().T @ g) ** 2
-    out = np.exp(1j * w_g[0] * tt) * (weights @ np.exp(-1j * np.outer(w_hi, tt)))
-    return out if t.ndim else complex(out[0])

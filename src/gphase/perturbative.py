@@ -11,9 +11,9 @@ by the correction
     dPhi = - cos th sin^2 th * [ d^2 (W/4) Int R2
            + (d^3/24) (3 R2(T) p1(T) + p1(T)^3 + 6 W Int R3 - 6 Int R2 p1') ],
 
-with W the cycle frequency and T the period (``gp_third_order``).  The
-coefficients are extracted from any bath sampler by Richardson finite
-differences in the coupling (``extract_coefficients_numeric``).
+with W the cycle frequency and T the period (``_assemble``).  Its second
+route takes the coefficients from any bath sampler by Richardson finite
+differences in the coupling (``reference.extract_coefficients_numeric``).
 
 For the Ising chain the time integrals close analytically.  Expanding the
 mode product gives the per-mode coefficients (J = 1 units, a = lam - cos k)
@@ -24,8 +24,8 @@ mode product gives the per-mode coefficients (J = 1 units, a = lam - cos k)
 
 whose k-integrals are the closed forms f2, F2, F3, G1 below; G1 reduces to
 complete elliptic integrals and is singular in slope at the critical point
-lam = 1.  These coefficients are cross-validated against the numeric
-extraction.
+lam = 1.  The per-mode coefficients are ``reference.mode_coefficients``,
+checked against the numeric extraction.
 
 The k-integrals f2, F2, F3 are taken by ``_panel_quad``: (0, pi) is cut into
 panels against the integrand's oscillation, and each level of an adaptive
@@ -42,9 +42,8 @@ without cancellation there (``_energy``, ``_one_minus_sinc``, ``_f3_bracket``).
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from math import comb, factorial
-from typing import Callable
 
 import numpy as np
 from numpy.polynomial.polynomial import polyval
@@ -54,14 +53,13 @@ from .errors import (
     DomainError,
     PerturbativeBreakdown,
     QuadratureNonconvergence,
-    StencilConditioning,
-    ValidationError,
 )
-from .gp import SystemParams, _simpson
-from .ising import IsingBathParams, dispersion
+from .gp import SystemParams
+from .ising import IsingBathParams
 
 _QUAD_TOL = 1e-10
 _QUAD_LIMIT = 200       # intervals per panel, QUADPACK's usual subdivision limit
+_MAX_PANELS = 10_000    # 2e5 qk21 nodes, a few MB; the presets need 24 panels
 
 # QUADPACK qk21 (Piessens et al. 1983): the 10-point Gauss rule and its
 # 21-point Kronrod extension on [-1, 1], tabulated for x >= 0 and mirrored.
@@ -109,59 +107,6 @@ def elliptic_E(m: float) -> float:
 
 
 @dataclass(frozen=True)
-class ExpansionCoefficients:
-    """Coupling-expansion coefficients sampled on a time grid."""
-
-    times: np.ndarray = field(repr=False)
-    R2: np.ndarray = field(repr=False)     # d^2 decay coefficient of |r|^2
-    R3: np.ndarray = field(repr=False)     # d^3 decay coefficient of |r|^2
-    phi1: np.ndarray = field(repr=False)   # linear coefficient of arg r
-
-
-def extract_coefficients_numeric(
-    bath_sampler: Callable[[float, np.ndarray], np.ndarray],
-    times,
-    h: float,
-) -> ExpansionCoefficients:
-    """Expansion coefficients by Richardson finite differences in the coupling.
-
-    ``bath_sampler(delta, times)`` must return the complex r(t) samples for
-    coupling strength delta.  Even/odd separation over the +-h, +-2h stencil
-    isolates R2 and R3 from 1 - |r|^2; phi1 comes from a fourth-order central
-    difference of the unwrapped argument.  Raises StencilConditioning when
-    the extracted R2 dips below -1e-9 (a symptom of a badly chosen h).
-    """
-    times = np.asarray(times, dtype=float)
-    if h <= 0:
-        raise ValidationError("stencil step h must be positive")
-
-    def _g_and_phi(delta):
-        r = np.asarray(bath_sampler(delta, times), dtype=complex)
-        return 1.0 - np.abs(r) ** 2, np.unwrap(np.angle(r))
-
-    g_p1, phi_p1 = _g_and_phi(h)
-    g_m1, phi_m1 = _g_and_phi(-h)
-    g_p2, phi_p2 = _g_and_phi(2.0 * h)
-    g_m2, phi_m2 = _g_and_phi(-2.0 * h)
-
-    even1 = (g_p1 + g_m1) / (2.0 * h**2)       # R2 + R4 h^2 + ...
-    even2 = (g_p2 + g_m2) / (8.0 * h**2)       # R2 + 4 R4 h^2 + ...
-    r2 = (4.0 * even1 - even2) / 3.0
-
-    odd1 = (g_p1 - g_m1) / (2.0 * h**3)        # R3 + R5 h^2 + ...
-    odd2 = (g_p2 - g_m2) / (16.0 * h**3)       # R3 + 4 R5 h^2 + ...
-    r3 = (4.0 * odd1 - odd2) / 3.0
-
-    phi1 = (8.0 * (phi_p1 - phi_m1) - (phi_p2 - phi_m2)) / (12.0 * h)
-
-    if np.min(r2) < -1e-9:
-        raise StencilConditioning(
-            f"extracted R2 reaches {np.min(r2):.3e} < -1e-9; adjust the stencil step"
-        )
-    return ExpansionCoefficients(times=times, R2=r2, R3=r3, phi1=phi1)
-
-
-@dataclass(frozen=True)
 class PerturbativeGp:
     """Phase correction truncated at second and at third order in the coupling."""
 
@@ -178,24 +123,6 @@ def _assemble(theta, omega, delta, int_r2, r2_end, p1_end, int_r3, int_cross) ->
     cubic = 3.0 * r2_end * p1_end + p1_end**3 + 6.0 * omega * int_r3 - 6.0 * int_cross
     order3 = order2 - pref * delta**3 / 24.0 * cubic
     return PerturbativeGp(order2=float(order2), order3=float(order3))
-
-
-def gp_third_order(
-    coeffs: ExpansionCoefficients, sys: SystemParams, delta: float
-) -> PerturbativeGp:
-    """Assemble the weak-coupling phase correction from expansion coefficients.
-
-    The coefficient grid must cover exactly one cycle [0, tau].
-    """
-    t = coeffs.times
-    if abs(t[0]) > 0 or abs(t[-1] - sys.tau) > 1e-9 * sys.tau:
-        raise ValidationError("coefficient grid must cover [0, tau]")
-    dt = t[1] - t[0]
-    return _assemble(
-        sys.theta, sys.omega, delta, int_r2=_simpson(coeffs.R2, dt), r2_end=coeffs.R2[-1],
-        p1_end=coeffs.phi1[-1], int_r3=_simpson(coeffs.R3, dt),
-        int_cross=_simpson(coeffs.R2 * np.gradient(coeffs.phi1, dt, edge_order=2), dt),
-    )
 
 
 def _qk21(f, lo, hi):
@@ -230,8 +157,12 @@ def _panel_quad(f, n_osc: float) -> float:
     whose bisection would take it past _QUAD_LIMIT intervals stops there, and
     its open intervals are accepted only under the loose bound
     100 max(_QUAD_TOL w / pi, 1e-9 |val|); QuadratureNonconvergence names the
-    first one that misses it (NaN included).
+    first one that misses it (NaN included).  A panel count above
+    _MAX_PANELS raises QuadratureNonconvergence before anything is allocated.
     """
+    if not 2.0 * n_osc <= _MAX_PANELS:
+        raise QuadratureNonconvergence(f"{np.ceil(2.0 * n_osc):.6g} panels needed against "
+                                       f"the oscillation, above the ceiling of {_MAX_PANELS}")
     panels = max(8, int(np.ceil(2.0 * n_osc)))
     edges = np.linspace(0.0, np.pi, panels + 1)
     lo, hi, owner = edges[:-1], edges[1:], np.arange(panels)
@@ -416,18 +347,3 @@ def gp_approx_ising(p: IsingBathParams, sys: SystemParams) -> PerturbativeGp:
         sys.theta, sys.omega / p.j_coupling, p.coupling,
         int_r2=F2, r2_end=f2, p1_end=cf.t_period * g1, int_r3=F3, int_cross=g1 * F2,
     )
-
-
-def mode_coefficients(lam: float, k, t):
-    """Validated per-mode expansion coefficients (R2_k, R3_k, p1_k), J = 1 units."""
-    k = np.asarray(k, dtype=float)
-    t = np.asarray(t, dtype=float)
-    e = dispersion(lam, k)
-    a = lam - np.cos(k)
-    s2 = np.sin(k) ** 2
-    et = e * t
-    r2 = 16.0 * s2 * np.sin(et) ** 2 / e**4
-    r3 = -128.0 * a * s2 * np.sin(et) * (np.sin(et) - et * np.cos(et)) / e**6
-    p1 = 4.0 * t * a / e
-    return r2, r3, p1
-

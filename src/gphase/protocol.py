@@ -30,28 +30,16 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import InvalidDensityMatrix, UnwrapFailure, ValidationError
-from .gp import DecoherenceTrace, SystemParams, build_trace, geometric_phase, trace_from_samples
+from .errors import InvalidDensityMatrix, ValidationError
+from .gp import DecoherenceTrace, SystemParams, geometric_phase, trace_from_samples
 from .qmat import I2, X, Z
 from .two_level import (
     CouplingConvention,
     TwoLevelBathParams,
-    bandwidth,
-    decoherence_factor_oracle,
     ground_state,
+    oracle_trace,
+    require_resolved,
 )
-
-# Smallest power-of-two step count for which the full-cycle Trotter fidelity
-# stays at or above 0.997 across B in [-0.2 W, 0.2 W] at the reference
-# parameters (G = 0.02 W, d = 0.1 W); found by find_min_trotter_steps and
-# frozen here as a regression anchor.  One step per cycle already misses the
-# 0.3% budget (worst fidelity 0.9947); two steps give 0.99979.
-PINNED_TROTTER_STEPS = 2
-
-# The 0.3% fidelity budget and the largest step count find_min_trotter_steps
-# tries.
-TROTTER_FIDELITY_THRESHOLD = 0.997
-MAX_TROTTER_STEPS = 512
 
 # Intervals per cycle of run_protocol's readout grid; a stepped evolution
 # reaches every readout time only with a multiple of it as steps.
@@ -174,13 +162,7 @@ def run_protocol(p: ProtocolParams, input_theta: float = np.pi / 2.0) -> Decoher
     times = np.linspace(0.0, p.sys.tau, READOUT_SAMPLES + 1)
     if not (0.0 < input_theta < np.pi):
         raise ValidationError("input_theta must lie strictly inside (0, pi)")
-    band = bandwidth(p.bath)
-    if band * p.sys.tau / READOUT_SAMPLES >= np.pi:
-        raise UnwrapFailure(
-            f"readout grid of {READOUT_SAMPLES} intervals per cycle aliases the decoherence "
-            f"factor: bandwidth {band:.6g} rad/s needs more than "
-            f"{band * p.sys.tau / np.pi:.6g} intervals over tau = {p.sys.tau:.6g} s"
-        )
+    require_resolved(p.bath, p.sys.tau, READOUT_SAMPLES)
 
     psi0 = _initial_state(p, input_theta)
     if p.decomposition is Decomposition.EXACT:
@@ -217,19 +199,6 @@ def step_counts(max_steps: int) -> list[int]:
     return [2**i for i in range(int(max_steps).bit_length())]
 
 
-def find_min_trotter_steps(p: ProtocolParams, b_values) -> int:
-    """Smallest power-of-two step count up to MAX_TROTTER_STEPS whose worst
-    cycle fidelity over ``b_values`` meets TROTTER_FIDELITY_THRESHOLD."""
-    for n in step_counts(MAX_TROTTER_STEPS):
-        worst = worst_cycle_fidelity(replace(p, trotter_steps=n), b_values)
-        if worst >= TROTTER_FIDELITY_THRESHOLD:
-            return n
-    raise ValidationError(
-        f"no power-of-two step count <= {MAX_TROTTER_STEPS} reaches fidelity "
-        f"{TROTTER_FIDELITY_THRESHOLD}"
-    )
-
-
 def correction_point(p: ProtocolParams) -> tuple[float, float]:
     """Coupling-induced phase correction at the field ``p.bath.b_field``, as
     (protocol, theory).
@@ -240,5 +209,5 @@ def correction_point(p: ProtocolParams) -> tuple[float, float]:
     protocol runs first, so a failing field raises its typed error there.
     """
     dphi = geometric_phase(run_protocol(p), p.sys).correction
-    theory = build_trace(lambda t: decoherence_factor_oracle(p.bath, t), p.sys, THEORY_SAMPLES)
+    theory = oracle_trace(p.bath, p.sys, THEORY_SAMPLES)
     return dphi, geometric_phase(theory, p.sys).correction

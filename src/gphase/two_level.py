@@ -11,7 +11,9 @@ B = sign(lambda)|lambda|^{z nu} Delta; this module takes B itself.
 The system couples through Z, so conditioned on the system pointer states
 the environment evolves under two shifted branch Hamiltonians; their
 overlap is the decoherence factor, which ``decoherence_factor_oracle``
-computes from exact 2x2 propagators.
+computes from exact 2x2 propagators.  Its fastest frequency, ``bandwidth``,
+sets the coarsest grid that resolves it (``require_resolved``), and
+``oracle_trace`` samples it only on such a grid.
 """
 
 from __future__ import annotations
@@ -21,7 +23,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ValidationError
+from .errors import UnwrapFailure, ValidationError
+from .gp import DecoherenceTrace, SystemParams, build_trace
 
 
 class CouplingConvention(enum.Enum):
@@ -71,6 +74,20 @@ def bandwidth(p: TwoLevelBathParams) -> float:
     return float(np.hypot(b0, p.delta_gap) + np.hypot(b1, p.delta_gap))
 
 
+def require_resolved(p: TwoLevelBathParams, tau: float, intervals: int) -> None:
+    """Raise UnwrapFailure unless ``intervals`` equal steps over ``tau`` resolve r(t).
+
+    The fastest frequency, ``bandwidth(p)``, must turn by less than pi per
+    interval; on a coarser grid a winding aliases, and no later unwrap check
+    can tell it from a slow one."""
+    band = bandwidth(p)
+    if band * tau / intervals >= np.pi:
+        raise UnwrapFailure(
+            f"grid of {intervals} intervals per cycle aliases the decoherence factor: "
+            f"bandwidth {band:.6g} rad/s needs more than {band * tau / np.pi:.6g} intervals "
+            f"over tau = {tau:.6g} s")
+
+
 def decoherence_factor_oracle(p: TwoLevelBathParams, t, initial=None):
     """Exact branch-overlap decoherence factor <eps1(t)|eps0(t)>.
 
@@ -102,3 +119,10 @@ def decoherence_factor_oracle(p: TwoLevelBathParams, t, initial=None):
     u0 = _u(b0, t, +1.0)   # e^{-i H0 t}
     out = np.einsum("i,...ij,...jk,k->...", psi.conj(), u1, u0, psi)
     return out if out.shape else complex(out)
+
+
+def oracle_trace(p: TwoLevelBathParams, sysp: SystemParams, samples: int) -> DecoherenceTrace:
+    """``build_trace`` of ``decoherence_factor_oracle`` over the cycle of ``sysp``,
+    once ``require_resolved`` passes on its grid of ``samples`` intervals."""
+    require_resolved(p, sysp.tau, samples)
+    return build_trace(lambda t: decoherence_factor_oracle(p, t), sysp, samples)

@@ -11,29 +11,24 @@ import numpy as np
 import pytest
 
 from gphase.cli import main as cli_main
-from gphase.gp import (
-    SystemParams,
-    build_trace,
-    density_trajectory,
-    geometric_phase,
-    gp_from_trajectory,
-)
-from gphase.ising import IsingBathParams, brute_force_oracle, decoherence_product
-from gphase.perturbative import (
-    elliptic_E,
-    elliptic_K,
-    extract_coefficients_numeric,
-    gp_approx_ising,
-    gp_third_order,
-)
+from gphase.gp import SystemParams, build_trace, geometric_phase
+from gphase.ising import IsingBathParams, decoherence_product
+from gphase.perturbative import elliptic_E, elliptic_K, gp_approx_ising
 from gphase.protocol import (
-    PINNED_TROTTER_STEPS,
     Decomposition,
     ProtocolParams,
     correction_point,
-    find_min_trotter_steps,
     run_protocol,
     worst_cycle_fidelity,
+)
+from gphase.reference import (
+    PINNED_TROTTER_STEPS,
+    brute_force_oracle,
+    density_trajectory,
+    extract_coefficients_numeric,
+    find_min_trotter_steps,
+    gp_from_trajectory,
+    gp_third_order,
 )
 from gphase.two_level import TwoLevelBathParams, decoherence_factor_oracle
 

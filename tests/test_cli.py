@@ -10,10 +10,10 @@ from gphase import cli, protocol
 from gphase.cli import EXPERIMENTS, PRESETS, _results, main, parse_config, presets
 from gphase.errors import GphaseError
 from gphase.gp import SystemParams, build_trace, geometric_phase
-from gphase.protocol import (
+from gphase.protocol import ProtocolParams
+from gphase.reference import (
     PINNED_TROTTER_STEPS,
     TROTTER_FIDELITY_THRESHOLD,
-    ProtocolParams,
     find_min_trotter_steps,
 )
 from gphase.two_level import TwoLevelBathParams, decoherence_factor_oracle
@@ -256,6 +256,18 @@ class TestExitCodes:
         assert len(rows) == 3
         assert all(r[1] == "nan" and r[2] == "nan" for r in rows)
 
+    def test_aliasing_coupling_fails_the_oracle_trace(self, capsys):
+        # r(t) winds about 2e6 times per cycle; the 1024-sample trace used to
+        # unwrap it anyway and print a correction of -1056.59
+        assert main(["gp-curve", "--coupling", "314159265.3589793",
+                     "--b-field", "62.83185307179586"]) == 1
+        assert "UnwrapFailure" in capsys.readouterr().err
+
+    def test_slow_cycle_fails_before_quadrature(self, capsys):
+        # the panel count grows with the cycle: 8e300 panels here
+        assert main(["ising-approx", "--omega-over-j", "1e-300", "--lambda-points", "2"]) == 1
+        assert "QuadratureNonconvergence" in capsys.readouterr().err
+
 
 class TestOutputFormats:
     def test_csv_full_precision(self, tmp_path):
@@ -433,6 +445,9 @@ class TestRejectedBeforeWork:
         ["ising-approx", "--omega-over-j", "0"],
         ["gp-curve", "--sweep", "theta", "0.5", "0.7", "0"],
         ["trace", "--znu", "0"],
+        # the chain columns are divided by N delta^2
+        ["ising-approx", "--coupling", "0", "--lambda-points", "2"],
+        ["ising-sweep", "--coupling", "0", "--lambda-points", "2"],
         # 2 steps cannot reach the readout grid's 64 intervals
         ["correction", "--decomposition", "coarse-trotter", "--trotter-steps", "2",
          "--b-points", "3"],

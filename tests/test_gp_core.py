@@ -8,14 +8,8 @@ from gphase.errors import (
     UnwrapFailure,
     ValidationError,
 )
-from gphase.gp import (
-    SystemParams,
-    build_trace,
-    density_trajectory,
-    geometric_phase,
-    gp_from_trajectory,
-    trace_from_samples,
-)
+from gphase.gp import SystemParams, build_trace, geometric_phase, trace_from_samples
+from gphase.reference import density_trajectory, gp_from_trajectory
 from gphase.two_level import TwoLevelBathParams, decoherence_factor_oracle
 
 OMEGA = 100.0 * np.pi
@@ -83,6 +77,32 @@ class TestBuildTrace:
         assert len(calls) > 1
         assert calls == [2 * 64 * 2**i + 1 for i in range(len(calls))]
         assert calls[-1] == 2 * tr.samples + 1
+
+    def test_coarse_unwrap_is_the_fine_unwrap_at_even_points(self):
+        # both grids unwrap with every step under pi/2, so each coarse step is
+        # the sum of the two fine steps it spans: the trace's phase is the
+        # fine grid's at its even points, also after a refinement
+        sp = SystemParams(omega=OMEGA, theta=0.5)
+        rng = np.random.default_rng(12)
+        samplers = [lambda t: decoherence_factor_oracle(paper_bath(), t),
+                    lambda t: np.exp(-1j * 100.0 * sp.omega * t)]
+        for _ in range(20):
+            amp, freq, shift = rng.uniform(0, 20, 6), rng.integers(1, 9, 6), rng.uniform(0, 7, 6)
+
+            def walk(t, amp=amp, freq=freq, shift=shift):
+                phi = np.sin(np.multiply.outer(t * sp.omega, freq) + shift) @ amp
+                return np.exp(-0.3 * t / sp.tau - 1j * (phi - np.sin(shift) @ amp))
+            samplers.append(walk)
+        refined = 0
+        for sampler in samplers:
+            tr = build_trace(sampler, sp, 64)
+            times = np.linspace(0.0, sp.tau, 2 * tr.samples + 1)
+            fine = trace_from_samples(times, sampler(times))
+            np.testing.assert_array_equal(tr.times, times[::2])
+            np.testing.assert_allclose(tr.phase_unwrapped, fine.phase_unwrapped[::2],
+                                       rtol=0, atol=1e-9)
+            refined += tr.samples > 64
+        assert refined >= 2
 
     def test_times_are_the_m_point_grid(self):
         rng = np.random.default_rng(4)

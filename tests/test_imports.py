@@ -1,6 +1,8 @@
 """No module imports a name it never uses, and no module-level definition of
-the package goes unread (stdlib ``ast``; no linter needed).  The CLI's import
-leaves out the scipy subpackages it does not need.
+the package goes unread (stdlib ``ast``; no linter needed).  No runtime module
+imports ``gphase.reference``, the second routes the runtime is checked
+against, and the CLI's import leaves out both it and the scipy subpackages it
+does not need.
 
 Package ``__init__.py`` files re-export names and are skipped by the import
 check; a re-export is no read.
@@ -18,6 +20,8 @@ ROOT = Path(__file__).resolve().parent.parent
 SOURCES = sorted(path for folder in ("src/gphase", "tests", "demos")
                  for path in (ROOT / folder).glob("*.py"))
 MODULES = [path for path in SOURCES if path.name != "__init__.py"]
+RUNTIME = [path for path in SOURCES
+           if path.parent.name == "gphase" and path.name != "reference.py"]
 
 
 def unused_imports(source: str) -> list[str]:
@@ -33,6 +37,23 @@ def unused_imports(source: str) -> list[str]:
                 imported[alias.asname or alias.name] = node.lineno
     used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
     return [f"line {line}: {name}" for name, line in imported.items() if name not in used]
+
+
+def reference_imports(source: str) -> list[str]:
+    """Lines of a package module that import ``gphase.reference``, by absolute
+    or by relative name."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            module = ".".join(filter(None, ["gphase" if node.level else None, node.module]))
+            names = [module] + [f"{module}.{alias.name}" for alias in node.names]
+        else:
+            continue
+        if any(n == "gphase.reference" or n.startswith("gphase.reference.") for n in names):
+            found.append(f"line {node.lineno}")
+    return found
 
 
 def definitions(source: str) -> dict[str, int]:
@@ -77,6 +98,20 @@ def test_detects_an_unused_import():
     assert unused_imports(source) == ["line 1: os", "line 3: a"]
 
 
+@pytest.mark.parametrize("path", RUNTIME, ids=lambda p: str(p.relative_to(ROOT)))
+def test_runtime_never_imports_reference(path):
+    assert reference_imports(path.read_text()) == []
+
+
+def test_detects_a_reference_import():
+    source = ("import gphase.reference\nfrom gphase.reference import a\nfrom . import reference\n"
+              "from .reference import b\nfrom gphase import gp, reference as r\n"
+              "import gphase.gp\nfrom .gp import reference\nfrom . import gp\n"
+              "def f():\n    from .reference import c\n")
+    assert reference_imports(source) == [
+        "line 1", "line 2", "line 3", "line 4", "line 5", "line 10"]
+
+
 def test_every_package_definition_is_read():
     package = {str(p.relative_to(ROOT)): p.read_text()
                for p in SOURCES if p.parent.name == "gphase"}
@@ -92,10 +127,12 @@ def test_detects_an_unread_definition():
 
 
 def test_cli_import_leaves_out_scipy_integrate():
-    # scipy.integrate would add about 0.25 s and 26 MB to the start of every run
+    # scipy.integrate would add about 0.25 s and 26 MB to the start of every
+    # run, and the CLI runs no second route of gphase.reference
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))}
     out = subprocess.run(
-        [sys.executable, "-c", "import sys, gphase.cli; print('scipy.integrate' in sys.modules)"],
+        [sys.executable, "-c", "import sys, gphase.cli; print(sorted({'scipy.integrate', "
+         "'gphase.reference'} & set(sys.modules)))"],
         env=env, capture_output=True, text=True, timeout=60, check=True)
-    assert out.stdout.strip() == "False"
+    assert out.stdout.strip() == "[]"

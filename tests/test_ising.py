@@ -10,12 +10,12 @@ from gphase.errors import DimensionTooLarge, MagnitudeUnderflow, ValidationError
 from gphase.ising import (
     IsingBathParams,
     bogoliubov_angle,
-    brute_force_oracle,
     decoherence_product,
     dispersion,
     momenta,
 )
 from gphase.qmat import I2, X, Z
+from gphase.reference import brute_force_oracle
 
 
 class TestParams:

@@ -26,13 +26,11 @@ from gphase.perturbative import (
     _panel_quad,
     elliptic_E,
     elliptic_K,
-    extract_coefficients_numeric,
     gp_approx_ising,
-    gp_third_order,
     ising_closed_forms,
     IsingClosedForms,
-    mode_coefficients,
 )
+from gphase.reference import extract_coefficients_numeric, gp_third_order, mode_coefficients
 from gphase.two_level import TwoLevelBathParams, decoherence_factor_oracle
 
 OMEGA = 100.0 * np.pi
@@ -352,6 +350,22 @@ class TestPanelQuad:
             assert _QK21_NODES**d @ _QK21_KRONROD == pytest.approx(exact, abs=1e-15)
             if d <= 19:
                 assert _QK21_NODES**d @ _QK21_GAUSS == pytest.approx(exact, abs=1e-15)
+
+    @pytest.mark.parametrize("n_osc", [perturbative._MAX_PANELS / 2 + 1, 4e300, np.inf, np.nan])
+    def test_panel_count_above_the_ceiling_raises_before_any_call(self, n_osc):
+        def never(k):
+            raise AssertionError("the integrand must not be called")
+
+        ceiling = perturbative._MAX_PANELS
+        with pytest.raises(QuadratureNonconvergence, match=f"ceiling of {ceiling}$"):
+            _panel_quad(never, n_osc)
+
+    def test_slow_cycle_closed_form_raises(self):
+        # omega/J = 1e-300 asks for 8e300 panels; 1e-6 would ask for 8e6,
+        # several GB per qk21 pass
+        cf = IsingClosedForms(n_spins=100, t_period=2.0 * np.pi / 1e-300)
+        with pytest.raises(QuadratureNonconvergence, match="8e\\+300 panels"):
+            cf.f2(0.0)
 
     def test_non_integrable_or_nan_integrand_raises(self):
         with pytest.raises(QuadratureNonconvergence, match="limit of 200 intervals"):

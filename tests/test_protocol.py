@@ -7,7 +7,6 @@ import scipy.linalg
 from gphase.errors import InvalidDensityMatrix, UnwrapFailure, ValidationError
 from gphase.gp import SystemParams, build_trace, geometric_phase
 from gphase.protocol import (
-    PINNED_TROTTER_STEPS,
     READOUT_SAMPLES,
     THEORY_SAMPLES,
     Decomposition,
@@ -18,13 +17,13 @@ from gphase.protocol import (
     build_target_hamiltonian,
     correction_point,
     cycle_fidelity,
-    find_min_trotter_steps,
     run_protocol,
     step_counts,
     trotter_step,
     worst_cycle_fidelity,
 )
 from gphase.qmat import I2, X, Y, Z, partial_trace_env
+from gphase.reference import PINNED_TROTTER_STEPS, find_min_trotter_steps
 from gphase.two_level import (
     CouplingConvention,
     TwoLevelBathParams,

@@ -5,21 +5,16 @@ import numpy as np
 import pytest
 
 from gphase.errors import UnwrapFailure, ValidationError
-from gphase.gp import (
-    SystemParams,
-    build_trace,
-    density_trajectory,
-    geometric_phase,
-    gp_from_trajectory,
-    trace_from_samples,
-)
+from gphase.gp import SystemParams, build_trace, geometric_phase, trace_from_samples
 from gphase.qmat import X, Z
+from gphase.reference import density_trajectory, gp_from_trajectory
 from gphase.two_level import (
     CouplingConvention,
     TwoLevelBathParams,
     bandwidth,
     decoherence_factor_oracle,
     ground_state,
+    oracle_trace,
 )
 
 OMEGA = 100.0 * np.pi
@@ -135,6 +130,26 @@ class TestOracle:
         e0 = np.linalg.eigvalsh(b0 * Z + p.delta_gap * X)
         e1 = np.linalg.eigvalsh(b1 * Z + p.delta_gap * X)
         assert bandwidth(p) == pytest.approx(np.max(np.abs(e1[:, None] - e0[None, :])), rel=1e-13)
+
+    @pytest.mark.parametrize("d_over_omega, refines", [
+        (0.1, False), (100.0, False), (255.9, True), (256.1, None), (1e3, None), (1e6, None),
+    ])
+    def test_oracle_trace_bandwidth_bound(self, d_over_omega, refines):
+        # a 1024-interval trace resolves r(t) only while its fastest frequency
+        # turns by less than pi per interval; above that it is rejected before
+        # any sampling, because an aliased winding passes every unwrap check
+        sysp = SystemParams(omega=OMEGA, theta=np.pi / 4)
+        p = paper_bath(coupling=d_over_omega * OMEGA)
+        turn = bandwidth(p) * sysp.tau / 1024
+        assert (turn >= np.pi) == (refines is None)
+        if refines is None:
+            with pytest.raises(UnwrapFailure, match="bandwidth"):
+                oracle_trace(p, sysp, 1024)
+            return
+        trace = oracle_trace(p, sysp, 1024)
+        direct = build_trace(lambda t: decoherence_factor_oracle(p, t), sysp, 1024)
+        assert (trace.samples > 1024) == refines
+        np.testing.assert_array_equal(trace.phase_unwrapped, direct.phase_unwrapped)
 
     def test_convention_bridge(self):
         # projector branches (B, B+2d) match the zz pair at field B+d with the
