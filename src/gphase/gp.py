@@ -108,8 +108,9 @@ def build_trace(sampler, params: SystemParams, samples: int = 256) -> Decoherenc
     its even points are the trace.  Both grids must unwrap with every phase
     step under pi/2 (so the two unwraps agree at the even points), or the grid
     is doubled, up to 2^6 times; a persistent step near pi (e.g. r crossing
-    zero) raises UnwrapFailure.  A winding aliased on both grids passes, so a
-    sampler's bandwidth is checked before sampling (``two_level.oracle_trace``).
+    zero) raises UnwrapFailure.  A winding aliased on both grids passes: only
+    ``two_level.oracle_trace`` checks its sampler's bandwidth on the accepted
+    grid, and other samplers (the ``ising-sweep`` chain) are taken on trust.
     """
     if samples < MIN_SAMPLES:
         raise ValidationError(f"samples must be >= {MIN_SAMPLES}, got {samples}")

@@ -13,7 +13,7 @@ the environment evolves under two shifted branch Hamiltonians; their
 overlap is the decoherence factor, which ``decoherence_factor_oracle``
 computes from exact 2x2 propagators.  Its fastest frequency, ``bandwidth``,
 sets the coarsest grid that resolves it (``require_resolved``), and
-``oracle_trace`` samples it only on such a grid.
+``oracle_trace`` keeps a trace only from such a grid.
 """
 
 from __future__ import annotations
@@ -123,6 +123,7 @@ def decoherence_factor_oracle(p: TwoLevelBathParams, t, initial=None):
 
 def oracle_trace(p: TwoLevelBathParams, sysp: SystemParams, samples: int) -> DecoherenceTrace:
     """``build_trace`` of ``decoherence_factor_oracle`` over the cycle of ``sysp``,
-    once ``require_resolved`` passes on its grid of ``samples`` intervals."""
-    require_resolved(p, sysp.tau, samples)
-    return build_trace(lambda t: decoherence_factor_oracle(p, t), sysp, samples)
+    kept if ``require_resolved`` passes on the (possibly refined) grid it took."""
+    trace = build_trace(lambda t: decoherence_factor_oracle(p, t), sysp, samples)
+    require_resolved(p, sysp.tau, trace.samples)
+    return trace

@@ -268,6 +268,16 @@ class TestExitCodes:
         assert main(["ising-approx", "--omega-over-j", "1e-300", "--lambda-points", "2"]) == 1
         assert "QuadratureNonconvergence" in capsys.readouterr().err
 
+    def test_slow_cycle_under_the_ceiling_runs(self, tmp_path):
+        # 2.4e4 panels at lambda = 2, well under the ceiling; the small
+        # coupling keeps |d T G1| under 1 rad over the long cycle
+        rc, raw = run_cli(["ising-approx", "--omega-over-j", "1e-3", "--lambda-points", "2",
+                           "--coupling", "1e-6"], tmp_path, "slow.csv")
+        assert rc == 0
+        rows = [r.split(",") for r in raw.decode().strip().splitlines()[1:]]
+        assert len(rows) == 2
+        assert all(np.isfinite(float(c)) for r in rows for c in r[1:3])
+
 
 class TestOutputFormats:
     def test_csv_full_precision(self, tmp_path):

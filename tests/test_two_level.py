@@ -132,22 +132,25 @@ class TestOracle:
         assert bandwidth(p) == pytest.approx(np.max(np.abs(e1[:, None] - e0[None, :])), rel=1e-13)
 
     @pytest.mark.parametrize("d_over_omega, refines", [
-        (0.1, False), (100.0, False), (255.9, True), (256.1, None), (1e3, None), (1e6, None),
+        (0.1, False), (100.0, False), (255.9, True), (256.1, True), (1e3, None), (1e6, None),
     ])
     def test_oracle_trace_bandwidth_bound(self, d_over_omega, refines):
-        # a 1024-interval trace resolves r(t) only while its fastest frequency
-        # turns by less than pi per interval; above that it is rejected before
-        # any sampling, because an aliased winding passes every unwrap check
+        # above d = 256 Omega the fastest frequency turns by pi or more per
+        # interval of the requested 1024-interval grid, and build_trace refines
+        # past it; the trace is kept only if the grid it was accepted on turns
+        # by less than pi per interval, because an aliased winding passes
+        # every unwrap check (here at d = 1e3 and 1e6 Omega)
         sysp = SystemParams(omega=OMEGA, theta=np.pi / 4)
         p = paper_bath(coupling=d_over_omega * OMEGA)
-        turn = bandwidth(p) * sysp.tau / 1024
+        assert (bandwidth(p) * sysp.tau / 1024 >= np.pi) == (d_over_omega > 256.0)
+        direct = build_trace(lambda t: decoherence_factor_oracle(p, t), sysp, 1024)
+        turn = bandwidth(p) * sysp.tau / direct.samples
         assert (turn >= np.pi) == (refines is None)
         if refines is None:
             with pytest.raises(UnwrapFailure, match="bandwidth"):
                 oracle_trace(p, sysp, 1024)
             return
         trace = oracle_trace(p, sysp, 1024)
-        direct = build_trace(lambda t: decoherence_factor_oracle(p, t), sysp, 1024)
         assert (trace.samples > 1024) == refines
         np.testing.assert_array_equal(trace.phase_unwrapped, direct.phase_unwrapped)
 
