@@ -28,11 +28,11 @@ from gphase import (
     run_protocol,
     trotter_step,
 )
-from gphase.protocol import worst_cycle_fidelity
-from gphase.qmat import X, Y, Z
+from gphase.protocol import X, Z, worst_cycle_fidelity
 from gphase.reference import PINNED_TROTTER_STEPS, find_min_trotter_steps
 
 OMEGA = 100.0 * np.pi
+Y = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex)
 
 
 def main():

@@ -2,7 +2,6 @@
 
 Library layout:
 
-- :mod:`gphase.qmat`: Pauli matrices and the two-qubit partial trace.
 - :mod:`gphase.gp`: geometric phase from a sampled decoherence factor
   (closed form in the Bloch radius of the dephased state);
   ``GpResult.correction`` is the phase minus its uncoupled value
@@ -14,15 +13,16 @@ Library layout:
 - :mod:`gphase.perturbative`: small-coupling expansion of the phase
   correction and the Ising closed forms with complete elliptic integrals.
 - :mod:`gphase.protocol`: software replica of the Trotterized two-qubit
-  simulation protocol, its gates as closed-form Pauli rotations; a run
-  returns its readout ``DecoherenceTrace``, and ``correction_point`` sets
-  its phase correction beside the oracle's at one field.
+  simulation protocol, its gates as closed-form rotations of the Pauli
+  matrices it defines; a run returns its readout ``DecoherenceTrace``, and
+  ``correction_point`` sets its phase correction beside the oracle's at one
+  field.
 - :mod:`gphase.cli`: one table of experiments driving parameter sweeps,
   presets and CSV/JSON output.
 - :mod:`gphase.reference`: the second route of every quantity above
   (parallel transport, the dense 2^N chain, Richardson coefficients, the
-  pinned Trotter step count), for tests and demos; the package does not
-  import it.
+  pinned Trotter step count, the dense partial trace), for tests and demos;
+  the package does not import it.
 """
 
 from .gp import (

@@ -11,9 +11,10 @@ ising-approx  2nd/3rd order approximations only (fast)
 trotter-check minimum fidelity over the field range per step count
 
 Each experiment is one ``Experiment`` record in ``EXPERIMENTS``: defaults
-(which name the only flags it accepts), output columns, ``--sweep`` axes,
-point grid, point function and failure-row label.  Every point is validated
-before any point runs.  Presets name an experiment and run its defaults.
+and the fixed keys among them (only the other defaults have flags it
+accepts), output columns, ``--sweep`` axes, point grid, point function and
+row label.  Every point is validated before any point runs.  Presets name an
+experiment and run its defaults.
 
 Outputs are deterministic: identical configurations produce byte-identical
 files regardless of worker count, and every row carries the configuration
@@ -101,11 +102,7 @@ def _samples(p: dict) -> int:
 
 
 def _two_level(p: dict) -> tuple[SystemParams, TwoLevelBathParams]:
-    """System cycle and two-level bath at field ``b_field`` (0 if absent).
-
-    ``znu`` cannot move a bath set by its field; it is only checked here."""
-    if not p.get("znu", 1.0) > 0:
-        raise ValidationError(f"znu must be positive, got {p['znu']}")
+    """System cycle and two-level bath at field ``b_field`` (0 if absent)."""
     bath = TwoLevelBathParams(
         delta_gap=p["delta_gap"], b_field=p.get("b_field", 0.0), coupling=p["coupling"],
         convention=CouplingConvention(p.get("convention", "zz")),
@@ -146,8 +143,8 @@ def _trotter_scan(p: dict) -> tuple[ProtocolParams, np.ndarray]:
 
 
 # ---------------------------------------------------------------------------
-# point functions: point arguments -> payload rows (top level: picklable for
-# process pools)
+# point functions: point arguments -> payload rows after the label cells (top
+# level: picklable for process pools)
 
 def _trace_rows(args) -> list[list[float]]:
     sysp, bath, samples = args
@@ -167,7 +164,7 @@ def _gp_curve_rows(args) -> list[list[float]]:
 
 def _correction_rows(args) -> list[list[float]]:
     (proto,) = args
-    return [[proto.bath.b_field / proto.sys.omega, *correction_point(proto)]]
+    return [list(correction_point(proto))]
 
 
 def _ising_orders_norm(bath: IsingBathParams, sysp: SystemParams) -> list[float]:
@@ -181,17 +178,17 @@ def _ising_sweep_rows(args) -> list[list[float]]:
     orders = _ising_orders_norm(bath, sysp)
     trace = build_trace(lambda t: decoherence_product(bath, t), sysp, samples)
     exact = geometric_phase(trace, sysp).correction
-    return [[bath.lam, exact / (bath.n_spins * bath.coupling**2), *orders]]
+    return [[exact / (bath.n_spins * bath.coupling**2), *orders]]
 
 
 def _ising_approx_rows(args) -> list[list[float]]:
     bath, sysp = args
-    return [[bath.lam, *_ising_orders_norm(bath, sysp)]]
+    return [_ising_orders_norm(bath, sysp)]
 
 
 def _trotter_rows(args) -> list[list[float]]:
     proto, b_values = args
-    return [[float(proto.trotter_steps), worst_cycle_fidelity(proto, b_values)]]
+    return [[worst_cycle_fidelity(proto, b_values)]]
 
 
 # ---------------------------------------------------------------------------
@@ -206,13 +203,14 @@ class Experiment:
     ``prepare``, which validates them, and only then runs ``point`` on each.
     """
 
-    defaults: dict                          # parameters; their flags are the only ones accepted
+    defaults: dict                          # parameters, all in the config hash
     columns: tuple[str, ...]                # payload columns before config_hash
     prepare: Callable[[dict], tuple]        # point parameters -> point arguments
-    point: Callable[[tuple], list]          # point arguments -> payload rows
+    point: Callable[[tuple], list]          # point arguments -> rows after the label
     grid: Callable[[dict], list[dict]] = lambda p: [p]  # parameters of each point
     axes: tuple[str, ...] = ()              # parameters --sweep may vary
-    label: Callable[[dict], list] = lambda p: []  # leading cells of a failed point's row
+    label: Callable[[dict], list] = lambda p: []  # leading cells of every row of a point
+    fixed: tuple[str, ...] = ()             # defaults no flag sets: they move no output
 
 
 # Frequencies are angular (rad/s); every two-level scale is a ratio of omega,
@@ -225,25 +223,35 @@ _B_RANGE = {"b_min": -0.2 * _OMEGA_REF, "b_max": 0.2 * _OMEGA_REF, "b_points": 2
 _CHAIN = {"n_spins": 100, "j_coupling": 1.0, "coupling": 5e-5, "omega_over_j": 1.0,
           "theta": np.pi / 4.0, "lambda_min": 0.0, "lambda_max": 2.0, "lambda_points": 41}
 
+# A fixed key cannot move its experiment's output, so no flag sets it; it stays
+# in the config hash at its default, which keeps every earlier hash.
+# - znu, of the paper's B = sign(lambda)|lambda|^{z nu} Delta: the two-level
+#   bath is set by its field B;
+# - theta in trace and trotter-check: under pure dephasing r(t) does not
+#   depend on the system state, and the cycle fidelity starts from a fixed one;
+# - j_coupling: the chain's Loschmidt echo depends on J t only, and its cycle
+#   is omega_over_j times J;
+# - correction's samples (no column reads it) and convention (the protocol
+#   simulates the zz coupling only);
+# - fidelity_threshold: trotter-check reports the fidelity, not a verdict.
 EXPERIMENTS: dict[str, Experiment] = {
     "trace": Experiment(
         defaults={**_TWO_LEVEL, **_FIELD, "samples": 256},
         columns=("t", "re_r", "im_r", "abs_r", "phase"),
         prepare=lambda p: (*_two_level(p), _samples(p)),
         point=_trace_rows,
+        fixed=("theta", "znu"),
     ),
     "gp-curve": Experiment(
-        # znu cannot move a point whose field B is fixed, so it is no --sweep
-        # axis; it stays because it is part of the config hash
         defaults={**_TWO_LEVEL, **_FIELD, "samples": 1024},
         columns=("phi_total", "phi_unitary", "correction", "integral_part",
                  "arctan_part", "eps_plus_final"),
         prepare=lambda p: (*_two_level(p), _samples(p)),
         point=_gp_curve_rows,
         axes=("omega", "theta", "delta_gap", "coupling", "b_field"),
+        fixed=("znu",),
     ),
     "correction": Experiment(
-        # samples is unused; it stays because it is part of the config hash
         defaults={**_TWO_LEVEL, **_B_RANGE, "trotter_steps": 64, "decomposition": "exact",
                   "samples": 64, "znu": 1.0, "convention": "zz"},
         columns=("b_over_omega", "dphi_protocol", "dphi_theory"),
@@ -251,6 +259,7 @@ EXPERIMENTS: dict[str, Experiment] = {
         point=_correction_rows,
         grid=lambda p: [{**p, "b_field": b} for b in _span(p, "b")],
         label=lambda p: [p["b_field"] / p["omega"]],
+        fixed=("samples", "znu", "convention"),
     ),
     "ising-sweep": Experiment(
         defaults={**_CHAIN, "samples": 4096},
@@ -259,6 +268,7 @@ EXPERIMENTS: dict[str, Experiment] = {
         point=_ising_sweep_rows,
         grid=lambda p: [{**p, "lambda": lam} for lam in _span(p, "lambda")],
         label=lambda p: [p["lambda"]],
+        fixed=("j_coupling",),
     ),
     "ising-approx": Experiment(
         defaults=dict(_CHAIN),
@@ -267,21 +277,28 @@ EXPERIMENTS: dict[str, Experiment] = {
         point=_ising_approx_rows,
         grid=lambda p: [{**p, "lambda": lam} for lam in _span(p, "lambda")],
         label=lambda p: [p["lambda"]],
+        fixed=("j_coupling",),
     ),
     "trotter-check": Experiment(
-        # fidelity_threshold is unused; it stays because it is part of the config hash
         defaults={**_TWO_LEVEL, **_B_RANGE, "fidelity_threshold": 0.997, "max_steps": 512},
         columns=("n_steps", "min_fidelity"),
         prepare=_trotter_scan,
         point=_trotter_rows,
         grid=lambda p: [{**p, "n_steps": n} for n in step_counts(p["max_steps"])],
         label=lambda p: [float(p["n_steps"])],
+        fixed=("theta", "fidelity_threshold"),
     ),
 }
 
+
+def _settable(exp: Experiment) -> dict:
+    """The defaults of ``exp`` that a flag can set."""
+    return {k: v for k, v in exp.defaults.items() if k not in exp.fixed}
+
+
 # every physical flag's dest and a default of it; each experiment accepts
-# those in its defaults
-_PARAMS = {k: v for exp in EXPERIMENTS.values() for k, v in exp.defaults.items()}
+# those of its settable defaults
+_PARAMS = {k: v for exp in EXPERIMENTS.values() for k, v in _settable(exp).items()}
 _CHOICES = {"convention": [c.value for c in CouplingConvention],
             "decomposition": [d.value for d in Decomposition]}
 
@@ -291,11 +308,6 @@ PRESETS: dict[str, str] = {
     "paper-figA": "ising-sweep",
     "trotter-claim": "trotter-check",
 }
-
-
-def presets() -> list[str]:
-    """Names of the bundled parameter presets."""
-    return list(PRESETS)
 
 
 def _capture(func, task):
@@ -342,15 +354,14 @@ def _rows(config: RunConfig) -> tuple[list[str], list[list]]:
     rows: list[list] = []
     with contextlib.closing(_results(exp.point, tasks, config.workers)) as results:
         for p, result in zip(points, results):
-            head = [p[a] for a in axis]
+            head = [p[a] for a in axis] + exp.label(p)
             if isinstance(result, Exception):
-                label = exp.label(p)
-                where = "".join(f" {c}={float(x)!r}" for c, x in zip(columns, head + label))
+                where = "".join(f" {c}={float(x)!r}" for c, x in zip(columns, head))
                 msg = f"point{where}: {type(result).__name__}: {result}"
                 log.warning("point failed: %s", msg)
                 if not config.keep_going:
                     raise GphaseError(msg)
-                result = [label + [np.nan] * (len(exp.columns) - len(label))]
+                result = [[np.nan] * (len(columns) - len(head))]
             rows += [head + row + [digest] for row in result]
     return columns + ["config_hash"], rows
 
@@ -417,7 +428,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     phys = ap.add_argument_group(
         "physical parameters",
-        "each experiment accepts only the flags of its defaults; "
+        "each experiment accepts only the flags of its settable defaults; "
         "units: README, 'Units and conventions'")
     for key, default in _PARAMS.items():
         phys.add_argument(f"--{key.replace('_', '-')}", type=type(default),
@@ -432,7 +443,7 @@ def parse_config(argv) -> RunConfig | None:
         for name, experiment in PRESETS.items():
             print(f"{name}: {experiment}  "
                   + " ".join(f"{k}={v:.6g}" if isinstance(v, float) else f"{k}={v}"
-                             for k, v in EXPERIMENTS[experiment].defaults.items()))
+                             for k, v in _settable(EXPERIMENTS[experiment]).items()))
         return None
 
     experiment = args.experiment
@@ -448,6 +459,9 @@ def parse_config(argv) -> RunConfig | None:
             continue
         if key not in params:
             raise ConfigParseError(f"{experiment} does not use --{key.replace('_', '-')}")
+        if key in exp.fixed:
+            raise ConfigParseError(
+                f"{experiment} fixes {key} at {params[key]!r}: it cannot move the output")
         params[key] = val
 
     sweep = None

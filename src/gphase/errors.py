@@ -5,10 +5,6 @@ class GphaseError(Exception):
     """Base class for all errors raised by this package."""
 
 
-class DimensionMismatch(GphaseError):
-    """Operands have incompatible or unsupported dimensions."""
-
-
 class InvalidDensityMatrix(GphaseError):
     """Input is not a valid density matrix (trace, Hermiticity or positivity)."""
 
@@ -23,18 +19,6 @@ class UnwrapFailure(GphaseError):
 
 class DegenerateEigenvector(GphaseError):
     """The reduced density matrix eigenvector direction is undefined."""
-
-
-class EigenbranchCrossing(GphaseError):
-    """Eigenvalue branches of the trajectory (nearly) cross; gauge smoothing unreliable."""
-
-
-class DimensionTooLarge(GphaseError):
-    """Dense many-body oracle requested beyond its size ceiling."""
-
-
-class StencilConditioning(GphaseError):
-    """Finite-difference coefficient extraction produced unphysical values."""
 
 
 class QuadratureNonconvergence(GphaseError):

@@ -72,13 +72,19 @@ class DecoherenceTrace:
 def trace_from_samples(times, r_values) -> DecoherenceTrace:
     """Validate sampled r(t) values and build a trace with unwrapped phase.
 
-    Raises InvalidInitialValue if r(0) deviates from 1, UnwrapFailure if the
-    grid is too coarse to unwrap the phase unambiguously.
+    Raises ValidationError naming the first time whose sample is not finite,
+    InvalidInitialValue if r(0) deviates from 1, UnwrapFailure if the grid is
+    too coarse to unwrap the phase unambiguously.
     """
     times = np.asarray(times, dtype=float)
     r = np.asarray(r_values, dtype=complex)
     if times.ndim != 1 or times.shape != r.shape:
         raise ValidationError("times and r_values must be matching 1-D arrays")
+    bad = np.flatnonzero(~(np.isfinite(times) & np.isfinite(r)))
+    if bad.size:
+        i = bad[0]
+        raise ValidationError(
+            f"sample {i} is not finite: r({float(times[i])!r}) = {complex(r[i])!r}")
     if len(times) < 3:
         raise ValidationError("need at least 3 samples")
     dt = np.diff(times)

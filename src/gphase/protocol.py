@@ -32,7 +32,6 @@ import numpy as np
 
 from .errors import InvalidDensityMatrix, ValidationError
 from .gp import DecoherenceTrace, SystemParams, geometric_phase, trace_from_samples
-from .qmat import I2, X, Z
 from .two_level import (
     CouplingConvention,
     TwoLevelBathParams,
@@ -48,7 +47,11 @@ READOUT_SAMPLES = 64
 # Samples per cycle of correction_point's theory column.
 THEORY_SAMPLES = 1024
 
-# The Pauli strings of H, system (x) environment.
+# Pauli matrices, Z|0> = +|0>, and the Pauli strings of H in the
+# (system x environment) Kronecker order of np.kron.
+I2 = np.eye(2, dtype=complex)
+X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
+Z = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
 ZI = np.kron(Z, I2)
 ZZ = np.kron(Z, Z)
 IZ = np.kron(I2, Z)

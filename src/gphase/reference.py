@@ -14,7 +14,11 @@ tests and demos set beside it:
   per mode (``mode_coefficients``) against the Ising closed forms of
   ``perturbative``;
 - the smallest Trotter step count that meets the 0.3% fidelity budget
-  (``find_min_trotter_steps``), frozen as ``PINNED_TROTTER_STEPS``.
+  (``find_min_trotter_steps``), frozen as ``PINNED_TROTTER_STEPS``;
+- the dense two-qubit partial trace (``partial_trace_env``) against the
+  protocol's single-einsum coherence readout.
+
+The errors that only these routes raise are defined here too.
 
 The runtime never imports this module, so the code the command line runs
 holds no checker of its own.
@@ -27,18 +31,28 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import (
-    DimensionTooLarge,
-    EigenbranchCrossing,
-    InvalidDensityMatrix,
-    StencilConditioning,
-    ValidationError,
-)
+from .errors import GphaseError, InvalidDensityMatrix, ValidationError
 from .gp import DecoherenceTrace, SystemParams, _simpson
 from .ising import IsingBathParams, dispersion
 from .perturbative import PerturbativeGp, _assemble
-from .protocol import ProtocolParams, step_counts, worst_cycle_fidelity
-from .qmat import I2, X, Z
+from .protocol import I2, X, Z, ProtocolParams, step_counts, worst_cycle_fidelity
+
+
+class DimensionMismatch(GphaseError):
+    """Operands have incompatible or unsupported dimensions."""
+
+
+class EigenbranchCrossing(GphaseError):
+    """Eigenvalue branches of the trajectory (nearly) cross; gauge smoothing unreliable."""
+
+
+class DimensionTooLarge(GphaseError):
+    """Dense many-body oracle requested beyond its size ceiling."""
+
+
+class StencilConditioning(GphaseError):
+    """Finite-difference coefficient extraction produced unphysical values."""
+
 
 # Smallest power-of-two step count for which the full-cycle Trotter fidelity
 # stays at or above 0.997 across B in [-0.2 W, 0.2 W] at the reference
@@ -238,3 +252,29 @@ def find_min_trotter_steps(p: ProtocolParams, b_values) -> int:
         f"no power-of-two step count <= {MAX_TROTTER_STEPS} reaches fidelity "
         f"{TROTTER_FIDELITY_THRESHOLD}"
     )
+
+
+# Largest deviation of a density matrix's trace from 1, and its smallest
+# eigenvalue, that _check_density accepts.
+TRACE_TOL = 1e-10
+PSD_FLOOR = -1e-10
+
+
+def _check_density(rho: np.ndarray) -> np.ndarray:
+    if np.max(np.abs(rho - rho.conj().T)) > 1e-10:
+        raise InvalidDensityMatrix("density matrix is not Hermitian")
+    tr = np.trace(rho).real
+    if abs(tr - 1.0) > TRACE_TOL:
+        raise InvalidDensityMatrix(f"trace {tr!r} deviates from 1 beyond {TRACE_TOL}")
+    if np.min(np.linalg.eigvalsh(rho)) < PSD_FLOOR:
+        raise InvalidDensityMatrix("density matrix has a negative eigenvalue")
+    return rho
+
+
+def partial_trace_env(rho) -> np.ndarray:
+    """Trace out the second qubit of a 4x4 two-qubit density matrix."""
+    rho = np.asarray(rho, dtype=complex)
+    if rho.shape != (4, 4):
+        raise DimensionMismatch(f"expected 4x4, got {rho.shape}")
+    r = _check_density(rho).reshape(2, 2, 2, 2)
+    return np.trace(r, axis1=1, axis2=3)

@@ -46,6 +46,8 @@ class TwoLevelBathParams:
     def __post_init__(self):
         if not (self.delta_gap > 0 and np.isfinite(self.delta_gap)):
             raise ValidationError(f"delta_gap must be positive, got {self.delta_gap}")
+        if not np.all(np.isfinite([self.b_field, self.coupling])):
+            raise ValidationError(f"b_field and coupling must be finite, got {self}")
 
 
 def ground_state(p: TwoLevelBathParams) -> np.ndarray:
@@ -81,7 +83,9 @@ def require_resolved(p: TwoLevelBathParams, tau: float, intervals: int) -> None:
     interval; on a coarser grid a winding aliases, and no later unwrap check
     can tell it from a slow one."""
     band = bandwidth(p)
-    if band * tau / intervals >= np.pi:
+    turn = band * tau / intervals
+    # not (turn < pi), so that a NaN turn fails too
+    if not turn < np.pi:
         raise UnwrapFailure(
             f"grid of {intervals} intervals per cycle aliases the decoherence factor: "
             f"bandwidth {band:.6g} rad/s needs more than {band * tau / np.pi:.6g} intervals "

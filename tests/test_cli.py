@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from gphase import cli, protocol
-from gphase.cli import EXPERIMENTS, PRESETS, _results, main, parse_config, presets
+from gphase.cli import EXPERIMENTS, PRESETS, _results, main, parse_config
 from gphase.errors import GphaseError
 from gphase.gp import SystemParams, build_trace, geometric_phase
 from gphase.protocol import ProtocolParams
@@ -25,9 +25,21 @@ def run_cli(argv, tmp_path, name="out"):
     return rc, path.read_bytes() if path.exists() else b""
 
 
+def exit_code(argv):
+    """``main(argv)``, or the status of the SystemExit that argparse raises."""
+    try:
+        return main(argv)
+    except SystemExit as exc:
+        return exc.code
+
+
+def settable(exp):
+    return [k for k in exp.defaults if k not in exp.fixed]
+
+
 class TestPresets:
     def test_exactly_three(self):
-        assert presets() == ["paper-fig1c", "paper-figA", "trotter-claim"]
+        assert list(PRESETS) == ["paper-fig1c", "paper-figA", "trotter-claim"]
 
     def test_figA_parameters(self):
         p = parse_config(["ising-sweep", "--preset", "paper-figA"]).parameters
@@ -52,8 +64,16 @@ class TestPresets:
     def test_listing_command(self, capsys):
         assert main(["presets"]) == 0
         out = capsys.readouterr().out
-        for name in presets():
+        for name in PRESETS:
             assert name in out
+
+    def test_listing_names_only_settable_keys(self, capsys):
+        assert main(["presets"]) == 0
+        lines = dict(line.split(": ", 1) for line in capsys.readouterr().out.splitlines())
+        for name, experiment in PRESETS.items():
+            exp = EXPERIMENTS[experiment]
+            keys = [cell.split("=")[0] for cell in lines[name].split()[1:]]
+            assert keys == settable(exp)
 
 
 class TestGpCurve:
@@ -199,8 +219,7 @@ class TestExitCodes:
     # at B = 0 this coupling (d = omega) makes r(t) a sign-flipping real
     # cosine whose unwrap fails at every resolution; the grid includes that
     # point, and at B = +-0.2 omega both columns resolve r(t)
-    _BAD = ["correction", "--coupling", str(100 * np.pi),
-            "--b-points", "3", "--samples", "64"]
+    _BAD = ["correction", "--coupling", str(100 * np.pi), "--b-points", "3"]
 
     def test_runtime_failure_without_keep_going(self, tmp_path):
         rc = main(self._BAD + ["--output", str(tmp_path / "f.csv")])
@@ -316,17 +335,63 @@ class TestScaleInvariance:
 
 
 class TestPhysicalFlags:
-    @pytest.mark.parametrize("key", sorted({k for e in EXPERIMENTS.values() for k in e.defaults}))
+    @pytest.mark.parametrize("key", sorted({k for e in EXPERIMENTS.values() for k in settable(e)}))
     def test_flag_parses_for_each_experiment_with_the_key(self, key):
         # one flag per key, typed by the key's default in every experiment
         owners = {name: exp.defaults[key] for name, exp in EXPERIMENTS.items()
-                  if key in exp.defaults}
+                  if key in settable(exp)}
         assert len({type(v) for v in owners.values()}) == 1
         for name, default in owners.items():
             argv = [name, f"--{key.replace('_', '-')}", str(default)]
             value = parse_config(argv).parameters[key]
             assert type(value) is type(default)
             assert value == default
+
+
+class TestEveryFlagMoves:
+    """Every flag an experiment accepts moves its payload.  A key that cannot
+    is fixed: its flag exits 2 instead of printing the same numbers under a
+    new config_hash."""
+
+    # small grids; coarse-trotter makes correction read --trotter-steps, and
+    # trotter-check scans fields past 0.3 omega, where the worst fidelity is
+    # no longer at the largest |B|, so that --b-points can move it
+    BASE = {
+        "trace": ["--samples", "64"],
+        "gp-curve": ["--samples", "64"],
+        "correction": ["--decomposition", "coarse-trotter", "--b-points", "2"],
+        "ising-sweep": ["--n-spins", "10", "--lambda-points", "2", "--samples", "64"],
+        "ising-approx": ["--lambda-points", "2"],
+        "trotter-check": ["--max-steps", "2", "--b-points", "3", "--b-min", "0",
+                          "--b-max", "200"],
+    }
+
+    @staticmethod
+    def payload(argv):
+        """CSV payload of ``argv`` without its config_hash column, or None
+        if the run fails."""
+        try:
+            columns, rows = cli._rows(parse_config(argv))
+        except GphaseError:
+            return None
+        return cli._render_csv(columns[:-1], [row[:-1] for row in rows])
+
+    @staticmethod
+    def moved(key, value):
+        if isinstance(value, str):
+            return next(c for c in cli._CHOICES[key] if c != value)
+        return 2 * value if value else 0.5
+
+    @pytest.mark.parametrize("name", list(EXPERIMENTS))
+    def test_each_flag_moves_the_payload(self, name):
+        base = [name, *self.BASE[name]]
+        params = parse_config(base).parameters
+        before = self.payload(base)
+        assert before is not None
+        still = [key for key in settable(EXPERIMENTS[name])
+                 if self.payload(base + [f"--{key.replace('_', '-')}",
+                                         str(self.moved(key, params[key]))]) in (before, None)]
+        assert still == []
 
 
 def test_two_level_bath_holds_the_grid_field_exactly(monkeypatch):
@@ -438,7 +503,17 @@ class TestRejectedBeforeWork:
     def test_protocol_convention(self, point_calls):
         # the protocol simulates the zz coupling whatever the flag says, so
         # its column used to disagree in sign with the projector theory column
-        assert main(["correction", "--convention", "projector", "--b-points", "3"]) == 3
+        assert main(["correction", "--convention", "projector", "--b-points", "3"]) == 2
+        assert point_calls == []
+
+    @pytest.mark.parametrize("argv", [
+        ["trace", "--znu", "0"],   # exited 3 on a > 0 check, its only reader
+        *([name, f"--{key.replace('_', '-')}", str(exp.defaults[key])]
+          for name, exp in EXPERIMENTS.items() for key in exp.fixed),
+    ], ids=" ".join)
+    def test_fixed_key_flag(self, argv, point_calls):
+        # each used to print its experiment's numbers unmoved under a new hash
+        assert exit_code(argv) == 2
         assert point_calls == []
 
     def test_nan_lambda(self, point_calls):
@@ -454,7 +529,7 @@ class TestRejectedBeforeWork:
         ["ising-approx", "--omega-over-j", "-1"],
         ["ising-approx", "--omega-over-j", "0"],
         ["gp-curve", "--sweep", "theta", "0.5", "0.7", "0"],
-        ["trace", "--znu", "0"],
+        ["correction", "--trotter-steps", "0"],
         # the chain columns are divided by N delta^2
         ["ising-approx", "--coupling", "0", "--lambda-points", "2"],
         ["ising-sweep", "--coupling", "0", "--lambda-points", "2"],

@@ -3,13 +3,12 @@ import pytest
 
 from gphase.errors import (
     DegenerateEigenvector,
-    EigenbranchCrossing,
     InvalidInitialValue,
     UnwrapFailure,
     ValidationError,
 )
 from gphase.gp import SystemParams, build_trace, geometric_phase, trace_from_samples
-from gphase.reference import density_trajectory, gp_from_trajectory
+from gphase.reference import EigenbranchCrossing, density_trajectory, gp_from_trajectory
 from gphase.two_level import TwoLevelBathParams, decoherence_factor_oracle
 
 OMEGA = 100.0 * np.pi
@@ -128,6 +127,19 @@ class TestBuildTrace:
         with pytest.raises(ValidationError):
             build_trace(ones_sampler, sp, 32)
 
+    def test_nan_sampler_fails(self):
+        # every check of a trace is False on NaN, so a NaN sample used to pass
+        # them all and give an all-NaN GpResult
+        sp = SystemParams(omega=OMEGA, theta=0.5)
+
+        def sampler(t):
+            r = np.ones_like(t, dtype=complex)
+            r[-1] = np.nan
+            return r
+
+        with pytest.raises(ValidationError, match="not finite"):
+            build_trace(sampler, sp, 64)
+
     def test_grid_refinement_consistency(self):
         # sampled trace values agree with a 10x finer evaluation on shared points
         sp = SystemParams(omega=OMEGA, theta=np.pi / 4)
@@ -144,6 +156,19 @@ class TestBuildTrace:
         tr = build_trace(lambda t: decoherence_factor_oracle(paper_bath(), t), sp, 256)
         rebuilt = tr.magnitude * np.exp(-1j * tr.phase_unwrapped)
         np.testing.assert_allclose(rebuilt, tr.r_values, atol=1e-12)
+
+
+class TestNonFiniteSamples:
+    def test_nan_sample_names_its_time(self):
+        r = np.ones(5, dtype=complex)
+        r[2] = np.nan
+        with pytest.raises(ValidationError, match=r"^sample 2 is not finite: r\(0\.5\)"):
+            trace_from_samples(np.linspace(0.0, 1.0, 5), r)
+
+    def test_non_finite_time(self):
+        times = np.array([0.0, 0.25, np.inf, 0.75, 1.0])
+        with pytest.raises(ValidationError, match=r"^sample 2 is not finite: r\(inf\)"):
+            trace_from_samples(times, np.ones(5, dtype=complex))
 
 
 def decay_to(sp, r_end, samples=256):

@@ -1,8 +1,9 @@
 """No module imports a name it never uses, and no module-level definition of
 the package goes unread (stdlib ``ast``; no linter needed).  No runtime module
 imports ``gphase.reference``, the second routes the runtime is checked
-against, and the CLI's import leaves out both it and the scipy subpackages it
-does not need.
+against, and the runtime reads every definition it holds, so what only the
+reference, tests or demos read lives in the reference.  The CLI's import
+leaves out both the reference and the scipy subpackages it does not need.
 
 Package ``__init__.py`` files re-export names and are skipped by the import
 check; a re-export is no read.
@@ -116,6 +117,11 @@ def test_every_package_definition_is_read():
     package = {str(p.relative_to(ROOT)): p.read_text()
                for p in SOURCES if p.parent.name == "gphase"}
     assert unread_definitions(package, [p.read_text() for p in SOURCES]) == []
+
+
+def test_every_runtime_definition_is_read_by_the_runtime():
+    runtime = {str(p.relative_to(ROOT)): p.read_text() for p in RUNTIME}
+    assert unread_definitions(runtime, list(runtime.values())) == []
 
 
 def test_detects_an_unread_definition():

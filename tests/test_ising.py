@@ -6,7 +6,7 @@ import pytest
 import scipy.linalg
 
 import gphase.ising
-from gphase.errors import DimensionTooLarge, MagnitudeUnderflow, ValidationError
+from gphase.errors import MagnitudeUnderflow, ValidationError
 from gphase.ising import (
     IsingBathParams,
     bogoliubov_angle,
@@ -14,8 +14,8 @@ from gphase.ising import (
     dispersion,
     momenta,
 )
-from gphase.qmat import I2, X, Z
-from gphase.reference import brute_force_oracle
+from gphase.protocol import I2, X, Z
+from gphase.reference import DimensionTooLarge, brute_force_oracle
 
 
 class TestParams:

@@ -10,7 +10,6 @@ from gphase.errors import (
     DomainError,
     PerturbativeBreakdown,
     QuadratureNonconvergence,
-    StencilConditioning,
     ValidationError,
 )
 from gphase.gp import SystemParams, build_trace, geometric_phase
@@ -30,7 +29,12 @@ from gphase.perturbative import (
     ising_closed_forms,
     IsingClosedForms,
 )
-from gphase.reference import extract_coefficients_numeric, gp_third_order, mode_coefficients
+from gphase.reference import (
+    StencilConditioning,
+    extract_coefficients_numeric,
+    gp_third_order,
+    mode_coefficients,
+)
 from gphase.two_level import TwoLevelBathParams, decoherence_factor_oracle
 
 OMEGA = 100.0 * np.pi

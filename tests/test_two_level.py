@@ -6,7 +6,7 @@ import pytest
 
 from gphase.errors import UnwrapFailure, ValidationError
 from gphase.gp import SystemParams, build_trace, geometric_phase, trace_from_samples
-from gphase.qmat import X, Z
+from gphase.protocol import X, Z
 from gphase.reference import density_trajectory, gp_from_trajectory
 from gphase.two_level import (
     CouplingConvention,
@@ -15,6 +15,7 @@ from gphase.two_level import (
     decoherence_factor_oracle,
     ground_state,
     oracle_trace,
+    require_resolved,
 )
 
 OMEGA = 100.0 * np.pi
@@ -35,6 +36,13 @@ class TestParams:
     def test_validation(self):
         with pytest.raises(ValidationError):
             TwoLevelBathParams(delta_gap=-1.0, b_field=0.0, coupling=0.1)
+
+    @pytest.mark.parametrize("name, value", [
+        ("b_field", np.nan), ("b_field", -np.inf), ("coupling", np.nan), ("coupling", np.inf)])
+    def test_non_finite_field_or_coupling(self, name, value):
+        # a NaN coupling used to give oracle_trace a NaN correction
+        with pytest.raises(ValidationError, match="finite"):
+            TwoLevelBathParams(**{"delta_gap": 1.0, "b_field": 0.1, "coupling": 0.1, name: value})
 
 
 class TestEigenenergies:
@@ -153,6 +161,11 @@ class TestOracle:
         trace = oracle_trace(p, sysp, 1024)
         assert (trace.samples > 1024) == refines
         np.testing.assert_array_equal(trace.phase_unwrapped, direct.phase_unwrapped)
+
+    def test_nan_turn_is_unresolved(self):
+        # a NaN turn per interval used to pass the ">= pi" check
+        with pytest.raises(UnwrapFailure):
+            require_resolved(paper_bath(), np.nan, 64)
 
     def test_convention_bridge(self):
         # projector branches (B, B+2d) match the zz pair at field B+d with the
