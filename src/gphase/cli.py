@@ -463,6 +463,8 @@ def parse_config(argv) -> RunConfig | None:
             raise ConfigParseError(
                 f"{experiment} fixes {key} at {params[key]!r}: it cannot move the output")
         params[key] = val
+    if args.trotter_steps is not None and params["decomposition"] == Decomposition.EXACT.value:
+        raise ConfigParseError("--trotter-steps is read only under --decomposition coarse-trotter")
 
     sweep = None
     if args.sweep:

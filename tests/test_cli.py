@@ -341,8 +341,10 @@ class TestPhysicalFlags:
         owners = {name: exp.defaults[key] for name, exp in EXPERIMENTS.items()
                   if key in settable(exp)}
         assert len({type(v) for v in owners.values()}) == 1
+        # correction accepts --trotter-steps only with the stepped decomposition
+        context = ["--decomposition", "coarse-trotter"] if key == "trotter_steps" else []
         for name, default in owners.items():
-            argv = [name, f"--{key.replace('_', '-')}", str(default)]
+            argv = [name, *context, f"--{key.replace('_', '-')}", str(default)]
             value = parse_config(argv).parameters[key]
             assert type(value) is type(default)
             assert value == default
@@ -506,6 +508,14 @@ class TestRejectedBeforeWork:
         assert main(["correction", "--convention", "projector", "--b-points", "3"]) == 2
         assert point_calls == []
 
+    @pytest.mark.parametrize("steps", ["64", "128"])
+    def test_trotter_steps_under_exact(self, steps, point_calls, capsys):
+        # the exact decomposition never reads the step count, so --trotter-steps
+        # used to print the same rows under a new config_hash
+        assert main(["correction", "--trotter-steps", steps, "--b-points", "3"]) == 2
+        assert "--decomposition coarse-trotter" in capsys.readouterr().err
+        assert point_calls == []
+
     @pytest.mark.parametrize("argv", [
         ["trace", "--znu", "0"],   # exited 3 on a > 0 check, its only reader
         *([name, f"--{key.replace('_', '-')}", str(exp.defaults[key])]
@@ -529,7 +539,7 @@ class TestRejectedBeforeWork:
         ["ising-approx", "--omega-over-j", "-1"],
         ["ising-approx", "--omega-over-j", "0"],
         ["gp-curve", "--sweep", "theta", "0.5", "0.7", "0"],
-        ["correction", "--trotter-steps", "0"],
+        ["correction", "--decomposition", "coarse-trotter", "--trotter-steps", "0"],
         # the chain columns are divided by N delta^2
         ["ising-approx", "--coupling", "0", "--lambda-points", "2"],
         ["ising-sweep", "--coupling", "0", "--lambda-points", "2"],

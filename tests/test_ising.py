@@ -99,10 +99,16 @@ class TestProduct:
         t = np.linspace(0, 12, 3000)
         assert np.max(np.abs(decoherence_product(p, t))) <= 1.0 + 1e-12
 
-    def test_against_dense_oracle(self):
-        p = IsingBathParams(8, 1.0, 0.5, 0.01)
-        t = 1.3
-        assert abs(decoherence_product(p, t) - brute_force_oracle(p, t)) < 1e-8
+    # cos D < 0 in one mode at (0.5, 0.9) and at (1.5, -1.0): the hoisted
+    # 2 cos D is negative there, and the atan2 of its phase turns the other way
+    @pytest.mark.parametrize("lam, delta", [
+        *((lam, delta) for lam in (0.5, 1.0, 1.5) for delta in (-0.3, 0.01, 0.9)),
+        (1.5, -1.0),
+    ])
+    def test_against_dense_oracle(self, lam, delta):
+        p = IsingBathParams(8, 1.0, lam, delta)
+        t = np.linspace(0, 6, 25)
+        assert np.max(np.abs(decoherence_product(p, t) - brute_force_oracle(p, t))) < 1e-8
 
     def test_mode_additivity(self):
         # log r adds over momenta: the product over two half-grids equals the
@@ -140,15 +146,17 @@ class TestProduct:
 
     def test_block_size_invariance(self, monkeypatch):
         # 500 modes, not a multiple of 7; blocks of 1, 7 and all 500 modes (the
-        # whole (N/2, M) array) give the same bits
-        p = IsingBathParams(1000, 1.0, 1.0, 5e-5)
+        # whole (N/2, M) array) give the same bits: at weak coupling, for a
+        # shift down, and across lam = 1, where 74 modes have cos D < 0
         t = np.linspace(0, 2 * np.pi, 1025)
-        outs = []
-        for modes in (1, 7, 500):
-            monkeypatch.setattr(gphase.ising, "_BLOCK_SAMPLES", modes * t.size)
-            outs.append(decoherence_product(p, t))
-        assert np.array_equal(outs[0], outs[1])
-        assert np.array_equal(outs[0], outs[2])
+        for lam, delta in ((1.0, 5e-5), (1.0, -0.3), (0.5, 0.9)):
+            p = IsingBathParams(1000, 1.0, lam, delta)
+            outs = []
+            for modes in (1, 7, 500):
+                monkeypatch.setattr(gphase.ising, "_BLOCK_SAMPLES", modes * t.size)
+                outs.append(decoherence_product(p, t))
+            assert np.array_equal(outs[0], outs[1])
+            assert np.array_equal(outs[0], outs[2])
 
     @pytest.mark.parametrize("lam", [0.0, 0.4, 1.0, 2.0])
     def test_log_magnitude_against_mpmath(self, lam):
