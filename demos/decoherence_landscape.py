@@ -2,7 +2,7 @@
 """Decoherence factor of the two-level critical bath across its field range.
 
 Demonstrates:
-1. Sampling r(t) over one system cycle with build_trace
+1. Sampling r(t) over one system cycle with oracle_trace
 2. The collapse-revival landscape |r(t)|^2 as a function of (t, B)
 3. Strongest decoherence at the critical point B = 0
 
@@ -13,7 +13,8 @@ from dataclasses import replace
 
 import numpy as np
 
-from gphase import SystemParams, TwoLevelBathParams, build_trace, decoherence_factor_oracle
+from gphase import SystemParams, TwoLevelBathParams, decoherence_factor_oracle
+from gphase.two_level import oracle_trace
 
 OMEGA = 100.0 * np.pi
 
@@ -28,7 +29,7 @@ def main():
     print(f"\ncycle tau = {sysp.tau:.4f} s, gap = 0.02 W, coupling = 0.1 W")
 
     # single trace at B = 0.05 W
-    trace = build_trace(lambda t: decoherence_factor_oracle(bath, t), sysp, 256)
+    trace = oracle_trace(bath, sysp, 256)
     print("\nr(t) at B = 0.05 W (every 32nd sample):")
     print("    t/tau     |r|      phase")
     for i in range(0, 257, 32):

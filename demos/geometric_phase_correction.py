@@ -23,12 +23,11 @@ from gphase import (
     ProtocolParams,
     SystemParams,
     TwoLevelBathParams,
-    build_trace,
     correction_point,
-    decoherence_factor_oracle,
     geometric_phase,
 )
 from gphase.reference import density_trajectory, gp_from_trajectory
+from gphase.two_level import oracle_trace
 
 OMEGA = 100.0 * np.pi
 
@@ -45,7 +44,7 @@ def main():
     bath = TwoLevelBathParams(delta_gap=0.02 * OMEGA, b_field=0.05 * OMEGA, coupling=0.1 * OMEGA)
 
     # route 1: closed form from the sampled decoherence factor
-    trace = build_trace(lambda t: decoherence_factor_oracle(bath, t), sysp, 4096)
+    trace = oracle_trace(bath, sysp, 4096)
     gp = geometric_phase(trace, sysp)
     print(f"\nclosed-form engine at B = 0.05 W:")
     print(f"    quadrature term  {gp.integral_part:+.6f}")
@@ -54,7 +53,7 @@ def main():
     print(f"    correction       {gp.correction:+.6f}")
 
     # route 2: parallel transport along the reconstructed trajectory
-    tr_hi = build_trace(lambda t: decoherence_factor_oracle(bath, t), sysp, 32768)
+    tr_hi = oracle_trace(bath, sysp, 32768)
     phi_transport = gp_from_trajectory(density_trajectory(tr_hi, sysp))
     gap = (gp.phi_total - phi_transport + np.pi) % (2 * np.pi) - np.pi
     print(f"\nparallel-transport route: {phi_transport:+.6f}  (gap {gap:+.2e} rad)")

@@ -39,7 +39,7 @@ from datetime import datetime, timezone
 import numpy as np
 
 from . import __version__
-from .errors import ConfigParseError, GphaseError, ValidationError
+from .errors import CancellationFloor, ConfigParseError, GphaseError, ValidationError
 from .gp import MIN_SAMPLES, SystemParams, build_trace, geometric_phase
 from .ising import IsingBathParams, decoherence_product
 from .perturbative import gp_approx_ising
@@ -176,9 +176,12 @@ def _ising_orders_norm(bath: IsingBathParams, sysp: SystemParams) -> list[float]
 def _ising_sweep_rows(args) -> list[list[float]]:
     bath, sysp, samples = args
     orders = _ising_orders_norm(bath, sysp)
-    trace = build_trace(lambda t: decoherence_product(bath, t), sysp, samples)
-    exact = geometric_phase(trace, sysp).correction
-    return [[exact / (bath.n_spins * bath.coupling**2), *orders]]
+    g = geometric_phase(build_trace(lambda t: decoherence_product(bath, t), sysp, samples), sysp)
+    floor = 2.0**10 * np.spacing(max(abs(g.phi_unitary), abs(g.integral_part), abs(g.arctan_part)))
+    if abs(g.correction) < floor:
+        raise CancellationFloor(f"correction {g.correction:.3g} rad is below the rounding floor "
+                                f"{floor:.3g} rad of the phases it is the difference of")
+    return [[g.correction / (bath.n_spins * bath.coupling**2), *orders]]
 
 
 def _ising_approx_rows(args) -> list[list[float]]:
@@ -361,7 +364,7 @@ def _rows(config: RunConfig) -> tuple[list[str], list[list]]:
                 log.warning("point failed: %s", msg)
                 if not config.keep_going:
                     raise GphaseError(msg)
-                result = [[np.nan] * (len(columns) - len(head))]
+                result = [[None] * (len(columns) - len(head))]  # CSV nan, JSON null
             rows += [head + row + [digest] for row in result]
     return columns + ["config_hash"], rows
 
@@ -369,7 +372,7 @@ def _rows(config: RunConfig) -> tuple[list[str], list[list]]:
 def _fmt_cell(x) -> str:
     if isinstance(x, str):
         return x
-    return format(float(x), ".17g")
+    return "nan" if x is None else format(float(x), ".17g")
 
 
 def _render_csv(columns: list[str], rows: list[list]) -> str:
@@ -384,9 +387,9 @@ def _render_json(config: RunConfig, columns: list[str], rows: list[list]) -> str
         "config": config.identity,
         "provenance": {"version": __version__, "config_hash": config.config_hash},
         "columns": columns,
-        "rows": [[x if isinstance(x, str) else float(x) for x in row] for row in rows],
+        "rows": rows,
     }
-    return json.dumps(doc, sort_keys=True, indent=1, default=float) + "\n"
+    return json.dumps(doc, sort_keys=True, indent=1, default=float, allow_nan=False) + "\n"
 
 
 def run(config: RunConfig) -> int:

@@ -25,6 +25,10 @@ class QuadratureNonconvergence(GphaseError):
     """Adaptive quadrature failed to reach the requested tolerance."""
 
 
+class CancellationFloor(GphaseError):
+    """A phase correction is within the rounding floor of the phases it is the difference of."""
+
+
 class DomainError(GphaseError):
     """Function argument outside its mathematical domain."""
 

@@ -11,7 +11,7 @@ B = sign(lambda)|lambda|^{z nu} Delta; this module takes B itself.
 The system couples through Z, so conditioned on the system pointer states
 the environment evolves under two shifted branch Hamiltonians; their
 overlap is the decoherence factor, which ``decoherence_factor_oracle``
-computes from exact 2x2 propagators.  Its fastest frequency, ``bandwidth``,
+writes in closed form in Bloch vectors.  Its fastest frequency, ``bandwidth``,
 sets the coarsest grid that resolves it (``require_resolved``), and
 ``oracle_trace`` keeps a trace only from such a grid.
 """
@@ -72,8 +72,7 @@ def bandwidth(p: TwoLevelBathParams) -> float:
 
     r(t) = <eps1(t)|eps0(t)> beats the branch energies +-E_0 against +-E_1,
     E_j = hypot(b_j, Delta), so its fastest component is E_0 + E_1."""
-    b0, b1 = _branch_fields(p)
-    return float(np.hypot(b0, p.delta_gap) + np.hypot(b1, p.delta_gap))
+    return float(np.sum(np.hypot(_branch_fields(p), p.delta_gap)))
 
 
 def require_resolved(p: TwoLevelBathParams, tau: float, intervals: int) -> None:
@@ -93,35 +92,28 @@ def require_resolved(p: TwoLevelBathParams, tau: float, intervals: int) -> None:
 
 
 def decoherence_factor_oracle(p: TwoLevelBathParams, t, initial=None):
-    """Exact branch-overlap decoherence factor <eps1(t)|eps0(t)>.
+    """Exact branch-overlap decoherence factor <psi|e^{+iH1 t} e^{-iH0 t}|psi>.
 
-    Branch Hamiltonians H_j = b_j Z + Delta X follow ``p.convention``; the
-    initial environment state defaults to the bath ground state.  Uses the
-    closed-form 2x2 exponential e^{-iHt} = cos(Et) - i sin(Et) H/E.  Never
-    reads the system angle theta: pure dephasing makes r(t) independent of
-    the system state.  Accepts scalar or array t; |r| <= 1 and r(0) = 1
-    exactly.
+    With H_j = b_j Z + Delta X = E_j n_j.sigma (b_j from ``p.convention``),
+    e^{-iH_j t} = c_j - i s_j n_j.sigma, c_j and s_j the cos and sin of E_j t;
+    so from the Bloch vector m = <psi|sigma|psi> of the initial environment
+    state (default: the bath ground state)
+
+        r = <psi|psi>(c1 c0 + s1 s0 n1.n0) + i(s1 c0 n1.m - c1 s0 n0.m + s1 s0 (n1 x n0).m).
+
+    Never reads the system angle theta: pure dephasing makes r(t) independent
+    of the system state.  Accepts scalar or array t; r(0) = <psi|psi> exactly.
     """
     psi = ground_state(p) if initial is None else np.asarray(initial, dtype=complex)
-    b0, b1 = _branch_fields(p)
-    gap = p.delta_gap
-    t = np.asarray(t, dtype=float)
-
-    def _u(b, tt, sign):
-        e = np.hypot(b, gap)  # >= gap > 0
-        c = np.cos(e * tt)
-        s = np.sin(e * tt) * sign
-        bz, gx = b / e, gap / e
-        u = np.zeros(tt.shape + (2, 2), dtype=complex)
-        u[..., 0, 0] = c - 1j * s * bz
-        u[..., 1, 1] = c + 1j * s * bz
-        u[..., 0, 1] = -1j * s * gx
-        u[..., 1, 0] = -1j * s * gx
-        return u
-
-    u1 = _u(b1, t, -1.0)   # e^{+i H1 t}
-    u0 = _u(b0, t, +1.0)   # e^{-i H0 t}
-    out = np.einsum("i,...ij,...jk,k->...", psi.conj(), u1, u0, psi)
+    w = 2.0 * psi[0].conjugate() * psi[1]
+    m = np.array([w.real, w.imag, abs(psi[0]) ** 2 - abs(psi[1]) ** 2])
+    b = _branch_fields(p)
+    e = np.hypot(b, p.delta_gap)  # E_0, E_1 >= gap > 0
+    n0, n1 = (np.array([p.delta_gap, 0.0, bj]) / ej for bj, ej in zip(b, e))
+    et = np.multiply.outer(e, t)
+    (c0, c1), (s0, s1) = np.cos(et), np.sin(et)
+    out = (np.vdot(psi, psi).real * (c1 * c0 + s1 * s0 * (n1 @ n0))
+           + 1j * (s1 * c0 * (n1 @ m) - c1 * s0 * (n0 @ m) + s1 * s0 * (np.cross(n1, n0) @ m)))
     return out if out.shape else complex(out)
 
 

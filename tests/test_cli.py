@@ -275,6 +275,41 @@ class TestExitCodes:
         assert len(rows) == 3
         assert all(r[1] == "nan" and r[2] == "nan" for r in rows)
 
+    def test_failed_cells_are_json_null(self, tmp_path):
+        # RFC 8259 has no NaN: a failed cell is null, and a strict parser
+        # reads the whole document
+        def reject(token):
+            raise ValueError(f"non-JSON constant {token}")
+
+        rc, raw = run_cli(["correction", "--coupling", "314159265.3589793", "--b-points", "3",
+                           "--keep-going", "--format", "json"], tmp_path, "alias.json")
+        assert rc == 0
+        doc = json.loads(raw, parse_constant=reject)
+        assert [row[1:3] for row in doc["rows"]] == [[None, None]] * 3
+
+    @pytest.mark.parametrize("flags", [["--coupling", "1e-9"], ["--theta", "1.5707963267948966"]])
+    def test_correction_under_its_rounding_floor_fails(self, tmp_path, caplog, flags):
+        # the exact column is a difference of O(1) phases; it used to print
+        # rounding noise as a value: -1.11, -6.66 and -4.44 next to order 2
+        # at -0.069, -0.838 and -0.0058 at delta = 1e-9, and -1.78e-8 at
+        # every lambda at theta = pi/2, where the correction is exactly 0
+        rc, raw = run_cli(["ising-sweep", "--lambda-points", "3", "--samples", "1024", *flags,
+                           "--keep-going"], tmp_path, "floor.csv")
+        assert rc == 0
+        rows = [r.split(",") for r in raw.decode().strip().splitlines()[1:]]
+        assert [r[1] for r in rows] == ["nan"] * 3
+        assert caplog.text.count("CancellationFloor: ") == 3
+
+    def test_smallest_measured_correction_clears_the_floor(self, tmp_path):
+        # N = 10 at omega = 2 J holds the smallest correction seen on any
+        # grid, about 1.9e-10 rad, three decades above the floor
+        rc, raw = run_cli(["ising-sweep", "--n-spins", "10", "--omega-over-j", "2"], tmp_path,
+                          "small.csv")
+        assert rc == 0
+        rows = [r.split(",") for r in raw.decode().strip().splitlines()[1:]]
+        assert len(rows) == 41
+        assert min(abs(float(r[1])) for r in rows) * 10 * 5e-5**2 < 1e-9
+
     def test_aliasing_coupling_fails_the_oracle_trace(self, capsys):
         # r(t) winds about 2e6 times per cycle; the 1024-sample trace used to
         # unwrap it anyway and print a correction of -1056.59
@@ -382,6 +417,10 @@ class TestEveryFlagMoves:
     def moved(key, value):
         if isinstance(value, str):
             return next(c for c in cli._CHOICES[key] if c != value)
+        if key == "theta":
+            # doubling pi/4 reaches pi/2, where every correction is exactly 0
+            # and the ising-sweep exact column fails its rounding floor
+            return value / 2
         return 2 * value if value else 0.5
 
     @pytest.mark.parametrize("name", list(EXPERIMENTS))

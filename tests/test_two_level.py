@@ -115,18 +115,31 @@ class TestOracle:
         assert "theta" not in sig.parameters
 
     def test_matches_dense_propagators(self):
-        # independent oracle: dense matrix exponentials of the branch pair
+        # independent oracle: dense matrix exponentials of the branch pair.
+        # The ground state and every other initial state in these tests are
+        # real, so <sigma_y> = 0 and the (n1 x n0).m term vanishes; seeded
+        # complex states reach it, the first one unnormalised
         import scipy.linalg
 
-        p = paper_bath(b_field=0.07 * OMEGA)
-        g = ground_state(p)
-        h_plus = (p.b_field + p.coupling) * Z + p.delta_gap * X
-        h_minus = (p.b_field - p.coupling) * Z + p.delta_gap * X
-        for t in (0.0007, 0.0041, 0.013):
-            direct = g.conj() @ scipy.linalg.expm(1j * h_minus * t) @ scipy.linalg.expm(
-                -1j * h_plus * t
-            ) @ g
-            assert abs(decoherence_factor_oracle(p, t) - direct) < 1e-12
+        rng = np.random.default_rng(20)
+        states = rng.normal(size=(12, 2)) + 1j * rng.normal(size=(12, 2))
+        states /= np.linalg.norm(states, axis=1, keepdims=True)
+        states[0] *= 1.7
+        assert np.max(np.abs((states[:, 0].conj() * states[:, 1]).imag)) > 0.1
+        t = np.array([0.0, 0.0007, 0.0041, 0.013])
+        for convention in CouplingConvention:
+            p = paper_bath(b_field=0.07 * OMEGA, convention=convention)
+            b, d = p.b_field, p.coupling
+            b0, b1 = (b + d, b - d) if convention is CouplingConvention.ZZ_TARGET else (b, b + 2 * d)
+            u1 = [scipy.linalg.expm(1j * (b1 * Z + p.delta_gap * X) * tt) for tt in t]
+            u0 = [scipy.linalg.expm(-1j * (b0 * Z + p.delta_gap * X) * tt) for tt in t]
+            for psi in [None, *states]:  # None: the default, the bath ground state
+                v = ground_state(p) if psi is None else psi
+                direct = [v.conj() @ w1 @ w0 @ v for w1, w0 in zip(u1, u0)]
+                np.testing.assert_allclose(decoherence_factor_oracle(p, t, initial=psi), direct,
+                                           rtol=0, atol=1e-12)
+            r0 = decoherence_factor_oracle(p, 0.0, initial=states[0])
+            assert r0 == np.vdot(states[0], states[0])  # exactly
 
     @pytest.mark.parametrize("convention", list(CouplingConvention))
     def test_bandwidth_is_the_widest_branch_beat(self, convention):
