@@ -39,8 +39,15 @@ from datetime import datetime, timezone
 import numpy as np
 
 from . import __version__
-from .errors import CancellationFloor, ConfigParseError, GphaseError, ValidationError
-from .gp import MIN_SAMPLES, SystemParams, build_trace, geometric_phase
+from .errors import ConfigParseError, GphaseError, ValidationError
+from .gp import (
+    MIN_SAMPLES,
+    SystemParams,
+    build_trace,
+    checked_correction,
+    geometric_phase,
+    unitary_result,
+)
 from .ising import IsingBathParams, decoherence_product
 from .perturbative import gp_approx_ising
 from .protocol import (
@@ -157,8 +164,9 @@ def _trace_rows(args) -> list[list[float]]:
 
 def _gp_curve_rows(args) -> list[list[float]]:
     sysp, bath, samples = args
-    g = geometric_phase(oracle_trace(bath, sysp, samples), sysp)
-    return [[g.phi_total, g.phi_unitary, g.correction, g.integral_part,
+    g = (unitary_result(sysp) if bath.coupling == 0
+         else geometric_phase(oracle_trace(bath, sysp, samples), sysp))
+    return [[g.phi_total, g.phi_unitary, checked_correction(g), g.integral_part,
              g.arctan_part, g.eps_plus_final]]
 
 
@@ -177,11 +185,7 @@ def _ising_sweep_rows(args) -> list[list[float]]:
     bath, sysp, samples = args
     orders = _ising_orders_norm(bath, sysp)
     g = geometric_phase(build_trace(lambda t: decoherence_product(bath, t), sysp, samples), sysp)
-    floor = 2.0**10 * np.spacing(max(abs(g.phi_unitary), abs(g.integral_part), abs(g.arctan_part)))
-    if abs(g.correction) < floor:
-        raise CancellationFloor(f"correction {g.correction:.3g} rad is below the rounding floor "
-                                f"{floor:.3g} rad of the phases it is the difference of")
-    return [[g.correction / (bath.n_spins * bath.coupling**2), *orders]]
+    return [[checked_correction(g) / (bath.n_spins * bath.coupling**2), *orders]]
 
 
 def _ising_approx_rows(args) -> list[list[float]]:

@@ -23,7 +23,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DegenerateEigenvector, InvalidInitialValue, UnwrapFailure, ValidationError
+from .errors import (
+    CancellationFloor,
+    DegenerateEigenvector,
+    InvalidInitialValue,
+    UnwrapFailure,
+    ValidationError,
+)
 
 _POLE_TOL = 1e-12          # theta pinned to 0 or pi
 _DEGENERACY_TOL = 1e-14    # Bloch radius below which the + eigenbranch is undefined
@@ -155,6 +161,26 @@ class GpResult:
     eps_plus_final: float  # larger eigenvalue of rho at t = tau
 
 
+def unitary_result(params: SystemParams) -> GpResult:
+    """The cycle at r = 1 in closed form: an uncoupled bath, and the poles
+    theta = 0, pi for any bath.  Its correction is exactly 0."""
+    phi0 = np.pi * (1.0 - np.cos(params.theta))
+    return GpResult(phi0, phi0, 0.0, phi0, 0.0, 1.0)
+
+
+def checked_correction(g: GpResult) -> float:
+    """``g.correction``, or CancellationFloor where it is under 2^10 ulp of the
+    largest of the phases it is the difference of, and so rounding noise.  The
+    unitary record subtracts nothing: its 0 passes."""
+    if g.integral_part == g.phi_unitary and g.arctan_part == 0.0:
+        return g.correction
+    floor = 2.0**10 * np.spacing(max(abs(g.phi_unitary), abs(g.integral_part), abs(g.arctan_part)))
+    if abs(g.correction) < floor:
+        raise CancellationFloor(f"correction {g.correction:.3g} rad is below the rounding floor "
+                                f"{floor:.3g} rad of the phases it is the difference of")
+    return g.correction
+
+
 def _simpson(y: np.ndarray, dt: float) -> float:
     n = len(y) - 1
     if n % 2 != 0:
@@ -176,10 +202,10 @@ def geometric_phase(trace: DecoherenceTrace, params: SystemParams) -> GpResult:
     raises DegenerateEigenvector.
     """
     theta = params.theta
+    if theta < _POLE_TOL or np.pi - theta < _POLE_TOL:
+        return unitary_result(params)
     cos_t = np.cos(theta)
     phi0 = np.pi * (1.0 - cos_t)
-    if theta < _POLE_TOL or np.pi - theta < _POLE_TOL:
-        return GpResult(phi0, phi0, 0.0, phi0, 0.0, 1.0)
 
     tau = params.tau
     if abs(trace.times[-1] - tau) > 1e-9 * tau:

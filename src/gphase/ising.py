@@ -6,14 +6,15 @@ blocks.  A system spin dephasing against the chain shifts the transverse
 field between its two branches, so the decoherence factor is a product of
 per-mode overlaps
 
-    r(t) = prod_{k>0} R_k(t) exp(i (phi_k(t) - eps_k t)),
+    r(t) = prod_{k>0} [cos(e_hi t) + i cos(D_k) sin(e_hi t)] e^{-i e_lo t},
 
-with eps_k = 2 J sqrt(1 + lam^2 - 2 lam cos k) and the Bogoliubov angle
-theta_k = atan2(sin k, lam - cos k).  The chain starts in its ground state
-at lam and the branch fields are (lam, lam+delta), the one-sided Loschmidt
-echo under which the closed forms in :mod:`gphase.perturbative` are written.
-Its second route, dense 2^N diagonalization for N <= 11, is
-``reference.brute_force_oracle``.
+with e_k = 2 J sqrt(1 + lam^2 - 2 lam cos k) at each branch and D_k the
+angle between the mode's ground-state directions, each in closed form.  The
+chain starts in its ground state at lam and the branch fields are (lam,
+lam+delta), the one-sided Loschmidt echo under which the closed forms in
+:mod:`gphase.perturbative` are written.  Its second routes are D_k as a
+difference of Bogoliubov angles (``reference.bogoliubov_angle``) and dense
+2^N diagonalization for N <= 11 (``reference.brute_force_oracle``).
 """
 
 from __future__ import annotations
@@ -54,14 +55,13 @@ def momenta(n_spins: int) -> np.ndarray:
     return (2.0 * m - 1.0) * np.pi / n_spins
 
 
-def dispersion(lam, k, j_coupling: float = 1.0):
-    """Quasiparticle energy eps_k = 2 J sqrt(1 + lam^2 - 2 lam cos k)."""
-    return 2.0 * j_coupling * np.sqrt(1.0 + lam**2 - 2.0 * lam * np.cos(k))
-
-
-def bogoliubov_angle(lam, k):
-    """theta_k with tan(theta_k) = sin k / (lam - cos k), quadrant-aware."""
-    return np.arctan2(np.sin(k), lam - np.cos(k))
+def dispersion(lam: float, k, j_coupling: float = 1.0):
+    """Quasiparticle energy e_k = 2 J sqrt(1 + lam^2 - 2 lam cos k) at a scalar field, as
+    2 J sqrt((1 - lam)^2 + 4 lam sin^2(k/2)) for lam >= 0, else 2 J sqrt((1 + lam)^2
+    + 4 |lam| cos^2(k/2)): two non-negative terms, accurate where the gap closes."""
+    if lam >= 0:
+        return 2.0 * j_coupling * np.sqrt((1.0 - lam) ** 2 + 4.0 * lam * np.sin(0.5 * k) ** 2)
+    return 2.0 * j_coupling * np.sqrt((1.0 + lam) ** 2 - 4.0 * lam * np.cos(0.5 * k) ** 2)
 
 
 def decoherence_product(p: IsingBathParams, t):
@@ -73,54 +73,61 @@ def decoherence_product(p: IsingBathParams, t):
     flushed to zero.  delta = 0 returns exactly 1.  Vectorized in t: the
     result has t's shape (a complex for scalar t).
 
-    Mode k contributes z_k = cos(x) + i cos(D) sin(x), with x = e_hi t at the
-    upper field and D = theta_hi - theta_lo.  Both parts come from the one
-    half-angle tangent u = tan(x / 2), with sin(x) = 2u / (1 + u^2):
+    With a = lam - cos k = (lam - 1) + 2 sin^2(k/2), the mode constants are
+    sin D = -4 J^2 delta sin k / (e_lo e_hi), cos D = 4 J^2 (a_lo a_hi +
+    sin^2 k) / (e_lo e_hi), cos D - 1 = -sin^2 D / (1 + cos D) where cos D > 0
+    and e_hi - e_lo = 4 J^2 delta (a_lo + a_hi) / (e_lo + e_hi): each vanishes
+    with delta, and none is a difference of angles or energies.  A negative
+    lam is taken at (-lam, -delta), where a has no cancellation at the gap:
+    k -> pi - k maps the momenta onto themselves and r(lam, delta) onto
+    r(-lam, -delta).  From T = tan(e_hi t), mode k contributes
 
-        log|z_k| = 1/2 log1p(-4 sin^2(D) (u / (1 + u^2))^2),
-        arg z_k  = atan2(2 cos(D) u, 1 - u^2).
+        log|z_k|^2 = log1p(-sin^2 D T^2 / (1 + T^2)),
+        arg z_k - e_hi t = atan2((cos D - 1) T, 1 + cos D T^2),
 
-    At weak coupling |z_k|^2 = 1 - sin^2(D) sin^2(x) lies within O(delta^2)
-    of 1, where rounding |z_k|^2 itself would lose the digits of the small
-    term; log1p takes that term directly.  At the pole x = pi of the
-    tangent, u is huge but finite and both forms stay finite (z_k = -1).
-
-    The mode constants e_hi/2, -4 sin^2(D) and 2 cos(D) are formed once per
-    call and the 1/2 of log|z_k| is applied to the sum, exact scalings that
-    keep every bit.  Blocks of about ``_BLOCK_SAMPLES`` mode-samples are
-    evaluated in place in four reused buffers (11 array passes per
-    mode-sample) and their rows added into the two length-M sums in mode
-    order (2 more): O(M) memory for M times, bits independent of block size.
+    and the phase is t sum(e_hi - e_lo) plus these bounded angles.  log1p
+    keeps the O(delta^2) term that forming |z_k|^2 would round away, and at
+    the tangent's pole T is huge but finite.  Blocks of about
+    ``_BLOCK_SAMPLES`` mode-samples are evaluated in place in four reused
+    buffers (11 array passes per mode-sample) and their rows added into the
+    two length-M sums in mode order (2 more): O(M) memory for M times, bits
+    independent of block size.
     """
     t = np.asarray(t, dtype=float)
     tt = t.reshape(-1)
     k = momenta(p.n_spins)[:, None]
-    lam_hi = p.lam + p.coupling
     rows = min(k.shape[0], max(1, _BLOCK_SAMPLES // max(tt.size, 1)))
 
     # |g_k> is an eigenstate of the lower branch: per-mode closed form
-    d = bogoliubov_angle(lam_hi, k) - bogoliubov_angle(p.lam, k)
-    half_e = 0.5 * dispersion(lam_hi, k, p.j_coupling)
-    c_mag, c_arg = 4.0 * -np.sin(d) ** 2, 2.0 * np.cos(d)
+    lam, delta = (p.lam, p.coupling) if p.lam >= 0 else (-p.lam, -p.coupling)
+    sin_k, two_s2 = np.sin(k), 2.0 * np.sin(0.5 * k) ** 2
+    a_lo, a_hi = (lam - 1.0) + two_s2, (lam - 1.0 + delta) + two_s2
+    e_lo, e_hi = dispersion(lam, k, p.j_coupling), dispersion(lam + delta, k, p.j_coupling)
+    jj = 4.0 * p.j_coupling**2
+    norm = jj / (e_lo * e_hi)
+    sin2_d = (delta * sin_k * norm) ** 2
+    cos_d = (a_lo * a_hi + sin_k**2) * norm
+    # np.where evaluates both branches: 1 + |cos D| keeps the dropped one finite
+    cos_d_m1 = np.where(cos_d > 0.0, -sin2_d / (1.0 + np.abs(cos_d)), cos_d - 1.0)
     work = np.empty((4, rows, tt.size))
     log_mag, phase = np.zeros((2, tt.size))
     for start in range(0, k.shape[0], rows):
         blk = slice(start, start + rows)
-        u, u2, s, v = work[:, :half_e[blk].shape[0]]
-        np.tan(np.multiply(half_e[blk], tt, out=u), out=u)
+        u, u2, s, v = work[:, :e_hi[blk].shape[0]]
+        np.tan(np.multiply(e_hi[blk], tt, out=u), out=u)
         np.multiply(u, u, out=u2)
-        np.divide(u, np.add(1.0, u2, out=s), out=s)  # sin(x) / 2
-        np.multiply(np.multiply(c_mag[blk], s, out=v), s, out=v)
+        np.divide(u2, np.add(1.0, u2, out=s), out=s)  # sin^2(e_hi t)
+        np.multiply(-sin2_d[blk], s, out=v)
         with np.errstate(divide="ignore"):  # a mode overlap of exactly 0 gives -inf
             np.log1p(v, out=v)
-        np.multiply(c_arg[blk], u, out=u)
-        np.arctan2(u, np.subtract(1.0, u2, out=u2), out=u)
+        np.add(1.0, np.multiply(cos_d[blk], u2, out=u2), out=u2)
+        np.arctan2(np.multiply(cos_d_m1[blk], u, out=u), u2, out=u)
         # row by row: a per-block np.sum would make the bits depend on the block size
         for row_mag, row_angle in zip(v, u):
             log_mag += row_mag
             phase += row_angle
     log_mag *= 0.5
-    phase -= np.sum(dispersion(p.lam, k, p.j_coupling)) * tt
+    phase += np.sum(delta * jj * (a_lo + a_hi) / (e_lo + e_hi)) * tt
 
     under = log_mag < _LOG_FLOOR
     if np.any(under):

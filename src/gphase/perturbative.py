@@ -35,8 +35,8 @@ accepted under an absolute target (its width's share of the total) or a
 relative one on its own value, and otherwise bisected; a panel that reaches
 the subdivision limit is held to a looser bound, and QuadratureNonconvergence
 is raised beyond it.  Near lam = 1 the integrands have a dip of width
-|1 - lam| at k = 0, which bisection resolves because they are written
-without cancellation there (``_energy``, ``_one_minus_sinc``, ``_f3_bracket``).
+|1 - lam| at k = 0, which bisection resolves because they are written without
+cancellation there (``ising.dispersion``, ``_one_minus_sinc``, ``_f3_bracket``).
 """
 
 from __future__ import annotations
@@ -55,7 +55,7 @@ from .errors import (
     QuadratureNonconvergence,
 )
 from .gp import SystemParams
-from .ising import IsingBathParams
+from .ising import IsingBathParams, dispersion
 
 _QUAD_TOL = 1e-10
 _QUAD_LIMIT = 200       # intervals per panel, QUADPACK's usual subdivision limit
@@ -197,14 +197,6 @@ def _panel_quad(f, n_osc: float) -> float:
         owner = np.concatenate((owner, owner))
 
 
-def _energy(lam, k):
-    """e_k = 2 sqrt(1 + lam^2 - 2 lam cos k), the J = 1 dispersion, written for
-    lam >= 0 as 2 sqrt((1 - lam)^2 + 4 lam sin^2(k/2)): a sum of two
-    non-negative terms, so it keeps its relative accuracy where the gap
-    |1 - lam| closes at k = 0."""
-    return 2.0 * np.sqrt((1.0 - lam) ** 2 + 4.0 * lam * np.sin(0.5 * k) ** 2)
-
-
 # Taylor coefficients in y = x^2, for x <= 2 where the direct forms cancel:
 # 1 - sin(x)/x = y sum_j (-1)^j y^j / (2j+3)!, and
 # 48 sin x - 16 x (2 + cos x) = x^5 sum_j (-1)^(j+1) 32 (j+1) y^j / (2j+5)!.
@@ -243,11 +235,11 @@ class IsingClosedForms:
     All quantities are in J = 1 units: the dispersion is ``ising.dispersion``
     at J = 1, e_k = 2 sqrt(1 + lam^2 - 2 lam cos k), and ``t_period`` is the
     cycle period measured in 1/J.  Each carries the N/(2 pi) mode density.
-    The integrands take e_k from ``_energy`` and the small-e_k T brackets of
-    F2 and F3 from their Taylor series, so they keep full relative accuracy
-    at the k = 0 feature of width |1 - lam| that bisection resolves.  Under
-    k -> pi - k, lam -> -lam maps e_k to itself and lam - cos k to its
-    negative, so f2 and F2 are even in lam and F3 and G1 are odd: a negative
+    The integrands take e_k in that function's cancellation-free form and the
+    small-e_k T brackets of F2 and F3 from their Taylor series, so they keep
+    full relative accuracy at the k = 0 feature of width |1 - lam| that
+    bisection resolves.  Under k -> pi - k, lam -> -lam maps e_k to itself and
+    lam - cos k to its negative, so f2 and F2 are even in lam and F3 and G1 are odd: a negative
     lam is taken at |lam|, where the feature sits at k = 0 and not at k = pi.
     """
 
@@ -265,7 +257,7 @@ class IsingClosedForms:
         T, lam = self.t_period, abs(lam)
 
         def integrand(k):
-            e = _energy(lam, k)
+            e = dispersion(lam, k)
             return 16.0 * np.sin(k) ** 2 * np.sin(e * T) ** 2 / e**4
 
         return self._density() * _panel_quad(integrand, self._n_osc(lam))
@@ -275,7 +267,7 @@ class IsingClosedForms:
         T, lam = self.t_period, abs(lam)
 
         def integrand(k):
-            e = _energy(lam, k)
+            e = dispersion(lam, k)
             return 8.0 * T * np.sin(k) ** 2 / e**4 * _one_minus_sinc(2.0 * e * T)
 
         return self._density() * _panel_quad(integrand, self._n_osc(lam))
@@ -287,7 +279,7 @@ class IsingClosedForms:
         T, sign, lam = self.t_period, (-1.0 if lam < 0.0 else 1.0), abs(lam)
 
         def integrand(k):
-            e = _energy(lam, k)
+            e = dispersion(lam, k)
             a = lam - np.cos(k)
             return a * np.sin(k) ** 2 * _f3_bracket(2.0 * e * T) / e**7
 

@@ -31,7 +31,13 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import InvalidDensityMatrix, ValidationError
-from .gp import DecoherenceTrace, SystemParams, geometric_phase, trace_from_samples
+from .gp import (
+    DecoherenceTrace,
+    SystemParams,
+    checked_correction,
+    geometric_phase,
+    trace_from_samples,
+)
 from .two_level import (
     CouplingConvention,
     TwoLevelBathParams,
@@ -210,7 +216,11 @@ def correction_point(p: ProtocolParams) -> tuple[float, float]:
     readout.  The theory column computes the same correction from the
     branch-overlap decoherence factor without simulating the protocol.  The
     protocol runs first, so a failing field raises its typed error there.
+    Each column is a ``checked_correction``.  An uncoupled bath returns
+    (0, 0) without running either route: its r is 1 on both.
     """
-    dphi = geometric_phase(run_protocol(p), p.sys).correction
+    if p.bath.coupling == 0:
+        return 0.0, 0.0
+    dphi = checked_correction(geometric_phase(run_protocol(p), p.sys))
     theory = oracle_trace(p.bath, p.sys, THEORY_SAMPLES)
-    return dphi, geometric_phase(theory, p.sys).correction
+    return dphi, checked_correction(geometric_phase(theory, p.sys))

@@ -8,7 +8,8 @@ tests and demos set beside it:
   ``gp.geometric_phase``;
 - the chain's decoherence factor by dense 2^N diagonalization
   (``brute_force_oracle``) against the mode product
-  ``ising.decoherence_product``;
+  ``ising.decoherence_product``, and the mode's angle D as a difference of
+  Bogoliubov angles (``bogoliubov_angle``) against its closed forms there;
 - the weak-coupling expansion coefficients by Richardson finite differences
   in the coupling (``extract_coefficients_numeric``, ``gp_third_order``) and
   per mode (``mode_coefficients``) against the Ising closed forms of
@@ -35,7 +36,7 @@ from .errors import GphaseError, InvalidDensityMatrix, ValidationError
 from .gp import DecoherenceTrace, SystemParams, _simpson
 from .ising import IsingBathParams, dispersion
 from .perturbative import PerturbativeGp, _assemble
-from .protocol import I2, X, Z, ProtocolParams, step_counts, worst_cycle_fidelity
+from .protocol import ProtocolParams, step_counts, worst_cycle_fidelity
 
 
 class DimensionMismatch(GphaseError):
@@ -119,20 +120,19 @@ def gp_from_trajectory(rho_t) -> float:
     return float(np.angle(summand))
 
 
+def bogoliubov_angle(lam, k):
+    """theta_k with tan(theta_k) = sin k / (lam - cos k), quadrant-aware."""
+    return np.arctan2(np.sin(k), lam - np.cos(k))
+
+
 def _dense_chain(n: int, lam: float, j_coupling: float) -> np.ndarray:
-    """Dense -J (sum Z_n Z_{n+1} + lam sum X_n) with periodic boundaries."""
-    dim = 2**n
-    h = np.zeros((dim, dim), dtype=complex)
-    for site in range(n):
-        zz = np.ones((1, 1), dtype=complex)
-        for m in range(n):
-            on = Z if m in (site, (site + 1) % n) else I2
-            zz = np.kron(zz, on)
-        h -= j_coupling * zz
-        xs = np.ones((1, 1), dtype=complex)
-        for m in range(n):
-            xs = np.kron(xs, X if m == site else I2)
-        h -= j_coupling * lam * xs
+    """Dense -J (sum Z_n Z_{n+1} + lam sum X_n) with periodic boundaries, built
+    from the bits of each basis state (bit m is Z_m = +1 at 0, -1 at 1)."""
+    state = np.arange(2**n)
+    z = 1 - 2 * ((state[:, None] >> np.arange(n)) & 1)
+    h = np.diag(-j_coupling * np.sum(z * np.roll(z, -1, axis=1), axis=1).astype(float))
+    for m in range(n):
+        h[state, state ^ (1 << m)] -= j_coupling * lam
     return h
 
 
@@ -140,18 +140,26 @@ def brute_force_oracle(p: IsingBathParams, t):
     """Exact 2^N decoherence factor <g| e^{+i H(lam) t} e^{-i H(lam+delta) t} |g>.
 
     |g> is the dense ground state of the chain at field lam.  N <= 11 only.
+    The mode product's ground state is even under the parity prod X_n, which
+    flips every spin, and both branches conserve it, so both are diagonalized
+    in that sector, on the basis (|s> + |~s>)/sqrt(2): there the ground state
+    stays defined where the odd sector's lies within rounding of it (lam near
+    0, where the two are degenerate).
     """
     if p.n_spins > 11:
         raise DimensionTooLarge(f"dense oracle limited to N <= 11, got {p.n_spins}")
     t = np.asarray(t, dtype=float)
     tt = t if t.ndim else t.reshape(1)
 
-    w_g, v_g = np.linalg.eigh(_dense_chain(p.n_spins, p.lam, p.j_coupling))
-    g = v_g[:, 0]
-
+    dim = 2**p.n_spins
+    s = np.arange(dim // 2)
+    even = np.zeros((dim, dim // 2))
+    even[s, s] = even[dim - 1 - s, s] = np.sqrt(0.5)
+    w_g, v_g = np.linalg.eigh(even.T @ _dense_chain(p.n_spins, p.lam, p.j_coupling) @ even)
+    w_hi, v_hi = np.linalg.eigh(
+        even.T @ _dense_chain(p.n_spins, p.lam + p.coupling, p.j_coupling) @ even)
+    weights = (v_hi.T @ v_g[:, 0]) ** 2
     # e^{+i H(lam) t}|g> is a pure phase e^{-i E_g t} acting leftwards
-    w_hi, v_hi = np.linalg.eigh(_dense_chain(p.n_spins, p.lam + p.coupling, p.j_coupling))
-    weights = np.abs(v_hi.conj().T @ g) ** 2
     out = np.exp(1j * w_g[0] * tt) * (weights @ np.exp(-1j * np.outer(w_hi, tt)))
     return out if t.ndim else complex(out[0])
 

@@ -300,6 +300,46 @@ class TestExitCodes:
         assert [r[1] for r in rows] == ["nan"] * 3
         assert caplog.text.count("CancellationFloor: ") == 3
 
+    @pytest.mark.parametrize("flags", [["--coupling", "1e-6"], ["--coupling", "1e-5"],
+                                       ["--theta", "1.5707963267948966"]])
+    def test_gp_curve_under_the_floor_fails(self, flags, capsys):
+        # it printed -2.22e-16, -4.11e-15 (delta^2 scaling gives -3.99e-15)
+        # and, where theta = pi/2 makes the correction 0, 4.44e-16
+        assert main(["gp-curve", *flags]) == 1
+        assert "CancellationFloor" in capsys.readouterr().err
+
+    def test_floor_fails_both_correction_columns(self, tmp_path):
+        # dphi_protocol printed 4.44e-16 at B = -0.2 omega
+        rc, raw = run_cli(["correction", "--theta", "1.5707963267948966", "--b-points", "3",
+                           "--keep-going"], tmp_path, "floor.csv")
+        assert rc == 0
+        rows = [r.split(",") for r in raw.decode().strip().splitlines()[1:]]
+        assert [r[1:3] for r in rows] == [["nan", "nan"]] * 3
+
+    @pytest.mark.parametrize("argv, cells", [
+        (["gp-curve", "--coupling", "0"], slice(2, 3)),
+        (["correction", "--coupling", "0", "--b-points", "3"], slice(1, 3)),
+    ], ids=["gp-curve", "correction"])
+    def test_uncoupled_bath_is_exactly_zero_unsampled(self, argv, cells, tmp_path, monkeypatch):
+        # r = 1 in closed form: the correction is 0, not the 1.1e-16 and
+        # +-4.4e-16 of a sampled run
+        def sampled(*args):
+            raise AssertionError("an uncoupled bath was sampled")
+
+        for owner in (cli, protocol):
+            monkeypatch.setattr(owner, "oracle_trace", sampled)
+        monkeypatch.setattr(protocol, "run_protocol", sampled)
+        rc, raw = run_cli(argv, tmp_path, "zero.csv")
+        assert rc == 0
+        rows = [r.split(",") for r in raw.decode().strip().splitlines()[1:]]
+        assert all(c == "0" for r in rows for c in r[cells])
+
+    def test_pole_correction_is_exactly_zero(self, tmp_path):
+        # the pole's closed-form record subtracts nothing, so its 0 passes
+        rc, raw = run_cli(["gp-curve", "--theta", "0"], tmp_path, "pole.csv")
+        assert rc == 0
+        assert raw.decode().splitlines()[1].split(",")[2] == "0"
+
     def test_smallest_measured_correction_clears_the_floor(self, tmp_path):
         # N = 10 at omega = 2 J holds the smallest correction seen on any
         # grid, about 1.9e-10 rad, three decades above the floor

@@ -3,15 +3,22 @@
 Each run is set beside its committed payload cell by cell.  The test prints
 whether the two are byte-identical, how many cells moved and the worst
 relative deviation (``pytest -s`` shows it).  It fails on a cell that moved
-by more than ``RTOL`` of its golden value, on a failed (``nan``) cell that
+beyond its bound (below), on a failed (``nan``) cell that
 now has a value or the other way round, and on any other header, row count
 or config hash.
 
 ``RTOL`` is a hundredth of perfbench's reference tolerance (1e-7): far below
-any change of formula, and above the last-bit differences of numpy's SIMD
-tan, log1p and atan2 across builds, which byte identity would not admit.
-``ATOL`` only admits such noise on cells that are 0 at rest.  A change that
-moves a cell past the bound regenerates the golden files with
+any change of formula.  The CI matrix spans numpy builds whose SIMD tan,
+log1p, atan2, sin and cos may differ in the last bit, so byte identity is
+not asserted, and a cell may also move by ``ATOL`` plus a floor of its
+column.  Only ``dphi_exact_norm`` has one: it is a difference of O(1)
+phases divided by N delta^2, so a last-bit change of those phases moves it
+by about ulp(1) / (N delta^2), 8.9e-10 at the defaults.  With numpy's
+AVX-512 (or AVX2 and AVX-512) loops turned off through
+NPY_DISABLE_CPU_FEATURES, 7 of its cells moved by up to that much, 1.27e-8
+of the cell; every other cell moved by at most 1.01e-14 relative.  The
+floor is 8 ulp(1) / (N delta^2).
+A change that moves a cell past the bound regenerates the golden files with
 ``tests/golden/regenerate.py`` in the same commit and says why; the bound is
 never widened to admit a move.
 """
@@ -22,6 +29,7 @@ import io
 import math
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from gphase.cli import EXPERIMENTS, main
@@ -32,6 +40,8 @@ regenerate = importlib.util.module_from_spec(_SPEC)
 _SPEC.loader.exec_module(regenerate)
 
 RTOL, ATOL = 1e-9, 1e-15
+_CHAIN = EXPERIMENTS["ising-sweep"].defaults
+FLOOR = {"dphi_exact_norm": 8 * np.finfo(float).eps / (_CHAIN["n_spins"] * _CHAIN["coupling"] ** 2)}
 
 
 def cells(data: bytes) -> tuple[list[str], list[list[str]]]:
@@ -57,7 +67,7 @@ def compare(got: bytes, golden: bytes) -> tuple[int, int, float, list[str]]:
                 continue
             dev = abs(x - y)
             worst = max(worst, dev / abs(y) if y else math.inf)
-            if dev > RTOL * abs(y) + ATOL:
+            if dev > RTOL * abs(y) + ATOL + FLOOR.get(name, 0.0):
                 bad.append(f"row {i} {name}: {a} against golden {b}")
     return count, moved, worst, bad
 

@@ -7,15 +7,9 @@ import scipy.linalg
 
 import gphase.ising
 from gphase.errors import MagnitudeUnderflow, ValidationError
-from gphase.ising import (
-    IsingBathParams,
-    bogoliubov_angle,
-    decoherence_product,
-    dispersion,
-    momenta,
-)
+from gphase.ising import IsingBathParams, decoherence_product, dispersion, momenta
 from gphase.protocol import I2, X, Z
-from gphase.reference import DimensionTooLarge, brute_force_oracle
+from gphase.reference import DimensionTooLarge, bogoliubov_angle, brute_force_oracle
 
 
 class TestParams:
@@ -88,10 +82,13 @@ class TestModeAmplitude:
 
 class TestProduct:
     def test_uncoupled_is_exactly_one(self):
-        p = IsingBathParams(100, 1.0, 0.8, 0.0)
-        t = np.linspace(0, 5, 33)
-        out = decoherence_product(p, t)
-        np.testing.assert_allclose(out, 1.0, atol=1e-13)
+        # every mode constant is proportional to delta, so no rounding of the
+        # dispersion reaches r; the ground-phase subtraction used to leave
+        # 1 + 1.15e-12 at N = 1000
+        t = np.linspace(0, 2 * np.pi, 257)
+        for n in (4, 100, 1000):
+            for lam in (-1.3, 0.0, 0.8, 1.0, 1.7):
+                assert np.all(decoherence_product(IsingBathParams(n, 1.0, lam, 0.0), t) == 1.0)
 
     def test_initial_value_and_bound(self):
         p = IsingBathParams(100, 1.0, 1.0, 5e-3)
@@ -117,15 +114,13 @@ class TestProduct:
         t = np.linspace(0, 4, 9)
         r_full = decoherence_product(full, t)
 
-        from gphase.ising import bogoliubov_angle as th, dispersion as eps
-
         k = momenta(12)
         halves = []
         for ks in (k[:3], k[3:]):
-            c2a = np.cos(th(0.92, ks) - th(0.9, ks))[:, None]
-            wt = eps(0.92, ks)[:, None] * t[None, :]
+            c2a = np.cos(bogoliubov_angle(0.92, ks) - bogoliubov_angle(0.9, ks))[:, None]
+            wt = dispersion(0.92, ks)[:, None] * t[None, :]
             z = np.cos(wt) + 1j * c2a * np.sin(wt)
-            halves.append(np.prod(z, axis=0) * np.exp(-1j * np.sum(eps(0.9, ks)) * t))
+            halves.append(np.prod(z, axis=0) * np.exp(-1j * np.sum(dispersion(0.9, ks)) * t))
         np.testing.assert_allclose(halves[0] * halves[1], r_full, atol=1e-12)
 
     def test_underflow_flushes_to_zero(self, monkeypatch):
@@ -183,19 +178,42 @@ class TestProduct:
         want = np.array(want)
         assert np.all(np.abs(got - want) <= 3e-10 * np.abs(want) + np.finfo(float).eps)
 
-    def test_half_angle_pole(self):
-        # e_hi t / 2 lands on the float nearest pi/2 for one mode, where the
-        # half-angle tangent is about 1e16; the product stays finite and
-        # matches cos + i c sin
+    def test_phase_against_mpmath(self):
+        # arg r at 40 digits at the critical field, from the Bogoliubov angles
+        # and the direct dispersion; the phase used to be a sum of 500 mode
+        # angles minus sum(e_lo) t, about 1e3 rad, 1.3e-13 to 1.3e-12 rad off
+        mpmath = pytest.importorskip("mpmath")
+        n, lam, delta = 1000, 1.0, 5e-5
+        t = np.array([0.37, 2.9, 6.2])
+        got = np.angle(decoherence_product(IsingBathParams(n, 1.0, lam, delta), t))
+        with mpmath.workdps(40):
+            lo, hi = mpmath.mpf(lam), mpmath.mpf(lam) + mpmath.mpf(delta)
+            ks = [(2 * m - 1) * mpmath.pi / n for m in range(1, n // 2 + 1)]
+            e = [(2 * mpmath.sqrt(1 + lo**2 - 2 * lo * mpmath.cos(k)),
+                  2 * mpmath.sqrt(1 + hi**2 - 2 * hi * mpmath.cos(k))) for k in ks]
+            c = [mpmath.cos(mpmath.atan2(mpmath.sin(k), hi - mpmath.cos(k))
+                            - mpmath.atan2(mpmath.sin(k), lo - mpmath.cos(k))) for k in ks]
+            want = []
+            for tv in map(mpmath.mpf, t):
+                r = mpmath.expj(-tv * sum(e_lo for e_lo, _ in e))
+                for (_, e_hi), c_k in zip(e, c):
+                    r *= mpmath.cos(e_hi * tv) + 1j * c_k * mpmath.sin(e_hi * tv)
+                want.append(float(mpmath.arg(r)))
+        assert np.max(np.abs(got - np.array(want))) <= 1e-15
+
+    def test_tangent_pole(self):
+        # e_hi t lands on the float nearest pi/2 for one mode, where the
+        # tangent is about 1e16; the product stays finite and matches
+        # cos + i c sin with c from the Bogoliubov angles
         p = IsingBathParams(8, 1.0, 0.7, 0.05)
         k = momenta(p.n_spins)
-        half_e = 0.5 * dispersion(p.lam + p.coupling, k[:, None], p.j_coupling)[1, 0]
-        t = np.pi / 2 / half_e
+        e_hi = dispersion(p.lam + p.coupling, k[:, None], p.j_coupling)[1, 0]
+        t = np.pi / 2 / e_hi
         for _ in range(8):
-            if half_e * t == np.pi / 2:
+            if e_hi * t == np.pi / 2:
                 break
-            t = np.nextafter(t, np.inf if half_e * t < np.pi / 2 else -np.inf)
-        assert half_e * t == np.pi / 2 and abs(np.tan(half_e * t)) > 1e15
+            t = np.nextafter(t, np.inf if e_hi * t < np.pi / 2 else -np.inf)
+        assert e_hi * t == np.pi / 2 and abs(np.tan(e_hi * t)) > 1e15
 
         r = decoherence_product(p, t)
         c = np.cos(bogoliubov_angle(p.lam + p.coupling, k) - bogoliubov_angle(p.lam, k))

@@ -19,7 +19,6 @@ from gphase.perturbative import (
     _QK21_KRONROD,
     _QK21_NODES,
     _QUAD_TOL,
-    _energy,
     _f3_bracket,
     _one_minus_sinc,
     _panel_quad,
@@ -388,11 +387,6 @@ class TestSmallArgumentForms:
             bracket_ref = 48 * mpmath.sin(X) - 16 * X * (2 + mpmath.cos(X))
             assert abs((_one_minus_sinc(x) - sinc_ref) / sinc_ref) <= 1e-15
             assert abs((_f3_bracket(x) - bracket_ref) / bracket_ref) <= 1e-14
-
-    def test_energy_is_the_dispersion(self):
-        k = np.linspace(0.0, np.pi, 101)
-        for lam in (0.0, 0.3, 1.0, 1.7):
-            np.testing.assert_allclose(_energy(lam, k), dispersion(lam, k), rtol=1e-14, atol=1e-7)
 
     @pytest.mark.parametrize("name, lam", [
         ("f2", 1.0 - 1e-6), ("F2", 1.0 + 1e-6),
