@@ -6,13 +6,10 @@ the property or hypothesis changes.
 """
 
 import numpy as np
-import pytest
+from hypothesis import given, settings, strategies as st
 
-pytest.importorskip("hypothesis")
-from hypothesis import given, settings, strategies as st  # noqa: E402
-
-from gphase.ising import IsingBathParams, decoherence_product  # noqa: E402
-from gphase.reference import brute_force_oracle  # noqa: E402
+from gphase.ising import IsingBathParams, decoherence_product
+from gphase.reference import brute_force_oracle
 
 FIXED = settings(derandomize=True, database=None, deadline=None)
 CYCLE = np.linspace(0.0, 2.0 * np.pi, 17)
