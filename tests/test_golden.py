@@ -15,7 +15,7 @@ column.  Only ``dphi_exact_norm`` has one: it is a difference of O(1)
 phases divided by N delta^2, so a last-bit change of those phases moves it
 by about ulp(1) / (N delta^2), 8.9e-10 at the defaults.  With numpy's
 AVX-512 (or AVX2 and AVX-512) loops turned off through
-NPY_DISABLE_CPU_FEATURES, 7 of its cells moved by up to that much, 1.27e-8
+NPY_DISABLE_CPU_FEATURES, 5 of its 41 cells moved by up to that much, 1.27e-8
 of the cell; every other cell moved by at most 1.01e-14 relative.  The
 floor is 8 ulp(1) / (N delta^2).
 A change that moves a cell past the bound regenerates the golden files with
