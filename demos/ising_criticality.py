@@ -16,7 +16,7 @@ import numpy as np
 from gphase import (
     IsingBathParams,
     SystemParams,
-    build_trace,
+    chain_trace,
     decoherence_product,
     geometric_phase,
     gp_approx_ising,
@@ -30,8 +30,7 @@ N, DELTA, OMEGA_J = 100, 5e-5, 1.0
 def exact_dphi(lam, n_spins=N):
     sysp = SystemParams(omega=OMEGA_J, theta=np.pi / 4)
     p = IsingBathParams(n_spins, 1.0, lam, DELTA)
-    trace = build_trace(lambda t: decoherence_product(p, t), sysp, 4096)
-    return geometric_phase(trace, sysp).correction
+    return geometric_phase(chain_trace(p, sysp, 4096), sysp).correction
 
 
 def main():

@@ -33,7 +33,7 @@ from .gp import (
     geometric_phase,
     trace_from_samples,
 )
-from .ising import IsingBathParams, decoherence_product
+from .ising import IsingBathParams, chain_trace, decoherence_product
 from .perturbative import (
     IsingClosedForms,
     elliptic_E,

@@ -43,12 +43,11 @@ from .errors import ConfigParseError, GphaseError, ValidationError
 from .gp import (
     MIN_SAMPLES,
     SystemParams,
-    build_trace,
     checked_correction,
     geometric_phase,
     unitary_result,
 )
-from .ising import IsingBathParams, decoherence_product
+from .ising import IsingBathParams, chain_trace
 from .perturbative import gp_approx_ising
 from .protocol import (
     READOUT_SAMPLES,
@@ -184,7 +183,7 @@ def _ising_orders_norm(bath: IsingBathParams, sysp: SystemParams) -> list[float]
 def _ising_sweep_rows(args) -> list[list[float]]:
     bath, sysp, samples = args
     orders = _ising_orders_norm(bath, sysp)
-    g = geometric_phase(build_trace(lambda t: decoherence_product(bath, t), sysp, samples), sysp)
+    g = geometric_phase(chain_trace(bath, sysp, samples), sysp)
     return [[checked_correction(g) / (bath.n_spins * bath.coupling**2), *orders]]
 
 

@@ -25,6 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import MagnitudeUnderflow, ValidationError
+from .gp import DecoherenceTrace, SystemParams, build_trace
 
 _LOG_FLOOR = -700.0
 # mode-samples per block of the streamed product: 512 KB per work buffer
@@ -64,6 +65,37 @@ def dispersion(lam: float, k, j_coupling: float = 1.0):
     return 2.0 * j_coupling * np.sqrt((1.0 + lam) ** 2 - 4.0 * lam * np.cos(0.5 * k) ** 2)
 
 
+def _mode_constants(p: IsingBathParams):
+    """Columns e_hi, sin^2 D, cos D, cos D - 1 and sum(e_hi - e_lo) of the product."""
+    k = momenta(p.n_spins)[:, None]
+    # |g_k> is an eigenstate of the lower branch: per-mode closed form
+    lam, delta = (p.lam, p.coupling) if p.lam >= 0 else (-p.lam, -p.coupling)
+    sin_k, two_s2 = np.sin(k), 2.0 * np.sin(0.5 * k) ** 2
+    a_lo, a_hi = (lam - 1.0) + two_s2, (lam - 1.0 + delta) + two_s2
+    e_lo, e_hi = dispersion(lam, k, p.j_coupling), dispersion(lam + delta, k, p.j_coupling)
+    jj = 4.0 * p.j_coupling**2
+    norm = jj / (e_lo * e_hi)
+    sin2_d = (delta * sin_k * norm) ** 2
+    cos_d = (a_lo * a_hi + sin_k**2) * norm
+    # np.where evaluates both branches: 1 + |cos D| keeps the dropped one finite
+    cos_d_m1 = np.where(cos_d > 0.0, -sin2_d / (1.0 + np.abs(cos_d)), cos_d - 1.0)
+    return e_hi, sin2_d, cos_d, cos_d_m1, np.sum(delta * jj * (a_lo + a_hi) / (e_lo + e_hi))
+
+
+def phase_rate_bound(p: IsingBathParams) -> float:
+    """Bound on |d arg r / dt| in rad/s, attained at N = 2.  d(arg z_k - e_hi t)/dt =
+    e_hi [cos D / (1 - sin^2 D sin^2(e_hi t)) - 1] lies between e_hi (cos D - 1) and e_hi
+    (1/cos D - 1), so sum(e_hi |cos D - 1| / |cos D|) + |sum(e_hi - e_lo)|: inf at cos D = 0."""
+    e_hi, _, cos_d, cos_d_m1, gap_sum = _mode_constants(p)
+    with np.errstate(divide="ignore"):
+        return float(np.sum(e_hi * np.abs(cos_d_m1) / np.abs(cos_d)) + abs(gap_sum))
+
+
+def chain_trace(p: IsingBathParams, sysp: SystemParams, samples: int) -> DecoherenceTrace:
+    """``build_trace`` of ``decoherence_product`` under its declared ``phase_rate_bound``."""
+    return build_trace(lambda t: decoherence_product(p, t), sysp, samples, phase_rate_bound(p))
+
+
 def decoherence_product(p: IsingBathParams, t):
     """Decoherence factor as the product over positive momenta.
 
@@ -95,23 +127,11 @@ def decoherence_product(p: IsingBathParams, t):
     """
     t = np.asarray(t, dtype=float)
     tt = t.reshape(-1)
-    k = momenta(p.n_spins)[:, None]
-    rows = min(k.shape[0], max(1, _BLOCK_SAMPLES // max(tt.size, 1)))
-
-    # |g_k> is an eigenstate of the lower branch: per-mode closed form
-    lam, delta = (p.lam, p.coupling) if p.lam >= 0 else (-p.lam, -p.coupling)
-    sin_k, two_s2 = np.sin(k), 2.0 * np.sin(0.5 * k) ** 2
-    a_lo, a_hi = (lam - 1.0) + two_s2, (lam - 1.0 + delta) + two_s2
-    e_lo, e_hi = dispersion(lam, k, p.j_coupling), dispersion(lam + delta, k, p.j_coupling)
-    jj = 4.0 * p.j_coupling**2
-    norm = jj / (e_lo * e_hi)
-    sin2_d = (delta * sin_k * norm) ** 2
-    cos_d = (a_lo * a_hi + sin_k**2) * norm
-    # np.where evaluates both branches: 1 + |cos D| keeps the dropped one finite
-    cos_d_m1 = np.where(cos_d > 0.0, -sin2_d / (1.0 + np.abs(cos_d)), cos_d - 1.0)
+    e_hi, sin2_d, cos_d, cos_d_m1, gap_sum = _mode_constants(p)
+    rows = min(e_hi.shape[0], max(1, _BLOCK_SAMPLES // max(tt.size, 1)))
     work = np.empty((4, rows, tt.size))
     log_mag, phase = np.zeros((2, tt.size))
-    for start in range(0, k.shape[0], rows):
+    for start in range(0, e_hi.shape[0], rows):
         blk = slice(start, start + rows)
         u, u2, s, v = work[:, :e_hi[blk].shape[0]]
         np.tan(np.multiply(e_hi[blk], tt, out=u), out=u)
@@ -127,7 +147,7 @@ def decoherence_product(p: IsingBathParams, t):
             log_mag += row_mag
             phase += row_angle
     log_mag *= 0.5
-    phase += np.sum(delta * jj * (a_lo + a_hi) / (e_lo + e_hi)) * tt
+    phase += gap_sum * tt
 
     under = log_mag < _LOG_FLOOR
     if np.any(under):

@@ -12,7 +12,7 @@ import pytest
 
 from gphase.cli import main as cli_main
 from gphase.gp import SystemParams, build_trace, geometric_phase
-from gphase.ising import IsingBathParams, decoherence_product
+from gphase.ising import IsingBathParams, chain_trace, decoherence_product
 from gphase.perturbative import elliptic_E, elliptic_K, gp_approx_ising
 from gphase.protocol import (
     Decomposition,
@@ -152,8 +152,7 @@ def test_c06_ising_product_vs_brute_force():
 def _exact_ising_dphi(lam, n_spins=100, delta=5e-5, omega=1.0, theta=np.pi / 4):
     sp = SystemParams(omega=omega, theta=theta)
     p = IsingBathParams(n_spins, 1.0, lam, delta)
-    trace = build_trace(lambda t: decoherence_product(p, t), sp, 4096)
-    return geometric_phase(trace, sp).correction
+    return geometric_phase(chain_trace(p, sp, 4096), sp).correction
 
 
 def test_c07_appendix_figure_desk_scale():

@@ -7,7 +7,9 @@ from gphase.errors import (
     UnwrapFailure,
     ValidationError,
 )
+from gphase.cli import EXPERIMENTS
 from gphase.gp import SystemParams, build_trace, geometric_phase, trace_from_samples
+from gphase.ising import IsingBathParams, chain_trace, decoherence_product, phase_rate_bound
 from gphase.reference import EigenbranchCrossing, density_trajectory, gp_from_trajectory
 from gphase.two_level import TwoLevelBathParams, decoherence_factor_oracle
 
@@ -22,6 +24,14 @@ def paper_bath(b_over_omega=0.05, coupling=0.1):
     return TwoLevelBathParams(
         delta_gap=0.02 * OMEGA, b_field=b_over_omega * OMEGA, coupling=coupling * OMEGA
     )
+
+
+def counting(sampler, calls):
+    """``sampler``, appending the length of every time grid it is called on to ``calls``."""
+    def wrapped(t):
+        calls.append(len(t))
+        return sampler(t)
+    return wrapped
 
 
 class TestSystemParams:
@@ -61,18 +71,11 @@ class TestBuildTrace:
         # each try samples the 2m grid once; its even points are the m grid
         sp = SystemParams(omega=OMEGA, theta=0.5)
         calls = []
-
-        def counting(sampler):
-            def wrapped(t):
-                calls.append(len(t))
-                return sampler(t)
-            return wrapped
-
-        build_trace(counting(ones_sampler), sp, 64)
+        build_trace(counting(ones_sampler, calls), sp, 64)
         assert calls == [2 * 64 + 1]
         calls.clear()
         w = 100.0 * sp.omega
-        tr = build_trace(counting(lambda t: np.exp(-1j * w * t)), sp, 64)
+        tr = build_trace(counting(lambda t: np.exp(-1j * w * t), calls), sp, 64)
         assert len(calls) > 1
         assert calls == [2 * 64 * 2**i + 1 for i in range(len(calls))]
         assert calls[-1] == 2 * tr.samples + 1
@@ -156,6 +159,51 @@ class TestBuildTrace:
         tr = build_trace(lambda t: decoherence_factor_oracle(paper_bath(), t), sp, 256)
         rebuilt = tr.magnitude * np.exp(-1j * tr.phase_unwrapped)
         np.testing.assert_allclose(rebuilt, tr.r_values, atol=1e-12)
+
+
+class TestRateBound:
+    """``build_trace`` under a sampler's declared bound on |d arg r / dt|."""
+
+    def test_a_bound_that_fits_samples_once(self):
+        # 6 pi over the cycle: 0.29 rad per interval of the 64-interval grid
+        sp = SystemParams(omega=OMEGA, theta=0.5)
+        w = 3.0 * sp.omega
+        calls = []
+        tr = build_trace(counting(lambda t: np.exp(-1j * w * t), calls), sp, 64, rate_bound=w)
+        assert calls == [64 + 1]
+        assert np.array_equal(tr.times, np.linspace(0.0, sp.tau, 64 + 1))
+        assert tr.phase_unwrapped[-1] == pytest.approx(6.0 * np.pi, abs=1e-9)
+
+    def test_a_bound_too_large_for_the_grid_changes_nothing(self):
+        # bound * tau / m at or over pi/2: the doubling loop runs as without a bound
+        sp = SystemParams(omega=OMEGA, theta=0.5)
+        cases = [(ones_sampler, np.pi / 2 * 64 / sp.tau * (1.0 + 1e-12)),
+                 (lambda t: np.exp(-1j * 100.0 * sp.omega * t), 100.0 * sp.omega)]
+        for sampler, bound in cases:
+            unbounded, bounded = [], []
+            want = build_trace(counting(sampler, unbounded), sp, 64)
+            got = build_trace(counting(sampler, bounded), sp, 64, rate_bound=bound)
+            assert bounded == unbounded
+            np.testing.assert_array_equal(got.phase_unwrapped, want.phase_unwrapped)
+
+    def test_a_broken_bound_fails(self):
+        sp = SystemParams(omega=OMEGA, theta=0.5)
+        w = 3.0 * sp.omega
+        with pytest.raises(UnwrapFailure, match="rate_bound"):
+            build_trace(lambda t: np.exp(-1j * w * t), sp, 64, rate_bound=w / 10.0)
+
+    def test_chain_traces_match_the_unbounded_route(self):
+        # the paper-figA chain: its bound fits the requested grid, and the
+        # m + 1 points sampled once are the even points of the 2m + 1 grid
+        d = EXPERIMENTS["ising-sweep"].defaults
+        sp = SystemParams(omega=d["omega_over_j"] * d["j_coupling"], theta=d["theta"])
+        for lam in (0.0, 1.0, 2.0):
+            p = IsingBathParams(d["n_spins"], d["j_coupling"], lam, d["coupling"])
+            assert phase_rate_bound(p) * sp.tau / d["samples"] < np.pi / 2
+            got = chain_trace(p, sp, d["samples"])
+            want = build_trace(lambda t: decoherence_product(p, t), sp, d["samples"])
+            for name in ("times", "r_values", "magnitude", "phase_unwrapped"):
+                np.testing.assert_array_equal(getattr(got, name), getattr(want, name))
 
 
 class TestNonFiniteSamples:

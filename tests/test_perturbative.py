@@ -13,7 +13,7 @@ from gphase.errors import (
     ValidationError,
 )
 from gphase.gp import SystemParams, build_trace, geometric_phase
-from gphase.ising import IsingBathParams, decoherence_product, dispersion, momenta
+from gphase.ising import IsingBathParams, chain_trace, decoherence_product, dispersion, momenta
 from gphase.perturbative import (
     _QK21_GAUSS,
     _QK21_KRONROD,
@@ -469,8 +469,7 @@ class TestApproxIsing:
         lams = [0.3, 0.5, 0.7, 1.3, 1.5]
         for lam in lams:
             p = IsingBathParams(100, 1.0, lam, 5e-5)
-            trace = build_trace(lambda t: decoherence_product(p, t), sp, 4096)
-            exact = geometric_phase(trace, sp).correction
+            exact = geometric_phase(chain_trace(p, sp, 4096), sp).correction
             out = gp_approx_ising(p, sp)
             e3 = abs(out.order3 - exact)
             e2 = abs(out.order2 - exact)
@@ -502,6 +501,5 @@ class TestGenericThirdOrderOnChain:
         co = extract_coefficients_numeric(sampler, times, h=1e-4)
         approx = gp_third_order(co, sp, 5e-5).order3
 
-        tr = build_trace(lambda t: decoherence_product(p, t), sp, 4096)
-        exact = geometric_phase(tr, sp).correction
+        exact = geometric_phase(chain_trace(p, sp, 4096), sp).correction
         assert abs(approx - exact) < 0.05 * abs(exact)
