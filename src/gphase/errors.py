@@ -1,4 +1,5 @@
-"""Exception hierarchy shared by all gphase modules."""
+"""Exception hierarchy shared by all gphase modules: every failure is a
+GphaseError, and PerturbativeBreakdown is the one warning."""
 
 
 class GphaseError(Exception):
@@ -41,8 +42,8 @@ class ConfigParseError(GphaseError):
     """Command-line / run configuration could not be parsed."""
 
 
-class MagnitudeUnderflow(RuntimeWarning):
-    """Mode-product magnitude underflowed below exp(-700); value flushed to zero."""
+class MagnitudeUnderflow(GphaseError):
+    """The mode product's magnitude fell below exp(-700), where its phase is lost."""
 
 
 class PerturbativeBreakdown(RuntimeWarning):

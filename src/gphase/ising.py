@@ -12,14 +12,14 @@ with e_k = 2 J sqrt(1 + lam^2 - 2 lam cos k) at each branch and D_k the
 angle between the mode's ground-state directions, each in closed form.  The
 chain starts in its ground state at lam and the branch fields are (lam,
 lam+delta), the one-sided Loschmidt echo under which the closed forms in
-:mod:`gphase.perturbative` are written.  Its second routes are D_k as a
-difference of Bogoliubov angles (``reference.bogoliubov_angle``) and dense
-2^N diagonalization for N <= 11 (``reference.brute_force_oracle``).
+:mod:`gphase.perturbative` are written.  Where |r| falls below exp(-700)
+its phase is lost, and MagnitudeUnderflow names the time.  Its second routes
+are D_k as a difference of Bogoliubov angles (``reference.bogoliubov_angle``)
+and dense 2^N diagonalization for N <= 11 (``reference.brute_force_oracle``).
 """
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -101,8 +101,9 @@ def decoherence_product(p: IsingBathParams, t):
 
     Accumulates sum(log R_k) and the total phase in log space, so deep
     collapses do not underflow mode by mode.  If the summed log magnitude
-    falls below -700 a MagnitudeUnderflow warning is issued and the value is
-    flushed to zero.  delta = 0 returns exactly 1.  Vectorized in t: the
+    falls below -700 at some time (-inf included: a mode overlap of exactly
+    0), MagnitudeUnderflow names the first such time and its log|r|; a NaN
+    is returned as it is.  delta = 0 returns exactly 1.  Vectorized in t: the
     result has t's shape (a complex for scalar t).
 
     With a = lam - cos k = (lam - 1) + 2 sin^2(k/2), the mode constants are
@@ -149,12 +150,10 @@ def decoherence_product(p: IsingBathParams, t):
     log_mag *= 0.5
     phase += gap_sum * tt
 
-    under = log_mag < _LOG_FLOOR
-    if np.any(under):
-        warnings.warn(
-            f"product magnitude underflowed exp({_LOG_FLOOR}); flushed to 0",
-            MagnitudeUnderflow,
-            stacklevel=2,
-        )
-    out = np.where(under, 0.0, np.exp(np.maximum(log_mag, _LOG_FLOOR))) * np.exp(1j * phase)
+    under = np.flatnonzero(log_mag < _LOG_FLOOR)
+    if under.size:
+        i = under[0]
+        raise MagnitudeUnderflow(
+            f"log|r({float(tt[i])!r})| = {log_mag[i]:.6g} is below {_LOG_FLOOR}")
+    out = np.exp(log_mag) * np.exp(1j * phase)
     return out.reshape(t.shape) if t.ndim else complex(out[0])

@@ -23,9 +23,9 @@ mode product gives the per-mode coefficients (J = 1 units, a = lam - cos k)
     p1_k  = 4 t a / e_k,
 
 whose k-integrals are the closed forms f2, F2, F3, G1 below; G1 reduces to
-complete elliptic integrals and is singular in slope at the critical point
-lam = 1.  The per-mode coefficients are ``reference.mode_coefficients``,
-checked against the numeric extraction.
+Carlson's R_D below lam = 1 and to E(1/lam^2) above it, and is singular in
+slope at the critical point lam = 1.  The per-mode coefficients are
+``reference.mode_coefficients``, checked against the numeric extraction.
 
 The k-integrals f2, F2, F3 are taken by ``_panel_quad``: (0, pi) is cut into
 panels against the integrand's oscillation, and each level of an adaptive
@@ -43,11 +43,11 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
-from math import comb, factorial
+from math import factorial
 
 import numpy as np
 from numpy.polynomial.polynomial import polyval
-from scipy.special import ellipe, ellipk
+from scipy.special import ellipe, elliprd
 
 from .errors import (
     DomainError,
@@ -91,13 +91,6 @@ _QK21_WG = np.array([  # zero at the Kronrod-only nodes
 _QK21_NODES = np.concatenate((-_QK21_X[:0:-1], _QK21_X))
 _QK21_KRONROD = np.concatenate((_QK21_WK[:0:-1], _QK21_WK))
 _QK21_GAUSS = np.concatenate((_QK21_WG[:0:-1], _QK21_WG))
-
-
-def elliptic_K(m: float) -> float:
-    """Complete elliptic integral of the first kind, parameter convention K(m)."""
-    if not 0.0 <= m < 1.0:
-        raise DomainError(f"K(m) requires 0 <= m < 1, got {m}")
-    return float(ellipk(m))
 
 
 def elliptic_E(m: float) -> float:
@@ -202,8 +195,6 @@ def _panel_quad(f, n_osc: float) -> float:
 # 48 sin x - 16 x (2 + cos x) = x^5 sum_j (-1)^(j+1) 32 (j+1) y^j / (2j+5)!.
 _SINC_TAIL = np.array([(-1) ** j / factorial(2 * j + 3) for j in range(13)])
 _F3_TAIL = np.array([(-1) ** (j + 1) * 32 * (j + 1) / factorial(2 * j + 5) for j in range(13)])
-# G1 / (N lam) for lam < 0.5 in y = lam^2, to rounding at 30 terms (0.25^30 ~ 1e-18)
-_G1_SERIES = np.array([comb(2 * j, j) ** 2 / 16**j / (2 * j + 2) for j in range(30)])
 
 
 def _one_minus_sinc(x):
@@ -292,17 +283,15 @@ class IsingClosedForms:
         which Landen's transformation turns into (2N/(pi lam)) [E(lam^2) -
         (1-lam^2) K(lam^2)] below lam = 1 and 2N E(1/lam^2)/pi above it.  Its
         lam-derivative diverges logarithmically at the critical point lam = 1,
-        where the value is 2N/pi.  Below lam = 0.5 the E and K terms cancel to
-        O(lam), and their power series, N lam sum_j c_j lam^2j / (2j + 2) with
-        c_j = (binom(2j, j) / 4^j)^2, is taken instead: its terms are positive.
+        where the value is 2N/pi.  Below lam = 1 the E and K terms cancel, and
+        E(m) - (1-m) K(m) = m (1-m) R_D(0, 1, 1-m)/3 (DLMF 19.25(i)) gives the
+        form without cancellation, 2N lam (1-lam^2) R_D(0, 1, 1-lam^2)/(3 pi),
+        in Carlson's symmetric integral R_D.
         """
         n, sign, lam = self.n_spins, (-1.0 if lam < 0.0 else 1.0), abs(lam)
-        if lam < 0.5:
-            return sign * n * lam * polyval(lam**2, _G1_SERIES)
         if lam < 1.0:
-            m = lam**2
-            return sign * 2.0 * n / (np.pi * lam) * (
-                elliptic_E(m) - (1.0 - lam) * (1.0 + lam) * elliptic_K(m))
+            y = (1.0 - lam) * (1.0 + lam)
+            return sign * 2.0 * n * lam * y * elliprd(0.0, 1.0, y) / (3.0 * np.pi)
         return sign * 2.0 * n * elliptic_E(1.0 / lam**2) / np.pi
 
 

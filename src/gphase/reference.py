@@ -17,7 +17,9 @@ tests and demos set beside it:
 - the smallest Trotter step count that meets the 0.3% fidelity budget
   (``find_min_trotter_steps``), frozen as ``PINNED_TROTTER_STEPS``;
 - the dense two-qubit partial trace (``partial_trace_env``) against the
-  protocol's single-einsum coherence readout.
+  protocol's single-einsum coherence readout;
+- the complete elliptic integral of the first kind (``elliptic_K``), which
+  Legendre's relation sets beside ``perturbative.elliptic_E``.
 
 The errors that only these routes raise are defined here too.
 
@@ -31,8 +33,9 @@ from dataclasses import dataclass, field, replace
 from typing import Callable
 
 import numpy as np
+from scipy.special import ellipk
 
-from .errors import GphaseError, InvalidDensityMatrix, ValidationError
+from .errors import DomainError, GphaseError, InvalidDensityMatrix, ValidationError
 from .gp import DecoherenceTrace, SystemParams, _simpson
 from .ising import IsingBathParams, dispersion
 from .perturbative import PerturbativeGp, _assemble
@@ -162,6 +165,13 @@ def brute_force_oracle(p: IsingBathParams, t):
     # e^{+i H(lam) t}|g> is a pure phase e^{-i E_g t} acting leftwards
     out = np.exp(1j * w_g[0] * tt) * (weights @ np.exp(-1j * np.outer(w_hi, tt)))
     return out if t.ndim else complex(out[0])
+
+
+def elliptic_K(m: float) -> float:
+    """Complete elliptic integral of the first kind, parameter convention K(m)."""
+    if not 0.0 <= m < 1.0:
+        raise DomainError(f"K(m) requires 0 <= m < 1, got {m}")
+    return float(ellipk(m))
 
 
 @dataclass(frozen=True)

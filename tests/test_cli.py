@@ -8,7 +8,7 @@ import pytest
 
 from gphase import cli, protocol
 from gphase.cli import EXPERIMENTS, PRESETS, _results, main, parse_config
-from gphase.errors import GphaseError
+from gphase.errors import GphaseError, PerturbativeBreakdown
 from gphase.gp import SystemParams, build_trace, geometric_phase
 from gphase.protocol import ProtocolParams
 from gphase.reference import (
@@ -356,6 +356,19 @@ class TestExitCodes:
         assert main(["gp-curve", "--coupling", "314159265.3589793",
                      "--b-field", "62.83185307179586"]) == 1
         assert "UnwrapFailure" in capsys.readouterr().err
+
+    def test_underflowing_chain_point_fails_on_its_first_grid(self, tmp_path, capsys):
+        # N = 20000, delta = 0.5: log|r| falls below -700 within the cycle, so
+        # the point fails on its first grid and the error names the cause
+        argv = ["ising-sweep", "--n-spins", "20000", "--coupling", "0.5", "--lambda-min", "0.5",
+                "--lambda-max", "0.5", "--lambda-points", "1", "--samples", "64"]
+        with pytest.warns(PerturbativeBreakdown):
+            assert main(argv) == 1
+        assert "MagnitudeUnderflow: log|r(" in capsys.readouterr().err
+        with pytest.warns(PerturbativeBreakdown):
+            rc, raw = run_cli(argv + ["--keep-going"], tmp_path, "under.csv")
+        assert rc == 0
+        assert raw.decode().splitlines()[1].split(",")[:4] == ["0.5", "nan", "nan", "nan"]
 
     def test_slow_cycle_fails_before_quadrature(self, capsys):
         # the panel count grows with the cycle: 8e300 panels here

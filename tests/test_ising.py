@@ -1,5 +1,5 @@
+import re
 import tracemalloc
-import warnings
 
 import numpy as np
 import pytest
@@ -123,21 +123,26 @@ class TestProduct:
             halves.append(np.prod(z, axis=0) * np.exp(-1j * np.sum(dispersion(0.9, ks)) * t))
         np.testing.assert_allclose(halves[0] * halves[1], r_full, atol=1e-12)
 
-    def test_underflow_flushes_to_zero(self, monkeypatch):
+    def test_underflow_raises(self, monkeypatch):
         p = IsingBathParams(20000, 1.0, 1.0, 0.5)
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            val = decoherence_product(p, 7.3)
-        assert val == 0j
-        assert any(issubclass(w.category, MagnitudeUnderflow) for w in caught)
+        with pytest.raises(MagnitudeUnderflow, match=re.escape("log|r(7.3)| = -845.038 is below")):
+            decoherence_product(p, 7.3)
+        # the boundary from both sides, and the first time below it is named
+        assert np.log(abs(decoherence_product(p, 0.792))) == pytest.approx(-699.798, abs=1e-3)
+        with pytest.raises(MagnitudeUnderflow, match=re.escape("log|r(0.793)| = -700.786")):
+            decoherence_product(p, np.array([0.0, 0.792, 0.793, 7.3]))
 
-        # the same flush when the 10000 modes stream through ten blocks
+        # the same error when the 10000 modes stream through ten blocks
         monkeypatch.setattr(gphase.ising, "_BLOCK_SAMPLES", 2 * 1000)
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            vals = decoherence_product(p, np.array([0.0, 7.3]))
-        assert vals[0] == 1.0 and vals[1] == 0j
-        assert any(issubclass(w.category, MagnitudeUnderflow) for w in caught)
+        with pytest.raises(MagnitudeUnderflow, match=re.escape("log|r(7.3)| = -845.038")):
+            decoherence_product(p, np.array([0.0, 7.3]))
+
+        # N = 2, lam = 1, delta = -2: cos D = 0 exactly, so at the tangent's
+        # pole the one mode's overlap is 0 and log|r| is -inf
+        p = IsingBathParams(2, 1.0, 1.0, -2.0)
+        t = float(np.pi / (2.0 * dispersion(-1.0, np.pi / 2)))
+        with pytest.raises(MagnitudeUnderflow, match=re.escape(f"log|r({t!r})| = -inf")):
+            decoherence_product(p, np.array([0.0, t]))
 
     def test_block_size_invariance(self, monkeypatch):
         # 500 modes, not a multiple of 7; blocks of 1, 7 and all 500 modes (the

@@ -23,13 +23,13 @@ from gphase.perturbative import (
     _one_minus_sinc,
     _panel_quad,
     elliptic_E,
-    elliptic_K,
     gp_approx_ising,
     ising_closed_forms,
     IsingClosedForms,
 )
 from gphase.reference import (
     StencilConditioning,
+    elliptic_K,
     extract_coefficients_numeric,
     gp_third_order,
     mode_coefficients,
@@ -40,11 +40,6 @@ OMEGA = 100.0 * np.pi
 
 
 class TestElliptic:
-    def test_endpoints(self):
-        assert elliptic_K(0.0) == pytest.approx(np.pi / 2, abs=1e-14)
-        assert elliptic_E(0.0) == pytest.approx(np.pi / 2, abs=1e-14)
-        assert elliptic_E(1.0) == pytest.approx(1.0, abs=1e-14)
-
     def test_against_defining_integrals(self):
         m = 0.5
         k_ref, _ = quad(lambda t: 1.0 / np.sqrt(1 - m * np.sin(t) ** 2), 0, np.pi / 2,
@@ -53,13 +48,6 @@ class TestElliptic:
                         epsabs=1e-14, epsrel=1e-14)
         assert elliptic_K(m) == pytest.approx(k_ref, abs=1e-12)
         assert elliptic_E(m) == pytest.approx(e_ref, abs=1e-12)
-
-    def test_legendre_relation(self):
-        for m in np.linspace(0.01, 0.99, 50):
-            lhs = (elliptic_E(m) * elliptic_K(1 - m)
-                   + elliptic_E(1 - m) * elliptic_K(m)
-                   - elliptic_K(m) * elliptic_K(1 - m))
-            assert lhs == pytest.approx(np.pi / 2, abs=1e-12)
 
     @pytest.mark.parametrize("m", [0.0, 1e-12, 0.1, 0.5, 0.9, 1.0 - 1e-6, 1.0 - 1e-12])
     def test_against_mpmath(self, m):
@@ -202,10 +190,12 @@ class TestClosedForms:
         assert cf.g1(1e-3) == pytest.approx(100 * 1e-3 / 2, rel=1e-2)
 
     @pytest.mark.parametrize("lam", [
-        1e-7, 1e-6, 1e-4, 0.005, 0.3, 0.4999999, 0.5, 0.995, 1.0 - 3e-9, 1.0 + 3e-9, 1.5])
+        -1e-9, 1e-9, 1e-7, 1e-6, 1e-4, 0.005, 0.3, 0.4999999, 0.5, 0.9, 0.995, 0.999999,
+        1.0 - 3e-9, 1.0, 1.0 + 3e-9, 1.2, 1.5, 2.0])
     def test_g1_against_mpmath(self, lam):
         # (lam+1) E(m) + (lam-1) K(m), m = 4 lam/(1 + lam)^2, cancels to O(lam)
-        # at small lam, and m rounds to 1 at 1 -+ 3e-9, where K(m) is infinite
+        # at small lam, and m rounds to 1 at 1 -+ 3e-9, where K(m) is infinite;
+        # the R_D form below lam = 1 and E(1/lam^2) above keep G1 to 1e-15
         mpmath = pytest.importorskip("mpmath")
         with mpmath.workdps(30):
             L = mpmath.mpf(lam)
@@ -213,10 +203,10 @@ class TestClosedForms:
                 e = 2 * mpmath.sqrt((1 - L) ** 2 + 4 * L * mpmath.sin(k / 2) ** 2)
                 return 4 * (L - mpmath.cos(k)) / e
 
-            ref = 100 / (2 * mpmath.pi) * mpmath.quad(
+            ref = 200 / mpmath.pi if lam == 1.0 else 100 / (2 * mpmath.pi) * mpmath.quad(
                 integrand, [0, mpmath.mpf("1e-8"), mpmath.mpf("1e-4"), 0.1, mpmath.pi])
         cf = IsingClosedForms(n_spins=100, t_period=2.0 * np.pi)
-        assert abs((cf.g1(lam) - ref) / ref) <= 1e-14
+        assert abs((cf.g1(lam) - ref) / ref) <= 1e-15
 
     def test_negative_lam_by_symmetry(self):
         # k -> pi - k: f2 and F2 are even in lam, F3 and G1 odd
