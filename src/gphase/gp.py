@@ -114,35 +114,40 @@ def trace_from_samples(times, r_values) -> DecoherenceTrace:
 
 def build_trace(sampler, params: SystemParams, samples: int = 256,
                 rate_bound: float = np.inf) -> DecoherenceTrace:
-    """Sample ``sampler(t)`` on [0, tau] and unwrap, refining on failure.
+    """Sample ``sampler(t)`` on [0, tau] and unwrap it.
 
     ``sampler`` is called with the full time grid (an ndarray) and must return the complex r
-    values.  A ``rate_bound`` (rad/s) on |d arg r / dt| under pi/2 per interval of the requested
-    grid makes that grid unwrap unambiguously: it is sampled once, and a phase step over
-    rate_bound * dt (plus 1e-9 of it and 2^10 ulp of the largest phase, for rounding) raises
-    UnwrapFailure.  Otherwise each try samples a grid of twice the density once; its even points
-    are the trace.  Both grids must unwrap with every phase step under pi/2 (so the two unwraps
-    agree at the even points), or the grid is doubled, up to 2^6 times; a persistent step near pi
-    (e.g. r crossing zero) raises UnwrapFailure.  That loop passes a winding aliased on both
-    grids, so the chain declares its bound (``ising.chain_trace``) and ``two_level.oracle_trace``
-    checks its sampler's bandwidth.
+    values.  A finite ``rate_bound`` (rad/s) on |d arg r / dt| picks the grid: the first of m,
+    2m, ..., 2^6 m intervals (m the requested count) with rate_bound * dt < pi/2.  It is sampled
+    once, and a phase step over rate_bound * dt (plus 1e-9 of it and 2^10 ulp of the largest
+    phase, for rounding) raises UnwrapFailure, as does, before any sample, a bound no grid fits.
+    Without a bound each try samples a grid of twice the density once; its even points are the
+    trace.  Both grids must unwrap with every phase step under pi/2 (so the two unwraps agree at
+    the even points), or the grid is doubled, up to 2^6 times; a persistent step near pi (e.g. r
+    crossing zero) raises UnwrapFailure.  That loop passes a winding aliased on both grids, so
+    ``two_level.oracle_trace`` checks its sampler's bandwidth.
     """
     if samples < MIN_SAMPLES:
         raise ValidationError(f"samples must be >= {MIN_SAMPLES}, got {samples}")
     m = samples + (samples % 2)  # composite Simpson needs an even interval count
-    once = rate_bound * params.tau / m < _UNWRAP_STEP_LIMIT
+    if rate_bound < np.inf:
+        need = rate_bound * params.tau / _UNWRAP_STEP_LIMIT  # a grid needs more intervals
+        grid = next((m << j for j in range(_MAX_REFINEMENTS + 1) if m << j > need), None)
+        if grid is None:
+            raise UnwrapFailure(f"rate_bound {rate_bound:.6g} rad/s needs more than {need:.6g}"
+                                f" intervals; {samples} samples reach {m << _MAX_REFINEMENTS}")
+        times = np.linspace(0.0, params.tau, grid + 1)
+        trace = trace_from_samples(times, sampler(times))
+        phi = trace.phase_unwrapped
+        limit = rate_bound * times[1] * (1 + 1e-9) + 2.0**10 * np.spacing(np.max(np.abs(phi)))
+        if np.max(np.abs(np.diff(phi))) > limit:
+            raise UnwrapFailure(f"a phase step exceeds rate_bound {rate_bound:.6g} rad/s * dt")
+        return trace
     for _ in range(_MAX_REFINEMENTS + 1):
-        times = np.linspace(0.0, params.tau, (1 if once else 2) * m + 1)
+        times = np.linspace(0.0, params.tau, 2 * m + 1)
         r = np.asarray(sampler(times), dtype=complex)
         if r.shape != times.shape:
             raise ValidationError("sampler must return one value per time point")
-        if once:
-            trace = trace_from_samples(times, r)
-            phi = trace.phase_unwrapped
-            limit = rate_bound * times[1] * (1 + 1e-9) + 2.0**10 * np.spacing(np.max(np.abs(phi)))
-            if np.max(np.abs(np.diff(phi))) > limit:
-                raise UnwrapFailure(f"a phase step exceeds rate_bound {rate_bound:.6g} rad/s * dt")
-            return trace
         try:
             trace = trace_from_samples(times[::2], r[::2])
             trace_from_samples(times, r)

@@ -91,20 +91,20 @@ def require_resolved(p: TwoLevelBathParams, tau: float, intervals: int) -> None:
             f"over tau = {tau:.6g} s")
 
 
-def decoherence_factor_oracle(p: TwoLevelBathParams, t, initial=None):
+def decoherence_factor_oracle(p: TwoLevelBathParams, t):
     """Exact branch-overlap decoherence factor <psi|e^{+iH1 t} e^{-iH0 t}|psi>.
 
     With H_j = b_j Z + Delta X = E_j n_j.sigma (b_j from ``p.convention``),
     e^{-iH_j t} = c_j - i s_j n_j.sigma, c_j and s_j the cos and sin of E_j t;
-    so from the Bloch vector m = <psi|sigma|psi> of the initial environment
-    state (default: the bath ground state)
+    so from the Bloch vector m = <psi|sigma|psi> of the bath ground state psi
 
-        r = <psi|psi>(c1 c0 + s1 s0 n1.n0) + i(s1 c0 n1.m - c1 s0 n0.m + s1 s0 (n1 x n0).m).
+        r = <psi|psi>(c1 c0 + s1 s0 n1.n0) + i(s1 c0 n1.m - c1 s0 n0.m),
 
+    as psi is real: m lies in the x-z plane with n0 and n1, so (n1 x n0).m = 0.
     Never reads the system angle theta: pure dephasing makes r(t) independent
     of the system state.  Accepts scalar or array t; r(0) = <psi|psi> exactly.
     """
-    psi = ground_state(p) if initial is None else np.asarray(initial, dtype=complex)
+    psi = ground_state(p)
     w = 2.0 * psi[0].conjugate() * psi[1]
     m = np.array([w.real, w.imag, abs(psi[0]) ** 2 - abs(psi[1]) ** 2])
     b = _branch_fields(p)
@@ -113,7 +113,7 @@ def decoherence_factor_oracle(p: TwoLevelBathParams, t, initial=None):
     et = np.multiply.outer(e, t)
     (c0, c1), (s0, s1) = np.cos(et), np.sin(et)
     out = (np.vdot(psi, psi).real * (c1 * c0 + s1 * s0 * (n1 @ n0))
-           + 1j * (s1 * c0 * (n1 @ m) - c1 * s0 * (n0 @ m) + s1 * s0 * (np.cross(n1, n0) @ m)))
+           + 1j * (s1 * c0 * (n1 @ m) - c1 * s0 * (n0 @ m)))
     return out if out.shape else complex(out)
 
 

@@ -357,16 +357,39 @@ class TestExitCodes:
                      "--b-field", "62.83185307179586"]) == 1
         assert "UnwrapFailure" in capsys.readouterr().err
 
-    def test_underflowing_chain_point_fails_on_its_first_grid(self, tmp_path, capsys):
-        # N = 20000, delta = 0.5: log|r| falls below -700 within the cycle, so
-        # the point fails on its first grid and the error names the cause
+    def test_chain_winding_past_the_requested_grid_is_resolved(self, tmp_path):
+        # L = 130 rad/s needs more than 520 intervals: the 64-sample request is
+        # sampled on 1024.  The doubling loop accepted the 64- and 128-interval
+        # grids, 128 * 2 pi off, and printed 0.00661
+        argv = ["ising-sweep", "--n-spins", "100", "--lambda-min", "1.5", "--lambda-max", "1.5",
+                "--lambda-points", "1", "--coupling", "1.3", "--samples", "64"]
+        with pytest.warns(PerturbativeBreakdown):
+            rc, raw = run_cli(argv, tmp_path, "wind.csv")
+        assert rc == 0
+        dphi = float(raw.decode().splitlines()[1].split(",")[1])
+        assert dphi == pytest.approx(-0.20298, abs=1e-4)
+
+    def test_underflowing_chain_point_fails_on_its_first_grid(self, capsys):
+        # N = 8000, lambda = 0, delta = 1: L = 8000 rad/s picks the 32768-interval
+        # grid of 512 samples, and log|r| falls below -700 on it, so the point
+        # fails on the one grid it samples and the error names the cause (G1 = 0
+        # at lambda = 0, so no PerturbativeBreakdown)
+        argv = ["ising-sweep", "--n-spins", "8000", "--coupling", "1", "--lambda-min", "0",
+                "--lambda-max", "0", "--lambda-points", "1", "--samples", "512"]
+        assert main(argv) == 1
+        assert "MagnitudeUnderflow: log|r(0.518293758706861)| = -700.2" in capsys.readouterr().err
+
+    def test_chain_point_beyond_its_grid_reach_fails_unsampled(self, tmp_path, capsys):
+        # N = 20000, delta = 0.5: L = 7090.3 rad/s needs more than 28361
+        # intervals, past the 4096 that 64 samples reach
         argv = ["ising-sweep", "--n-spins", "20000", "--coupling", "0.5", "--lambda-min", "0.5",
                 "--lambda-max", "0.5", "--lambda-points", "1", "--samples", "64"]
         with pytest.warns(PerturbativeBreakdown):
             assert main(argv) == 1
-        assert "MagnitudeUnderflow: log|r(" in capsys.readouterr().err
+        assert ("UnwrapFailure: rate_bound 7090.3 rad/s needs more than 28361.2 intervals; "
+                "64 samples reach 4096") in capsys.readouterr().err
         with pytest.warns(PerturbativeBreakdown):
-            rc, raw = run_cli(argv + ["--keep-going"], tmp_path, "under.csv")
+            rc, raw = run_cli(argv + ["--keep-going"], tmp_path, "reach.csv")
         assert rc == 0
         assert raw.decode().splitlines()[1].split(",")[:4] == ["0.5", "nan", "nan", "nan"]
 

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import gphase.ising
 from gphase.errors import (
     DegenerateEigenvector,
     InvalidInitialValue,
@@ -174,17 +175,34 @@ class TestRateBound:
         assert np.array_equal(tr.times, np.linspace(0.0, sp.tau, 64 + 1))
         assert tr.phase_unwrapped[-1] == pytest.approx(6.0 * np.pi, abs=1e-9)
 
-    def test_a_bound_too_large_for_the_grid_changes_nothing(self):
-        # bound * tau / m at or over pi/2: the doubling loop runs as without a bound
+    def test_a_bound_over_the_grid_samples_its_own_grid_once(self):
+        # bound * tau / m at or over pi/2: the first of m * 2^j intervals under
+        # it is sampled once, and the grids below it not at all
         sp = SystemParams(omega=OMEGA, theta=0.5)
-        cases = [(ones_sampler, np.pi / 2 * 64 / sp.tau * (1.0 + 1e-12)),
-                 (lambda t: np.exp(-1j * 100.0 * sp.omega * t), 100.0 * sp.omega)]
-        for sampler, bound in cases:
-            unbounded, bounded = [], []
-            want = build_trace(counting(sampler, unbounded), sp, 64)
-            got = build_trace(counting(sampler, bounded), sp, 64, rate_bound=bound)
-            assert bounded == unbounded
-            np.testing.assert_array_equal(got.phase_unwrapped, want.phase_unwrapped)
+        w = 100.0 * sp.omega
+        cases = [(ones_sampler, np.pi / 2 * 64 / sp.tau * (1.0 + 1e-12), 128),
+                 (lambda t: np.exp(-1j * w * t), w, 512)]
+        for sampler, bound, grid in cases:
+            calls = []
+            tr = build_trace(counting(sampler, calls), sp, 64, rate_bound=bound)
+            assert calls == [grid + 1]
+            assert np.array_equal(tr.times, np.linspace(0.0, sp.tau, grid + 1))
+        # the last case winds 100 times, 1.23 rad per interval of the 512
+        assert tr.phase_unwrapped[-1] == pytest.approx(200.0 * np.pi, abs=1e-9)
+
+    def test_a_bound_beyond_reach_fails_before_sampling(self):
+        # 2^6 m = 4096 intervals are the reach of 64 samples: a bound just
+        # under it is sampled there, one just over it never
+        sp = SystemParams(omega=OMEGA, theta=0.5)
+        edge = np.pi / 2 * 4096 / sp.tau
+        calls = []
+        build_trace(counting(ones_sampler, calls), sp, 64, rate_bound=edge * (1.0 - 1e-12))
+        assert calls == [4097]
+        calls = []
+        with pytest.raises(UnwrapFailure, match="needs more than 4096 intervals; 64 samples "
+                                                "reach 4096"):
+            build_trace(counting(ones_sampler, calls), sp, 64, rate_bound=edge * (1.0 + 1e-12))
+        assert calls == []
 
     def test_a_broken_bound_fails(self):
         sp = SystemParams(omega=OMEGA, theta=0.5)
@@ -204,6 +222,38 @@ class TestRateBound:
             want = build_trace(lambda t: decoherence_product(p, t), sp, d["samples"])
             for name in ("times", "r_values", "magnitude", "phase_unwrapped"):
                 np.testing.assert_array_equal(getattr(got, name), getattr(want, name))
+
+    @pytest.mark.parametrize("n_spins, lam, coupling, grid", [
+        (100, 1.5, 0.1, 64), (100, 1.5, 0.5, 256), (100, 1.5, 1.3, 1024), (100, 1.5, 3.0, 2048),
+        (100, 1.5, 5.0, 4096), (100, 1.5, 8.0, 4096), (40, 2.473, 3.539, 1024),
+        (100, 1.5, 10.0, None), (100, 1.5, 15.0, None),
+    ])
+    def test_chain_coupling_sweep_across_its_bound(self, n_spins, lam, coupling, grid,
+                                                   monkeypatch):
+        # the chain is sampled once, on the grid its bound picks from 64 samples,
+        # and its phase is that of a 16x finer direct trace at the same times; the
+        # doubling loop took delta = 1.3 on the 64- and 128-interval grids, off by
+        # 128 * 2 pi.  Past 2^6 * 64 intervals the point fails unsampled
+        sp = SystemParams(omega=1.0, theta=np.pi / 4)
+        p = IsingBathParams(n_spins, 1.0, lam, coupling)
+        calls = []
+
+        def product(q, t):
+            calls.append(len(t))
+            return decoherence_product(q, t)
+
+        monkeypatch.setattr(gphase.ising, "decoherence_product", product)
+        if grid is None:
+            with pytest.raises(UnwrapFailure, match="samples reach 4096"):
+                chain_trace(p, sp, 64)
+            assert calls == []
+            return
+        got = chain_trace(p, sp, 64)
+        assert calls == [grid + 1]
+        t = np.linspace(0.0, sp.tau, 16 * grid + 1)
+        want = trace_from_samples(t, decoherence_product(p, t))
+        np.testing.assert_allclose(got.phase_unwrapped, want.phase_unwrapped[::16], rtol=0,
+                                   atol=1e-9)
 
 
 class TestNonFiniteSamples:
