@@ -5,9 +5,10 @@ Library layout:
 - :mod:`gphase.gp`: geometric phase from a sampled decoherence factor
   (closed form in the Bloch radius of the dephased state);
   ``GpResult.correction`` is the phase minus its uncoupled value
-  pi(1 - cos theta).
+  pi(1 - cos theta); ``first_grid`` is the one grid rule of every trace.
 - :mod:`gphase.two_level`: two-level model of a critical environment, its
-  exact branch-overlap decoherence factor and the grid that resolves it.
+  exact branch-overlap decoherence factor and ``oracle_trace`` from the
+  first grid that resolves it.
 - :mod:`gphase.ising`: transverse-field Ising chain environment shifted from
   lam to lam + delta, via the free-fermion mode product.
 - :mod:`gphase.perturbative`: small-coupling expansion of the phase
@@ -53,6 +54,7 @@ from .two_level import (
     TwoLevelBathParams,
     decoherence_factor_oracle,
     ground_state,
+    oracle_trace,
 )
 
 __version__ = "0.1.0"

@@ -34,7 +34,7 @@ from .errors import (
 _POLE_TOL = 1e-12          # theta pinned to 0 or pi
 _DEGENERACY_TOL = 1e-14    # Bloch radius below which the + eigenbranch is undefined
 _UNWRAP_STEP_LIMIT = np.pi / 2
-_MAX_REFINEMENTS = 6
+_MAX_INTERVALS = 2**18     # reach: the finest grid a trace may be refined to
 MIN_SAMPLES = 64           # coarsest grid build_trace accepts
 
 
@@ -112,30 +112,41 @@ def trace_from_samples(times, r_values) -> DecoherenceTrace:
     return DecoherenceTrace(times=times, r_values=r, magnitude=mag, phase_unwrapped=phi)
 
 
+def first_grid(samples: int, need: float, cause: str) -> int:
+    """The first of m, 2m, 4m, ... intervals (m = ``samples`` made even) over ``need``: the one
+    grid rule of every trace, ``need`` the intervals that its engine's declared rate (``cause``)
+    needs.  Where it would double past the reach ``_MAX_INTERVALS``, or for a NaN need,
+    UnwrapFailure names the cause, the need and the reach; a request above the reach is kept if
+    it exceeds its need.  ``samples`` below MIN_SAMPLES raises ValidationError."""
+    if samples < MIN_SAMPLES:
+        raise ValidationError(f"samples must be >= {MIN_SAMPLES}, got {samples}")
+    grid = samples + (samples % 2)  # composite Simpson needs an even interval count
+    while not grid > need:  # so that a NaN need fails too
+        if 2 * grid > _MAX_INTERVALS:
+            raise UnwrapFailure(f"{cause} needs more than {need:.6g} intervals, past the reach "
+                                f"of {_MAX_INTERVALS}")
+        grid *= 2
+    return grid
+
+
 def build_trace(sampler, params: SystemParams, samples: int = 256,
                 rate_bound: float = np.inf) -> DecoherenceTrace:
     """Sample ``sampler(t)`` on [0, tau] and unwrap it.
 
     ``sampler`` is called with the full time grid (an ndarray) and must return the complex r
-    values.  A finite ``rate_bound`` (rad/s) on |d arg r / dt| picks the grid: the first of m,
-    2m, ..., 2^6 m intervals (m the requested count) with rate_bound * dt < pi/2.  It is sampled
-    once, and a phase step over rate_bound * dt (plus 1e-9 of it and 2^10 ulp of the largest
-    phase, for rounding) raises UnwrapFailure, as does, before any sample, a bound no grid fits.
-    Without a bound each try samples a grid of twice the density once; its even points are the
-    trace.  Both grids must unwrap with every phase step under pi/2 (so the two unwraps agree at
-    the even points), or the grid is doubled, up to 2^6 times; a persistent step near pi (e.g. r
-    crossing zero) raises UnwrapFailure.  That loop passes a winding aliased on both grids, so
-    ``two_level.oracle_trace`` checks its sampler's bandwidth.
+    values.  ``first_grid`` picks every grid.  A finite ``rate_bound`` (rad/s) on |d arg r / dt|
+    needs rate_bound * dt < pi/2: that grid is sampled once, and a phase step over it (plus 1e-9
+    of it and 2^10 ulp of the largest phase, for rounding) raises UnwrapFailure.  Without a
+    bound each try samples a grid of twice the density once; its even points are the trace.
+    Both grids must unwrap with every phase step under pi/2 (so the two unwraps agree at the
+    even points), or the grid is doubled up to the reach; a persistent step near pi (e.g. r
+    crossing zero) raises UnwrapFailure naming the last grid tried.  That loop passes a winding
+    aliased on both grids, so ``two_level.oracle_trace`` starts it on the first grid that
+    resolves its sampler's bandwidth.
     """
-    if samples < MIN_SAMPLES:
-        raise ValidationError(f"samples must be >= {MIN_SAMPLES}, got {samples}")
-    m = samples + (samples % 2)  # composite Simpson needs an even interval count
-    if rate_bound < np.inf:
-        need = rate_bound * params.tau / _UNWRAP_STEP_LIMIT  # a grid needs more intervals
-        grid = next((m << j for j in range(_MAX_REFINEMENTS + 1) if m << j > need), None)
-        if grid is None:
-            raise UnwrapFailure(f"rate_bound {rate_bound:.6g} rad/s needs more than {need:.6g}"
-                                f" intervals; {samples} samples reach {m << _MAX_REFINEMENTS}")
+    if rate_bound != np.inf:
+        grid = first_grid(samples, rate_bound * params.tau / _UNWRAP_STEP_LIMIT,
+                          f"rate_bound {rate_bound:.6g} rad/s")
         times = np.linspace(0.0, params.tau, grid + 1)
         trace = trace_from_samples(times, sampler(times))
         phi = trace.phase_unwrapped
@@ -143,7 +154,8 @@ def build_trace(sampler, params: SystemParams, samples: int = 256,
         if np.max(np.abs(np.diff(phi))) > limit:
             raise UnwrapFailure(f"a phase step exceeds rate_bound {rate_bound:.6g} rad/s * dt")
         return trace
-    for _ in range(_MAX_REFINEMENTS + 1):
+    m = first_grid(samples, 0.0, "")
+    while True:
         times = np.linspace(0.0, params.tau, 2 * m + 1)
         r = np.asarray(sampler(times), dtype=complex)
         if r.shape != times.shape:
@@ -152,13 +164,9 @@ def build_trace(sampler, params: SystemParams, samples: int = 256,
             trace = trace_from_samples(times[::2], r[::2])
             trace_from_samples(times, r)
         except UnwrapFailure:
-            m *= 2
+            m = first_grid(m, m, f"a phase step >= {_UNWRAP_STEP_LIMIT:.3f} rad")
             continue
         return trace
-    raise UnwrapFailure(
-        f"phase unwrapping failed up to {m // 2} samples (a phase step >= "
-        f"{_UNWRAP_STEP_LIMIT:.3f} rad persists)"
-    )
 
 
 @dataclass(frozen=True)

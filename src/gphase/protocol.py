@@ -35,19 +35,20 @@ from .gp import (
     DecoherenceTrace,
     SystemParams,
     checked_correction,
+    first_grid,
     geometric_phase,
     trace_from_samples,
 )
 from .two_level import (
     CouplingConvention,
     TwoLevelBathParams,
+    bandwidth,
     ground_state,
     oracle_trace,
-    require_resolved,
 )
 
-# Intervals per cycle of run_protocol's readout grid; a stepped evolution
-# reaches every readout time only with a multiple of it as steps.
+# Intervals per cycle that run_protocol's readout grid starts from; a stepped
+# evolution reaches every readout time only with a multiple of that grid as steps.
 READOUT_SAMPLES = 64
 
 # Samples per cycle of correction_point's theory column.
@@ -164,20 +165,22 @@ def run_protocol(p: ProtocolParams, input_theta: float = np.pi / 2.0) -> Decoher
     at twice the cycle frequency).  The readout does not depend on th_in,
     because the coupling is purely dephasing; its geometric phase is
     ``geometric_phase(trace, p.sys)`` at the analysis angle ``p.sys.theta``.
-    The readout grid has READOUT_SAMPLES intervals; a bath whose bandwidth
-    would alias on it (a phase step of pi or more per interval) raises
-    UnwrapFailure before any evolution.
+    The readout grid is the first doubling of READOUT_SAMPLES intervals on which
+    the bath's ``bandwidth`` turns by less than pi per interval (``first_grid``;
+    past its reach, UnwrapFailure before any evolution), and a stepped evolution
+    needs ``trotter_steps`` to be a multiple of it.
     """
-    times = np.linspace(0.0, p.sys.tau, READOUT_SAMPLES + 1)
     if not (0.0 < input_theta < np.pi):
         raise ValidationError("input_theta must lie strictly inside (0, pi)")
-    require_resolved(p.bath, p.sys.tau, READOUT_SAMPLES)
+    band = bandwidth(p.bath)
+    intervals = first_grid(READOUT_SAMPLES, band * p.sys.tau / np.pi, f"bandwidth {band:.6g} rad/s")
+    times = np.linspace(0.0, p.sys.tau, intervals + 1)
 
     psi0 = _initial_state(p, input_theta)
     if p.decomposition is Decomposition.EXACT:
         states = _exact_states(p, times, psi0)
     else:
-        states = _stepped_states(p, READOUT_SAMPLES, psi0)
+        states = _stepped_states(p, intervals, psi0)
 
     r_hat = _system_coherence(states) * 2.0 / np.sin(input_theta)
     r_hat *= np.exp(+2j * p.sys.omega * times)

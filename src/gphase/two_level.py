@@ -12,8 +12,9 @@ The system couples through Z, so conditioned on the system pointer states
 the environment evolves under two shifted branch Hamiltonians; their
 overlap is the decoherence factor, which ``decoherence_factor_oracle``
 writes in closed form in Bloch vectors.  Its fastest frequency, ``bandwidth``,
-sets the coarsest grid that resolves it (``require_resolved``), and
-``oracle_trace`` keeps a trace only from such a grid.
+turns it by less than pi per interval only on a grid of more than
+bandwidth * tau / pi intervals (Nyquist), and ``oracle_trace`` and the
+protocol readout start on the first such grid (``gp.first_grid``).
 """
 
 from __future__ import annotations
@@ -23,8 +24,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import UnwrapFailure, ValidationError
-from .gp import DecoherenceTrace, SystemParams, build_trace
+from .errors import ValidationError
+from .gp import DecoherenceTrace, SystemParams, build_trace, first_grid
 
 
 class CouplingConvention(enum.Enum):
@@ -75,22 +76,6 @@ def bandwidth(p: TwoLevelBathParams) -> float:
     return float(np.sum(np.hypot(_branch_fields(p), p.delta_gap)))
 
 
-def require_resolved(p: TwoLevelBathParams, tau: float, intervals: int) -> None:
-    """Raise UnwrapFailure unless ``intervals`` equal steps over ``tau`` resolve r(t).
-
-    The fastest frequency, ``bandwidth(p)``, must turn by less than pi per
-    interval; on a coarser grid a winding aliases, and no later unwrap check
-    can tell it from a slow one."""
-    band = bandwidth(p)
-    turn = band * tau / intervals
-    # not (turn < pi), so that a NaN turn fails too
-    if not turn < np.pi:
-        raise UnwrapFailure(
-            f"grid of {intervals} intervals per cycle aliases the decoherence factor: "
-            f"bandwidth {band:.6g} rad/s needs more than {band * tau / np.pi:.6g} intervals "
-            f"over tau = {tau:.6g} s")
-
-
 def decoherence_factor_oracle(p: TwoLevelBathParams, t):
     """Exact branch-overlap decoherence factor <psi|e^{+iH1 t} e^{-iH0 t}|psi>.
 
@@ -118,8 +103,10 @@ def decoherence_factor_oracle(p: TwoLevelBathParams, t):
 
 
 def oracle_trace(p: TwoLevelBathParams, sysp: SystemParams, samples: int) -> DecoherenceTrace:
-    """``build_trace`` of ``decoherence_factor_oracle`` over the cycle of ``sysp``,
-    kept if ``require_resolved`` passes on the (possibly refined) grid it took."""
-    trace = build_trace(lambda t: decoherence_factor_oracle(p, t), sysp, samples)
-    require_resolved(p, sysp.tau, trace.samples)
-    return trace
+    """``build_trace`` of ``decoherence_factor_oracle`` over the cycle of ``sysp``, its doubling
+    loop started on the first grid from ``samples`` on which the ``bandwidth`` turns by less
+    than pi per interval: on a coarser grid a winding aliases, and no unwrap check can tell it
+    from a slow one."""
+    band = bandwidth(p)
+    grid = first_grid(samples, band * sysp.tau / np.pi, f"bandwidth {band:.6g} rad/s")
+    return build_trace(lambda t: decoherence_factor_oracle(p, t), sysp, grid)

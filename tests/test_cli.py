@@ -16,7 +16,7 @@ from gphase.reference import (
     TROTTER_FIDELITY_THRESHOLD,
     find_min_trotter_steps,
 )
-from gphase.two_level import TwoLevelBathParams, decoherence_factor_oracle
+from gphase.two_level import TwoLevelBathParams, decoherence_factor_oracle, oracle_trace
 
 
 def run_cli(argv, tmp_path, name="out"):
@@ -380,14 +380,14 @@ class TestExitCodes:
         assert "MagnitudeUnderflow: log|r(0.518293758706861)| = -700.2" in capsys.readouterr().err
 
     def test_chain_point_beyond_its_grid_reach_fails_unsampled(self, tmp_path, capsys):
-        # N = 20000, delta = 0.5: L = 7090.3 rad/s needs more than 28361
-        # intervals, past the 4096 that 64 samples reach
-        argv = ["ising-sweep", "--n-spins", "20000", "--coupling", "0.5", "--lambda-min", "0.5",
+        # N = 200000, delta = 0.5: L = 70903 rad/s needs more than 283612
+        # intervals, past the reach of 2^18 that every request shares
+        argv = ["ising-sweep", "--n-spins", "200000", "--coupling", "0.5", "--lambda-min", "0.5",
                 "--lambda-max", "0.5", "--lambda-points", "1", "--samples", "64"]
         with pytest.warns(PerturbativeBreakdown):
             assert main(argv) == 1
-        assert ("UnwrapFailure: rate_bound 7090.3 rad/s needs more than 28361.2 intervals; "
-                "64 samples reach 4096") in capsys.readouterr().err
+        assert ("UnwrapFailure: rate_bound 70903 rad/s needs more than 283612 intervals, "
+                "past the reach of 262144") in capsys.readouterr().err
         with pytest.warns(PerturbativeBreakdown):
             rc, raw = run_cli(argv + ["--keep-going"], tmp_path, "reach.csv")
         assert rc == 0
@@ -440,7 +440,7 @@ class TestScaleInvariance:
             w = 100.0 * np.pi * scale
             sysp = SystemParams(omega=w, theta=np.pi / 4)
             bath = TwoLevelBathParams(delta_gap=0.02 * w, b_field=0.05 * w, coupling=0.1 * w)
-            tr = build_trace(lambda t: decoherence_factor_oracle(bath, t), sysp, 1024)
+            tr = oracle_trace(bath, sysp, 1024)
             outs.append(geometric_phase(tr, sysp).phi_total)
         assert abs(outs[0] - outs[1]) < 1e-10
 

@@ -1,11 +1,15 @@
-"""Every demo imports against the current library and runs to the end."""
+"""Every demo, and the README's quickstart, imports against the current library
+and runs to the end."""
 
 import importlib.util
+import math
+import re
 from pathlib import Path
 
 import pytest
 
-DEMOS = sorted((Path(__file__).resolve().parent.parent / "demos").glob("*.py"))
+ROOT = Path(__file__).resolve().parent.parent
+DEMOS = sorted((ROOT / "demos").glob("*.py"))
 
 
 def _load(path):
@@ -30,3 +34,13 @@ def test_demo_runs(path, tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)
     _load(path).main()
     assert capsys.readouterr().out
+
+
+def test_readme_quickstart_runs(capsys):
+    # the one python block under "Library quickstart", run as written
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    section = readme.split("## Library quickstart", 1)[1]
+    block = re.search(r"```python\n(.*?)```", section, re.DOTALL).group(1)
+    exec(compile(block, "README.md quickstart", "exec"), {})
+    phi_total, correction = map(float, capsys.readouterr().out.split())
+    assert math.isfinite(phi_total) and math.isfinite(correction) and correction != 0

@@ -9,7 +9,13 @@ from gphase.errors import (
     ValidationError,
 )
 from gphase.cli import EXPERIMENTS
-from gphase.gp import SystemParams, build_trace, geometric_phase, trace_from_samples
+from gphase.gp import (
+    SystemParams,
+    build_trace,
+    first_grid,
+    geometric_phase,
+    trace_from_samples,
+)
 from gphase.ising import IsingBathParams, chain_trace, decoherence_product, phase_rate_bound
 from gphase.reference import EigenbranchCrossing, density_trajectory, gp_from_trajectory
 from gphase.two_level import TwoLevelBathParams, decoherence_factor_oracle
@@ -116,10 +122,14 @@ class TestBuildTrace:
             assert np.array_equal(tr.times, np.linspace(0.0, sp.tau, m + 1))
 
     def test_zero_crossing_fails(self):
-        # real r passing through 0 flips the phase by pi at every resolution
+        # real r passing through 0 flips the phase by pi at every resolution:
+        # the loop doubles up to the reach of 2^18 intervals and names it
         sp = SystemParams(omega=OMEGA, theta=0.5)
-        with pytest.raises(UnwrapFailure):
-            build_trace(lambda t: np.cos(sp.omega * t) + 0j, sp, 64)
+        calls = []
+        with pytest.raises(UnwrapFailure, match="needs more than 262144 intervals, past the "
+                                                "reach of 262144"):
+            build_trace(counting(lambda t: np.cos(sp.omega * t) + 0j, calls), sp, 64)
+        assert calls == [2 * 64 * 2**i + 1 for i in range(13)]
 
     def test_initial_value_checked(self):
         sp = SystemParams(omega=OMEGA, theta=0.5)
@@ -162,6 +172,41 @@ class TestBuildTrace:
         np.testing.assert_allclose(rebuilt, tr.r_values, atol=1e-12)
 
 
+class TestFirstGrid:
+    """``first_grid``, the one rule that picks a trace's first grid and applies the reach."""
+
+    def test_the_first_doubling_past_the_need(self):
+        assert first_grid(64, 0.0, "") == 64
+        assert first_grid(65, 0.0, "") == 66
+        assert first_grid(64, 64.0, "") == 128
+        assert first_grid(100, 1000.0, "") == 1600
+        assert first_grid(64, 2**18 - 1e-6, "") == 2**18
+
+    def test_past_the_reach_fails_naming_cause_need_and_reach(self):
+        with pytest.raises(UnwrapFailure, match=r"^a rate needs more than 262144 intervals, "
+                                                "past the reach of 262144$"):
+            first_grid(64, 2**18, "a rate")
+
+    def test_a_nan_need_fails(self):
+        # not (grid > NaN) for every grid: no grid resolves it
+        with pytest.raises(UnwrapFailure, match="a rate needs more than nan intervals"):
+            first_grid(64, np.nan, "a rate")
+
+    def test_a_request_above_the_reach_is_kept_if_it_resolves(self):
+        assert first_grid(2**18 + 2, 2**18, "") == 2**18 + 2
+        with pytest.raises(UnwrapFailure, match="past the reach"):
+            first_grid(2**18 + 2, 2**18 + 2, "")
+
+    def test_samples_under_the_minimum_fail_before_any_grid(self):
+        calls = []
+        with pytest.raises(ValidationError, match="samples must be >= 64, got 8"):
+            first_grid(8, np.nan, "")
+        with pytest.raises(ValidationError, match="samples must be >= 64, got 8"):
+            build_trace(counting(ones_sampler, calls), SystemParams(omega=OMEGA, theta=0.5), 8,
+                        rate_bound=1.0)
+        assert calls == []
+
+
 class TestRateBound:
     """``build_trace`` under a sampler's declared bound on |d arg r / dt|."""
 
@@ -191,18 +236,43 @@ class TestRateBound:
         assert tr.phase_unwrapped[-1] == pytest.approx(200.0 * np.pi, abs=1e-9)
 
     def test_a_bound_beyond_reach_fails_before_sampling(self):
-        # 2^6 m = 4096 intervals are the reach of 64 samples: a bound just
-        # under it is sampled there, one just over it never
+        # 2^18 intervals are the reach of every request: a bound just under it
+        # is sampled there once, one just over it never
         sp = SystemParams(omega=OMEGA, theta=0.5)
-        edge = np.pi / 2 * 4096 / sp.tau
+        edge = np.pi / 2 * 2**18 / sp.tau
         calls = []
         build_trace(counting(ones_sampler, calls), sp, 64, rate_bound=edge * (1.0 - 1e-12))
-        assert calls == [4097]
+        assert calls == [2**18 + 1]
         calls = []
-        with pytest.raises(UnwrapFailure, match="needs more than 4096 intervals; 64 samples "
-                                                "reach 4096"):
+        with pytest.raises(UnwrapFailure, match=r"^rate_bound 2\.05887e\+07 rad/s needs more "
+                                                "than 262144 intervals, past the reach of 262144$"):
             build_trace(counting(ones_sampler, calls), sp, 64, rate_bound=edge * (1.0 + 1e-12))
         assert calls == []
+
+    def test_a_nan_bound_fails_before_sampling(self):
+        sp = SystemParams(omega=OMEGA, theta=0.5)
+        calls = []
+        with pytest.raises(UnwrapFailure, match="rate_bound nan rad/s needs more than nan"):
+            build_trace(counting(ones_sampler, calls), sp, 64, rate_bound=np.nan)
+        assert calls == []
+
+    def test_a_request_above_the_reach_is_sampled_as_asked(self):
+        # 2^18 + 2 intervals: sampled once on the requested grid, never refined
+        sp = SystemParams(omega=OMEGA, theta=0.5)
+        m = 2**18 + 2
+        calls = []
+        tr = build_trace(counting(ones_sampler, calls), sp, m, rate_bound=1.0)
+        assert calls == [m + 1] and tr.samples == m
+        calls = []
+        assert build_trace(counting(ones_sampler, calls), sp, m).samples == m
+        assert calls == [2 * m + 1]
+        # a winding of 3 rad per interval of the 2m grid fails on it, unrefined
+        w = 3.0 * 2 * m / sp.tau
+        calls = []
+        with pytest.raises(UnwrapFailure, match="needs more than 262146 intervals, past the "
+                                                "reach of 262144"):
+            build_trace(counting(lambda t: np.exp(-1j * w * t), calls), sp, m)
+        assert calls == [2 * m + 1]
 
     def test_a_broken_bound_fails(self):
         sp = SystemParams(omega=OMEGA, theta=0.5)
@@ -226,14 +296,15 @@ class TestRateBound:
     @pytest.mark.parametrize("n_spins, lam, coupling, grid", [
         (100, 1.5, 0.1, 64), (100, 1.5, 0.5, 256), (100, 1.5, 1.3, 1024), (100, 1.5, 3.0, 2048),
         (100, 1.5, 5.0, 4096), (100, 1.5, 8.0, 4096), (40, 2.473, 3.539, 1024),
-        (100, 1.5, 10.0, None), (100, 1.5, 15.0, None),
+        (100, 1.5, 10.0, 8192), (100, 1.5, 15.0, 8192),
     ])
     def test_chain_coupling_sweep_across_its_bound(self, n_spins, lam, coupling, grid,
                                                    monkeypatch):
         # the chain is sampled once, on the grid its bound picks from 64 samples,
         # and its phase is that of a 16x finer direct trace at the same times; the
         # doubling loop took delta = 1.3 on the 64- and 128-interval grids, off by
-        # 128 * 2 pi.  Past 2^6 * 64 intervals the point fails unsampled
+        # 128 * 2 pi.  delta = 10 and 15 need 8192 intervals, past 2^6 * 64, where
+        # a reach relative to the request used to refuse them unsampled
         sp = SystemParams(omega=1.0, theta=np.pi / 4)
         p = IsingBathParams(n_spins, 1.0, lam, coupling)
         calls = []
@@ -243,11 +314,6 @@ class TestRateBound:
             return decoherence_product(q, t)
 
         monkeypatch.setattr(gphase.ising, "decoherence_product", product)
-        if grid is None:
-            with pytest.raises(UnwrapFailure, match="samples reach 4096"):
-                chain_trace(p, sp, 64)
-            assert calls == []
-            return
         got = chain_trace(p, sp, 64)
         assert calls == [grid + 1]
         t = np.linspace(0.0, sp.tau, 16 * grid + 1)

@@ -342,23 +342,40 @@ class TestCorrectionExperiment:
 
     @pytest.mark.parametrize("d_over_omega, failure", [
         (0.1, None), (7.0, None), (15.99, "phase step"),
-        (16.01, "bandwidth"), (1e3, "bandwidth"), (1e6, "bandwidth"),
+        (16.01, "phase step"), (1e3, "phase step"), (1e6, "bandwidth"),
     ])
     def test_readout_grid_bandwidth_bound(self, d_over_omega, failure):
-        # the readout grid resolves r(t) only while its fastest frequency
-        # E_+ + E_-, E_+- = hypot(B +- d, G), turns by less than pi per
-        # interval; above that the readout is rejected before any evolution,
-        # below it the unwrap step check still catches steps >= pi/2
+        # the readout grid is the first doubling of READOUT_SAMPLES on which the
+        # fastest frequency E_+ + E_-, E_+- = hypot(B +- d, G), turns by less
+        # than pi per interval; the unwrap step check still catches steps >=
+        # pi/2 on it (from d = 15.99 Omega up), and a bath that needs a grid past
+        # the reach of 2^18 intervals is rejected before any evolution
         p = make_params()
         p = replace(p, bath=replace(p.bath, coupling=d_over_omega * OMEGA))
         b, g, d = p.bath.b_field, p.bath.delta_gap, p.bath.coupling
-        turn = (np.hypot(b + d, g) + np.hypot(b - d, g)) * p.sys.tau / READOUT_SAMPLES
-        assert (turn >= np.pi) == (failure == "bandwidth")
+        need = (np.hypot(b + d, g) + np.hypot(b - d, g)) * p.sys.tau / np.pi
+        assert (need >= 2**18) == (failure == "bandwidth")
         if failure is None:
             assert run_protocol(p).samples == READOUT_SAMPLES
         else:
             with pytest.raises(UnwrapFailure, match=failure):
                 run_protocol(p)
+
+    def test_readout_on_the_first_grid_that_resolves_the_bath(self):
+        # G = 30 Omega, d = 0.01 Omega, B = 0: the bandwidth turns by about
+        # 1.9 pi per interval of the 64 and is read out on 128, where it agrees
+        # with the oracle; the readout grid used to be refused.  A stepped
+        # evolution needs a multiple of those 128 intervals as steps
+        p = make_params(b_over_omega=0.0)
+        p = replace(p, bath=replace(p.bath, delta_gap=30.0 * OMEGA, coupling=0.01 * OMEGA))
+        trace = run_protocol(p)
+        assert trace.samples == 128
+        np.testing.assert_allclose(trace.r_values, decoherence_factor_oracle(p.bath, trace.times),
+                                   rtol=0, atol=1e-10)
+        stepped = replace(p, trotter_steps=64, decomposition=Decomposition.COARSE_TROTTER)
+        with pytest.raises(ValidationError, match="multiple of the 128 readout intervals"):
+            run_protocol(stepped)
+        assert run_protocol(replace(stepped, trotter_steps=128)).samples == 128
 
     def test_failing_point_raises_typed_error(self):
         p = make_params(b_over_omega=0.0)

@@ -4,8 +4,10 @@ from dataclasses import fields, replace
 import numpy as np
 import pytest
 
+import gphase.two_level
+
 from gphase.errors import UnwrapFailure, ValidationError
-from gphase.gp import SystemParams, build_trace, geometric_phase, trace_from_samples
+from gphase.gp import SystemParams, build_trace, first_grid, geometric_phase, trace_from_samples
 from gphase.protocol import X, Z
 from gphase.reference import density_trajectory, gp_from_trajectory
 from gphase.two_level import (
@@ -15,7 +17,6 @@ from gphase.two_level import (
     decoherence_factor_oracle,
     ground_state,
     oracle_trace,
-    require_resolved,
 )
 
 OMEGA = 100.0 * np.pi
@@ -143,32 +144,52 @@ class TestOracle:
         assert bandwidth(p) == pytest.approx(np.max(np.abs(e1[:, None] - e0[None, :])), rel=1e-13)
 
     @pytest.mark.parametrize("d_over_omega, refines", [
-        (0.1, False), (100.0, False), (255.9, True), (256.1, True), (1e3, None), (1e6, None),
+        (0.1, False), (100.0, False), (255.9, True), (256.1, True), (1e3, True), (1e6, None),
     ])
-    def test_oracle_trace_bandwidth_bound(self, d_over_omega, refines):
+    def test_oracle_trace_bandwidth_bound(self, d_over_omega, refines, monkeypatch):
         # above d = 256 Omega the fastest frequency turns by pi or more per
-        # interval of the requested 1024-interval grid, and build_trace refines
-        # past it; the trace is kept only if the grid it was accepted on turns
-        # by less than pi per interval, because an aliased winding passes
-        # every unwrap check (here at d = 1e3 and 1e6 Omega)
+        # interval of the requested 1024-interval grid, where an aliased winding
+        # passes every unwrap check; the doubling loop starts on the first grid
+        # that turns by less than pi per interval (4096 at d = 256.1 Omega and
+        # 16384 at 1e3 Omega, where the 1024 samples' own doubling loop stops
+        # at 1024 on an aliased winding), and its trace is that of a 16x finer
+        # direct trace.  At 1e6 Omega that grid lies past the reach of 2^18
+        # intervals, and the oracle is never sampled
         sysp = SystemParams(omega=OMEGA, theta=np.pi / 4)
         p = paper_bath(coupling=d_over_omega * OMEGA)
-        assert (bandwidth(p) * sysp.tau / 1024 >= np.pi) == (d_over_omega > 256.0)
-        direct = build_trace(lambda t: decoherence_factor_oracle(p, t), sysp, 1024)
-        turn = bandwidth(p) * sysp.tau / direct.samples
-        assert (turn >= np.pi) == (refines is None)
+        need = bandwidth(p) * sysp.tau / np.pi
+        assert (need >= 1024) == (d_over_omega > 256.0)
+        calls = []
+
+        def oracle(q, t):
+            calls.append(len(t))
+            return decoherence_factor_oracle(q, t)
+
+        monkeypatch.setattr(gphase.two_level, "decoherence_factor_oracle", oracle)
         if refines is None:
-            with pytest.raises(UnwrapFailure, match="bandwidth"):
+            with pytest.raises(UnwrapFailure, match="past the reach of 262144"):
                 oracle_trace(p, sysp, 1024)
+            assert calls == []
             return
         trace = oracle_trace(p, sysp, 1024)
         assert (trace.samples > 1024) == refines
-        np.testing.assert_array_equal(trace.phase_unwrapped, direct.phase_unwrapped)
+        assert trace.samples > need and calls[0] == 2 * first_grid(1024, need, "") + 1
+        t = np.linspace(0.0, sysp.tau, 16 * trace.samples + 1)
+        fine = trace_from_samples(t, decoherence_factor_oracle(p, t))
+        np.testing.assert_allclose(trace.phase_unwrapped, fine.phase_unwrapped[::16], rtol=0,
+                                   atol=1e-9)
+        if d_over_omega == 1e3:
+            assert trace.samples == 16384
+        else:  # where the requested grid's own loop lands on a resolved grid, nothing moves
+            direct = build_trace(lambda t: decoherence_factor_oracle(p, t), sysp, 1024)
+            np.testing.assert_array_equal(trace.phase_unwrapped, direct.phase_unwrapped)
 
     def test_nan_turn_is_unresolved(self):
-        # a NaN turn per interval used to pass the ">= pi" check
-        with pytest.raises(UnwrapFailure):
-            require_resolved(paper_bath(), np.nan, 64)
+        # a NaN turn per interval (here from tau = NaN) is resolved by no grid:
+        # not (grid > NaN), so the grid rule fails instead of passing it
+        band = bandwidth(paper_bath())
+        with pytest.raises(UnwrapFailure, match="needs more than nan intervals"):
+            first_grid(64, band * np.nan / np.pi, f"bandwidth {band:.6g} rad/s")
 
 
 def one_sided_closed_forms(p, t):
