@@ -50,7 +50,6 @@ from .protocol import (
     trotter_step,
 )
 from .two_level import (
-    CouplingConvention,
     TwoLevelBathParams,
     decoherence_factor_oracle,
     ground_state,

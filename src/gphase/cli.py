@@ -39,7 +39,7 @@ from datetime import datetime, timezone
 import numpy as np
 
 from . import __version__
-from .errors import ConfigParseError, GphaseError, ValidationError
+from .errors import ConfigParseError, GphaseError, UnwrapFailure, ValidationError
 from .gp import (
     MIN_SAMPLES,
     SystemParams,
@@ -50,14 +50,14 @@ from .gp import (
 from .ising import IsingBathParams, chain_trace
 from .perturbative import gp_approx_ising
 from .protocol import (
-    READOUT_SAMPLES,
     Decomposition,
     ProtocolParams,
     correction_point,
+    readout_grid,
     step_counts,
     worst_cycle_fidelity,
 )
-from .two_level import CouplingConvention, TwoLevelBathParams, oracle_trace
+from .two_level import TwoLevelBathParams, oracle_trace
 
 log = logging.getLogger("gphase")
 
@@ -110,9 +110,7 @@ def _samples(p: dict) -> int:
 def _two_level(p: dict) -> tuple[SystemParams, TwoLevelBathParams]:
     """System cycle and two-level bath at field ``b_field`` (0 if absent)."""
     bath = TwoLevelBathParams(
-        delta_gap=p["delta_gap"], b_field=p.get("b_field", 0.0), coupling=p["coupling"],
-        convention=CouplingConvention(p.get("convention", "zz")),
-    )
+        delta_gap=p["delta_gap"], b_field=p.get("b_field", 0.0), coupling=p["coupling"])
     return SystemParams(omega=p["omega"], theta=p["theta"]), bath
 
 
@@ -127,16 +125,16 @@ def _chain(p: dict) -> tuple[IsingBathParams, SystemParams]:
 
 
 def _protocol(p: dict) -> tuple[ProtocolParams]:
+    """Protocol at one field; a stepped one's step count is checked against its
+    ``readout_grid`` here, while a bath past the grid's reach fails at its own point."""
     sysp, bath = _two_level(p)
     proto = ProtocolParams(
         sys=sysp, bath=bath, trotter_steps=int(p["trotter_steps"]),
         decomposition=Decomposition(p["decomposition"]),
     )
-    if proto.decomposition is not Decomposition.EXACT and proto.trotter_steps % READOUT_SAMPLES:
-        raise ValidationError(
-            f"{proto.decomposition.value} needs trotter_steps to be a multiple of the "
-            f"{READOUT_SAMPLES} readout intervals, got {proto.trotter_steps}"
-        )
+    if proto.decomposition is not Decomposition.EXACT:
+        with contextlib.suppress(UnwrapFailure):
+            readout_grid(proto)
     return (proto,)
 
 
@@ -237,8 +235,9 @@ _CHAIN = {"n_spins": 100, "j_coupling": 1.0, "coupling": 5e-5, "omega_over_j": 1
 #   depend on the system state, and the cycle fidelity starts from a fixed one;
 # - j_coupling: the chain's Loschmidt echo depends on J t only, and its cycle
 #   is omega_over_j times J;
-# - correction's samples (no column reads it) and convention (the protocol
-#   simulates the zz coupling only);
+# - convention, the zz coupling delta Z_S Z_E of the protocol's target
+#   Hamiltonian: the bath couples through it alone;
+# - correction's samples: no column reads it;
 # - fidelity_threshold: trotter-check reports the fidelity, not a verdict.
 EXPERIMENTS: dict[str, Experiment] = {
     "trace": Experiment(
@@ -246,7 +245,7 @@ EXPERIMENTS: dict[str, Experiment] = {
         columns=("t", "re_r", "im_r", "abs_r", "phase"),
         prepare=lambda p: (*_two_level(p), _samples(p)),
         point=_trace_rows,
-        fixed=("theta", "znu"),
+        fixed=("theta", "znu", "convention"),
     ),
     "gp-curve": Experiment(
         defaults={**_TWO_LEVEL, **_FIELD, "samples": 1024},
@@ -255,7 +254,7 @@ EXPERIMENTS: dict[str, Experiment] = {
         prepare=lambda p: (*_two_level(p), _samples(p)),
         point=_gp_curve_rows,
         axes=("omega", "theta", "delta_gap", "coupling", "b_field"),
-        fixed=("znu",),
+        fixed=("znu", "convention"),
     ),
     "correction": Experiment(
         defaults={**_TWO_LEVEL, **_B_RANGE, "trotter_steps": 64, "decomposition": "exact",
@@ -305,8 +304,7 @@ def _settable(exp: Experiment) -> dict:
 # every physical flag's dest and a default of it; each experiment accepts
 # those of its settable defaults
 _PARAMS = {k: v for exp in EXPERIMENTS.values() for k, v in _settable(exp).items()}
-_CHOICES = {"convention": [c.value for c in CouplingConvention],
-            "decomposition": [d.value for d in Decomposition]}
+_CHOICES = {"decomposition": [d.value for d in Decomposition]}
 
 # Bundled parameter sets: each is its experiment's defaults.
 PRESETS: dict[str, str] = {

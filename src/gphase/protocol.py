@@ -15,12 +15,12 @@ coupling gate, an evolution time 2 d dt / (pi J) under a (pi J / 2) Z_S Z_E
 coupling, is the ZZ rotation by d dt.
 
 ``run_protocol`` reads the decoherence factor out from the system coherence
-and returns it as a ``DecoherenceTrace``, the same record ``build_trace``
-returns for the oracle; ``geometric_phase`` takes either.  Its
-coupling-induced correction is ``GpResult.correction``.  An uncoupled
-(d = 0) run needs no simulating: Z_S commutes with every environment
-factor, so each exact or Strang step factorises and its readout is r = 1 to
-rounding.
+on the ``readout_grid`` and returns it as a ``DecoherenceTrace``, the same
+record ``build_trace`` returns for the oracle; ``geometric_phase`` takes
+either.  Its coupling-induced correction is ``GpResult.correction``.  An
+uncoupled (d = 0) run needs no simulating: Z_S commutes with every
+environment factor, so each exact or Strang step factorises and its readout
+is r = 1 to rounding.
 """
 
 from __future__ import annotations
@@ -35,20 +35,12 @@ from .gp import (
     DecoherenceTrace,
     SystemParams,
     checked_correction,
-    first_grid,
     geometric_phase,
     trace_from_samples,
 )
-from .two_level import (
-    CouplingConvention,
-    TwoLevelBathParams,
-    bandwidth,
-    ground_state,
-    oracle_trace,
-)
+from .two_level import TwoLevelBathParams, ground_state, nyquist_grid, oracle_trace
 
-# Intervals per cycle that run_protocol's readout grid starts from; a stepped
-# evolution reaches every readout time only with a multiple of that grid as steps.
+# Intervals per cycle that ``readout_grid`` starts from.
 READOUT_SAMPLES = 64
 
 # Samples per cycle of correction_point's theory column.
@@ -82,11 +74,6 @@ class ProtocolParams:
     def __post_init__(self):
         if self.trotter_steps < 1:
             raise ValidationError(f"trotter_steps must be >= 1, got {self.trotter_steps}")
-        if self.bath.convention is not CouplingConvention.ZZ_TARGET:
-            raise ValidationError(
-                "the target Hamiltonian couples through Z_S Z_E only, got convention "
-                f"{self.bath.convention.value!r}"
-            )
 
 
 def build_target_hamiltonian(p: ProtocolParams) -> np.ndarray:
@@ -123,15 +110,24 @@ def _exact_states(p: ProtocolParams, times: np.ndarray, psi0: np.ndarray) -> np.
     return (phases * coeff) @ v.T
 
 
-def _stepped_states(p: ProtocolParams, intervals: int, psi0: np.ndarray) -> np.ndarray:
-    """psi0 and the state after each of ``intervals`` equal slices of the
-    ``p.trotter_steps`` Strang steps of one cycle (intervals + 1 rows)."""
-    per_interval, rest = divmod(p.trotter_steps, intervals)
-    if rest:
+def readout_grid(p: ProtocolParams) -> int:
+    """Intervals per cycle that ``run_protocol`` reads out on: the ``nyquist_grid`` from
+    READOUT_SAMPLES (UnwrapFailure past its reach).  A stepped evolution reaches every
+    readout time only if the grid divides ``trotter_steps``; otherwise ValidationError."""
+    intervals = nyquist_grid(p.bath, p.sys, READOUT_SAMPLES)
+    if p.decomposition is not Decomposition.EXACT and p.trotter_steps % intervals:
         raise ValidationError(
             f"{p.decomposition.value} evolution needs trotter_steps to be a multiple of "
             f"the {intervals} readout intervals, got {p.trotter_steps}"
         )
+    return intervals
+
+
+def _stepped_states(p: ProtocolParams, intervals: int, psi0: np.ndarray) -> np.ndarray:
+    """psi0 and the state after each of ``intervals`` equal slices of the
+    ``p.trotter_steps`` Strang steps of one cycle (intervals + 1 rows); ``intervals``
+    divides ``p.trotter_steps``, as ``readout_grid`` checks."""
+    per_interval = p.trotter_steps // intervals
     u = trotter_step(p, p.sys.tau / p.trotter_steps)
     states = np.empty((intervals + 1, 4), dtype=complex)
     states[0] = psi = psi0
@@ -165,15 +161,12 @@ def run_protocol(p: ProtocolParams, input_theta: float = np.pi / 2.0) -> Decoher
     at twice the cycle frequency).  The readout does not depend on th_in,
     because the coupling is purely dephasing; its geometric phase is
     ``geometric_phase(trace, p.sys)`` at the analysis angle ``p.sys.theta``.
-    The readout grid is the first doubling of READOUT_SAMPLES intervals on which
-    the bath's ``bandwidth`` turns by less than pi per interval (``first_grid``;
-    past its reach, UnwrapFailure before any evolution), and a stepped evolution
-    needs ``trotter_steps`` to be a multiple of it.
+    The samples lie on the ``readout_grid``, whose errors it raises before any
+    evolution.
     """
     if not (0.0 < input_theta < np.pi):
         raise ValidationError("input_theta must lie strictly inside (0, pi)")
-    band = bandwidth(p.bath)
-    intervals = first_grid(READOUT_SAMPLES, band * p.sys.tau / np.pi, f"bandwidth {band:.6g} rad/s")
+    intervals = readout_grid(p)
     times = np.linspace(0.0, p.sys.tau, intervals + 1)
 
     psi0 = _initial_state(p, input_theta)

@@ -8,18 +8,18 @@ at the critical point B = 0:
 with minimum gap Delta at criticality.  The paper reaches B from the
 dimensionless distance lambda to the critical point as
 B = sign(lambda)|lambda|^{z nu} Delta; this module takes B itself.
-The system couples through Z, so conditioned on the system pointer states
-the environment evolves under two shifted branch Hamiltonians; their
-overlap is the decoherence factor, which ``decoherence_factor_oracle``
-writes in closed form in Bloch vectors.  Its fastest frequency, ``bandwidth``,
-turns it by less than pi per interval only on a grid of more than
-bandwidth * tau / pi intervals (Nyquist), and ``oracle_trace`` and the
-protocol readout start on the first such grid (``gp.first_grid``).
+The system couples through delta Z_S Z_E, so conditioned on the system
+pointer states the environment evolves under the branch Hamiltonians with
+fields B + delta and B - delta; their overlap is the decoherence factor,
+which ``decoherence_factor_oracle`` writes in closed form in Bloch vectors.
+Its fastest frequency, ``bandwidth``, turns it by less than pi per interval
+only on a grid of more than bandwidth * tau / pi intervals (Nyquist);
+``nyquist_grid`` is the first such grid, on which ``oracle_trace`` and the
+protocol readout start.
 """
 
 from __future__ import annotations
 
-import enum
 from dataclasses import dataclass
 
 import numpy as np
@@ -28,21 +28,13 @@ from .errors import ValidationError
 from .gp import DecoherenceTrace, SystemParams, build_trace, first_grid
 
 
-class CouplingConvention(enum.Enum):
-    """How the system's Z couples into the environment branch Hamiltonians."""
-
-    ZZ_TARGET = "zz"        # H = Omega Z_S + delta Z_S Z_E + B Z_E + Delta X_E
-    PROJECTOR = "projector"  # H_SE = delta (I_S - Z_S) Z_E
-
-
 @dataclass(frozen=True)
 class TwoLevelBathParams:
     """Parameters of the two-level critical bath and its system coupling."""
 
     delta_gap: float   # minimum gap Delta, rad/s
     b_field: float     # field B, rad/s
-    coupling: float    # delta, rad/s
-    convention: CouplingConvention = CouplingConvention.ZZ_TARGET
+    coupling: float    # delta of delta Z_S Z_E, rad/s
 
     def __post_init__(self):
         if not (self.delta_gap > 0 and np.isfinite(self.delta_gap)):
@@ -62,10 +54,7 @@ def ground_state(p: TwoLevelBathParams) -> np.ndarray:
 
 def _branch_fields(p: TwoLevelBathParams) -> tuple[float, float]:
     """Z-field of the branch seen by system |0> and by system |1>."""
-    b = p.b_field
-    if p.convention is CouplingConvention.ZZ_TARGET:
-        return b + p.coupling, b - p.coupling
-    return b, b + 2.0 * p.coupling
+    return p.b_field + p.coupling, p.b_field - p.coupling
 
 
 def bandwidth(p: TwoLevelBathParams) -> float:
@@ -79,7 +68,7 @@ def bandwidth(p: TwoLevelBathParams) -> float:
 def decoherence_factor_oracle(p: TwoLevelBathParams, t):
     """Exact branch-overlap decoherence factor <psi|e^{+iH1 t} e^{-iH0 t}|psi>.
 
-    With H_j = b_j Z + Delta X = E_j n_j.sigma (b_j from ``p.convention``),
+    With H_j = b_j Z + Delta X = E_j n_j.sigma (b_0, b_1 = B + delta, B - delta),
     e^{-iH_j t} = c_j - i s_j n_j.sigma, c_j and s_j the cos and sin of E_j t;
     so from the Bloch vector m = <psi|sigma|psi> of the bath ground state psi
 
@@ -102,11 +91,16 @@ def decoherence_factor_oracle(p: TwoLevelBathParams, t):
     return out if out.shape else complex(out)
 
 
+def nyquist_grid(p: TwoLevelBathParams, sysp: SystemParams, samples: int) -> int:
+    """The first grid from ``samples`` intervals over the cycle of ``sysp`` on which the
+    ``bandwidth`` turns by less than pi per interval (``gp.first_grid``): on a coarser grid
+    a winding aliases, and no unwrap check can tell it from a slow one."""
+    band = bandwidth(p)
+    return first_grid(samples, band * sysp.tau / np.pi, f"bandwidth {band:.6g} rad/s")
+
+
 def oracle_trace(p: TwoLevelBathParams, sysp: SystemParams, samples: int) -> DecoherenceTrace:
     """``build_trace`` of ``decoherence_factor_oracle`` over the cycle of ``sysp``, its doubling
-    loop started on the first grid from ``samples`` on which the ``bandwidth`` turns by less
-    than pi per interval: on a coarser grid a winding aliases, and no unwrap check can tell it
-    from a slow one."""
-    band = bandwidth(p)
-    grid = first_grid(samples, band * sysp.tau / np.pi, f"bandwidth {band:.6g} rad/s")
-    return build_trace(lambda t: decoherence_factor_oracle(p, t), sysp, grid)
+    loop started on the ``nyquist_grid`` from ``samples``."""
+    return build_trace(lambda t: decoherence_factor_oracle(p, t), sysp,
+                       nyquist_grid(p, sysp, samples))

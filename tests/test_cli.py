@@ -33,6 +33,13 @@ def exit_code(argv):
         return exc.code
 
 
+# one stepped correction point at B = 0 whose gap of 30 omega the readout
+# resolves on 128 intervals, not on the 64 it starts from
+STEPPED_GAP_30 = ["correction", "--decomposition", "coarse-trotter", "--delta-gap",
+                  "9424.77796076938", "--coupling", "3.141592653589793", "--b-min", "0",
+                  "--b-max", "0", "--b-points", "1"]
+
+
 def settable(exp):
     return [k for k in exp.defaults if k not in exp.fixed]
 
@@ -286,6 +293,25 @@ class TestExitCodes:
         assert rc == 0
         doc = json.loads(raw, parse_constant=reject)
         assert [row[1:3] for row in doc["rows"]] == [[None, None]] * 3
+
+    def test_stepped_steps_on_the_grid_the_bath_needs(self, tmp_path):
+        # the bath that exits 3 at 64 steps is read out on 128 intervals
+        rc, raw = run_cli(STEPPED_GAP_30 + ["--trotter-steps", "128"], tmp_path, "gap.csv")
+        assert rc == 0
+        rows = [r.split(",") for r in raw.decode().strip().splitlines()[1:]]
+        assert len(rows) == 1 and "nan" not in rows[0]
+
+    def test_stepped_bath_past_the_reach_fails_at_its_point(self, tmp_path, point_calls):
+        # the step count is checked before any point runs, but a bath whose
+        # readout grid lies past the reach fails at its own point, as under
+        # the exact decomposition
+        rc, raw = run_cli(["correction", "--decomposition", "coarse-trotter", "--trotter-steps",
+                           "64", "--coupling", "1e9", "--b-points", "3", "--keep-going"],
+                          tmp_path, "reach.csv")
+        assert rc == 0
+        rows = [r.split(",") for r in raw.decode().strip().splitlines()[1:]]
+        assert [r[1:3] for r in rows] == [["nan", "nan"]] * 3
+        assert len(point_calls) == 3
 
     @pytest.mark.parametrize("flags", [["--coupling", "1e-9"], ["--theta", "1.5707963267948966"]])
     def test_correction_under_its_rounding_floor_fails(self, tmp_path, caplog, flags):
@@ -618,9 +644,10 @@ class TestRejectedBeforeWork:
         assert point_calls == []
 
     def test_protocol_convention(self, point_calls):
-        # the protocol simulates the zz coupling whatever the flag says, so
-        # its column used to disagree in sign with the projector theory column
-        assert main(["correction", "--convention", "projector", "--b-points", "3"]) == 2
+        # the bath couples through the protocol's zz term only; a projector
+        # convention once printed a correction column of the other sign
+        for name in ("trace", "gp-curve", "correction"):
+            assert exit_code([name, "--convention", "projector"]) == 2
         assert point_calls == []
 
     @pytest.mark.parametrize("steps", ["64", "128"])
@@ -661,6 +688,9 @@ class TestRejectedBeforeWork:
         # 2 steps cannot reach the readout grid's 64 intervals
         ["correction", "--decomposition", "coarse-trotter", "--trotter-steps", "2",
          "--b-points", "3"],
+        # a gap of 30 omega is read out on 128 intervals, which 64 steps cannot
+        # reach; this used to pass the check against 64 and fail inside the point
+        STEPPED_GAP_30 + ["--trotter-steps", "64"],
     ])
     def test_other_invalid_values(self, argv, point_calls):
         assert main(argv) == 3

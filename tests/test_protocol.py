@@ -24,6 +24,7 @@ from gphase.protocol import (
     build_target_hamiltonian,
     correction_point,
     cycle_fidelity,
+    readout_grid,
     run_protocol,
     step_counts,
     trotter_step,
@@ -36,7 +37,6 @@ from gphase.reference import (
     partial_trace_env,
 )
 from gphase.two_level import (
-    CouplingConvention,
     TwoLevelBathParams,
     decoherence_factor_oracle,
     ground_state,
@@ -99,13 +99,6 @@ class TestHamiltonian:
         e = np.hypot(p.bath.b_field, p.bath.delta_gap)
         expected = np.sort([OMEGA + e, OMEGA - e, -OMEGA + e, -OMEGA - e])
         np.testing.assert_allclose(w, expected, atol=1e-9)
-
-    def test_only_the_zz_coupling(self):
-        # a projector-convention bath would be simulated with the zz coupling
-        # and read out against a theory column of the other convention
-        p = make_params()
-        with pytest.raises(ValidationError):
-            replace(p, bath=replace(p.bath, convention=CouplingConvention.PROJECTOR))
 
     def test_hermiticity(self):
         h = build_target_hamiltonian(make_params())
@@ -369,7 +362,7 @@ class TestCorrectionExperiment:
         p = make_params(b_over_omega=0.0)
         p = replace(p, bath=replace(p.bath, delta_gap=30.0 * OMEGA, coupling=0.01 * OMEGA))
         trace = run_protocol(p)
-        assert trace.samples == 128
+        assert trace.samples == readout_grid(p) == 128
         np.testing.assert_allclose(trace.r_values, decoherence_factor_oracle(p.bath, trace.times),
                                    rtol=0, atol=1e-10)
         stepped = replace(p, trotter_steps=64, decomposition=Decomposition.COARSE_TROTTER)

@@ -3,6 +3,7 @@ from dataclasses import fields, replace
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 import gphase.two_level
 
@@ -11,7 +12,6 @@ from gphase.gp import SystemParams, build_trace, first_grid, geometric_phase, tr
 from gphase.protocol import X, Z
 from gphase.reference import density_trajectory, gp_from_trajectory
 from gphase.two_level import (
-    CouplingConvention,
     TwoLevelBathParams,
     bandwidth,
     decoherence_factor_oracle,
@@ -32,7 +32,7 @@ class TestParams:
         # the bath is set by its field B; the paper's lambda and z*nu map onto
         # B outside this record
         names = [f.name for f in fields(TwoLevelBathParams)]
-        assert names == ["delta_gap", "b_field", "coupling", "convention"]
+        assert names == ["delta_gap", "b_field", "coupling"]
 
     def test_validation(self):
         with pytest.raises(ValidationError):
@@ -119,26 +119,20 @@ class TestOracle:
     def test_matches_dense_propagators(self):
         # independent oracle: dense matrix exponentials of the branch pair
         # applied to the bath ground state
-        import scipy.linalg
-
         t = np.array([0.0, 0.0007, 0.0041, 0.013])
-        for convention in CouplingConvention:
-            p = paper_bath(b_field=0.07 * OMEGA, convention=convention)
-            b, d = p.b_field, p.coupling
-            b0, b1 = (b + d, b - d) if convention is CouplingConvention.ZZ_TARGET else (b, b + 2 * d)
-            u1 = [scipy.linalg.expm(1j * (b1 * Z + p.delta_gap * X) * tt) for tt in t]
-            u0 = [scipy.linalg.expm(-1j * (b0 * Z + p.delta_gap * X) * tt) for tt in t]
-            v = ground_state(p)
-            direct = [v.conj() @ w1 @ w0 @ v for w1, w0 in zip(u1, u0)]
-            np.testing.assert_allclose(decoherence_factor_oracle(p, t), direct, rtol=0, atol=1e-12)
+        p = paper_bath(b_field=0.07 * OMEGA)
+        b0, b1 = p.b_field + p.coupling, p.b_field - p.coupling
+        u1 = [scipy.linalg.expm(1j * (b1 * Z + p.delta_gap * X) * tt) for tt in t]
+        u0 = [scipy.linalg.expm(-1j * (b0 * Z + p.delta_gap * X) * tt) for tt in t]
+        v = ground_state(p)
+        direct = [v.conj() @ w1 @ w0 @ v for w1, w0 in zip(u1, u0)]
+        np.testing.assert_allclose(decoherence_factor_oracle(p, t), direct, rtol=0, atol=1e-12)
 
-    @pytest.mark.parametrize("convention", list(CouplingConvention))
-    def test_bandwidth_is_the_widest_branch_beat(self, convention):
+    def test_bandwidth_is_the_widest_branch_beat(self):
         # r(t) = <psi| e^{+i H1 t} e^{-i H0 t} |psi> beats every eigenvalue of
         # H1 against every eigenvalue of H0
-        p = paper_bath(b_field=-0.13 * OMEGA, convention=convention)
-        b, d = p.b_field, p.coupling
-        b0, b1 = (b + d, b - d) if convention is CouplingConvention.ZZ_TARGET else (b, b + 2 * d)
+        p = paper_bath(b_field=-0.13 * OMEGA)
+        b0, b1 = p.b_field + p.coupling, p.b_field - p.coupling
         e0 = np.linalg.eigvalsh(b0 * Z + p.delta_gap * X)
         e1 = np.linalg.eigvalsh(b1 * Z + p.delta_gap * X)
         assert bandwidth(p) == pytest.approx(np.max(np.abs(e1[:, None] - e0[None, :])), rel=1e-13)
@@ -196,9 +190,8 @@ def one_sided_closed_forms(p, t):
     """Closed forms (z nu = 1) of the overlap for the one-sided branch pair (lambda,
     lambda + d), lambda = B/Delta and d = delta/Delta, from the ground state at
     lambda, as quoted and with the sin coefficient repaired, and the exact
-    overlap: the projector oracle at half the coupling starts from the same
-    ground state and evolves the branch pair in the other order, so the exact
-    overlap is its complex conjugate."""
+    overlap <v| e^{+i H0 t} e^{-i H1 t} |v> from dense propagators of H0 = B Z + Delta X
+    and H1 = (B + delta) Z + Delta X, v the ground state of H0."""
     lam, d = p.b_field / p.delta_gap, p.coupling / p.delta_gap
     eps = -p.delta_gap * np.sqrt(1.0 + lam**2)
     eps_s = -p.delta_gap * np.sqrt(1.0 + (lam + d) ** 2)
@@ -206,8 +199,11 @@ def one_sided_closed_forms(p, t):
     repaired = (eps**2 + eps_s**2 - (p.delta_gap * d) ** 2) / (2.0 * eps * eps_s)
     forms = [np.exp(1j * eps * t) * (np.cos(eps_s * t) - 1j * c * np.sin(eps_s * t))
              for c in (quoted, repaired)]
-    half = replace(p, coupling=p.coupling / 2.0, convention=CouplingConvention.PROJECTOR)
-    exact = np.conj(decoherence_factor_oracle(half, t))
+    h0 = p.b_field * Z + p.delta_gap * X
+    h1 = h0 + p.coupling * Z
+    v = ground_state(p)
+    exact = np.array([v.conj() @ scipy.linalg.expm(1j * h0 * tt) @ scipy.linalg.expm(-1j * h1 * tt)
+                      @ v for tt in np.ravel(t)]).reshape(np.shape(t))
     return forms[0], forms[1], exact
 
 
