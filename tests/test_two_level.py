@@ -128,11 +128,20 @@ class TestOracle:
         direct = [v.conj() @ w1 @ w0 @ v for w1, w0 in zip(u1, u0)]
         np.testing.assert_allclose(decoherence_factor_oracle(p, t), direct, rtol=0, atol=1e-12)
 
-    def test_bandwidth_is_the_widest_branch_beat(self):
+    # the projector coupling, with branch fields B and B + 2d, is the zz bath
+    # at field B + d and coupling -d; the zz coupling has branch fields B +- d
+    @pytest.mark.parametrize("projector", [True, False],
+                             ids=["CouplingConvention.PROJECTOR", "CouplingConvention.ZZ_TARGET"])
+    def test_bandwidth_is_the_widest_branch_beat(self, projector):
         # r(t) = <psi| e^{+i H1 t} e^{-i H0 t} |psi> beats every eigenvalue of
         # H1 against every eigenvalue of H0
-        p = paper_bath(b_field=-0.13 * OMEGA)
-        b0, b1 = p.b_field + p.coupling, p.b_field - p.coupling
+        b, d = -0.13 * OMEGA, paper_bath().coupling
+        if projector:
+            p = paper_bath(b_field=b + d, coupling=-d)
+            b0, b1 = b, b + 2 * d
+        else:
+            p = paper_bath(b_field=b)
+            b0, b1 = b + d, b - d
         e0 = np.linalg.eigvalsh(b0 * Z + p.delta_gap * X)
         e1 = np.linalg.eigvalsh(b1 * Z + p.delta_gap * X)
         assert bandwidth(p) == pytest.approx(np.max(np.abs(e1[:, None] - e0[None, :])), rel=1e-13)
