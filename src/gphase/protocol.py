@@ -20,7 +20,9 @@ record ``build_trace`` returns for the oracle; ``geometric_phase`` takes
 either.  Its coupling-induced correction is ``GpResult.correction``.  An
 uncoupled (d = 0) run needs no simulating: Z_S commutes with every
 environment factor, so each exact or Strang step factorises and its readout
-is r = 1 to rounding.
+is r = 1 to rounding.  ``cycle_fidelity`` scans one step count over a grid
+of fields, building the step's field-independent factors once; it shares
+with the readout one stepping loop, which applies a given step matrix.
 """
 
 from __future__ import annotations
@@ -87,14 +89,19 @@ def _rotation(pauli: np.ndarray, angle: float) -> np.ndarray:
     return np.cos(angle) * np.eye(len(pauli)) - 1j * np.sin(angle) * pauli
 
 
+def _strang_steps(p: ProtocolParams, dt: float, b_values) -> list[np.ndarray]:
+    """The Strang step for time dt at each bath field of ``b_values``: the factors that do
+    not depend on the field are built once, and every product runs left to right."""
+    half_x = _rotation(IX, p.bath.delta_gap * dt / 2.0)
+    head = half_x @ _rotation(ZZ, p.bath.coupling * dt) @ _rotation(ZI, p.sys.omega * dt)
+    return [head @ _rotation(IZ, b * dt) @ half_x for b in b_values]
+
+
 def trotter_step(p: ProtocolParams, dt: float) -> np.ndarray:
     """One Strang splitting step for time dt, as a product of Pauli rotations."""
     if dt <= 0:
         raise ValidationError("dt must be positive")
-    b = p.bath
-    half_x = _rotation(IX, b.delta_gap * dt / 2.0)
-    return (half_x @ _rotation(ZZ, b.coupling * dt) @ _rotation(ZI, p.sys.omega * dt)
-            @ _rotation(IZ, b.b_field * dt) @ half_x)
+    return _strang_steps(p, dt, [p.bath.b_field])[0]
 
 
 def _initial_state(p: ProtocolParams, input_theta: float) -> np.ndarray:
@@ -123,12 +130,11 @@ def readout_grid(p: ProtocolParams) -> int:
     return intervals
 
 
-def _stepped_states(p: ProtocolParams, intervals: int, psi0: np.ndarray) -> np.ndarray:
-    """psi0 and the state after each of ``intervals`` equal slices of the
-    ``p.trotter_steps`` Strang steps of one cycle (intervals + 1 rows); ``intervals``
-    divides ``p.trotter_steps``, as ``readout_grid`` checks."""
-    per_interval = p.trotter_steps // intervals
-    u = trotter_step(p, p.sys.tau / p.trotter_steps)
+def _stepped_states(u: np.ndarray, steps: int, intervals: int, psi0: np.ndarray) -> np.ndarray:
+    """psi0 and the state after each of ``intervals`` equal slices of ``steps``
+    applications of the step matrix ``u`` (intervals + 1 rows); ``intervals`` divides
+    ``steps``, as ``readout_grid`` checks."""
+    per_interval = steps // intervals
     states = np.empty((intervals + 1, 4), dtype=complex)
     states[0] = psi = psi0
     for j in range(1, intervals + 1):
@@ -173,7 +179,8 @@ def run_protocol(p: ProtocolParams, input_theta: float = np.pi / 2.0) -> Decoher
     if p.decomposition is Decomposition.EXACT:
         states = _exact_states(p, times, psi0)
     else:
-        states = _stepped_states(p, intervals, psi0)
+        u = trotter_step(p, p.sys.tau / p.trotter_steps)
+        states = _stepped_states(u, p.trotter_steps, intervals, psi0)
 
     r_hat = _system_coherence(states) * 2.0 / np.sin(input_theta)
     r_hat *= np.exp(+2j * p.sys.omega * times)
@@ -181,20 +188,25 @@ def run_protocol(p: ProtocolParams, input_theta: float = np.pi / 2.0) -> Decoher
     return trace_from_samples(times, r_hat)
 
 
-def cycle_fidelity(p: ProtocolParams) -> float:
-    """Full-cycle state fidelity of the stepped evolution against exact, from
-    run_protocol's default input state.  ``p.decomposition`` is not read:
-    there is one step scheme."""
-    psi0 = _initial_state(p, np.pi / 2.0)
-    psi_exact = _exact_states(p, np.array([p.sys.tau]), psi0)[0]
-    psi = _stepped_states(p, 1, psi0)[-1]
-    return float(np.abs(np.vdot(psi_exact, psi)) ** 2)
+def cycle_fidelity(p: ProtocolParams, b_values) -> np.ndarray:
+    """Full-cycle state fidelity of ``p.trotter_steps`` Strang steps against exact evolution,
+    from run_protocol's default input state, at each bath field of ``b_values``.  The step's
+    field-independent factors are built once; each field has its own bath, exact end state
+    and steps.  ``p.decomposition`` is not read: there is one step scheme."""
+    b_values = np.asarray(b_values, dtype=float)
+    fidelities = []
+    for b, u in zip(b_values, _strang_steps(p, p.sys.tau / p.trotter_steps, b_values)):
+        pb = replace(p, bath=replace(p.bath, b_field=b))
+        psi0 = _initial_state(pb, np.pi / 2.0)
+        psi_exact = _exact_states(pb, np.array([p.sys.tau]), psi0)[0]
+        psi = _stepped_states(u, p.trotter_steps, 1, psi0)[-1]
+        fidelities.append(np.abs(np.vdot(psi_exact, psi)) ** 2)
+    return np.array(fidelities)
 
 
 def worst_cycle_fidelity(p: ProtocolParams, b_values) -> float:
     """Smallest cycle fidelity of ``p`` over the bath fields ``b_values``, capped at 1."""
-    return min([1.0] + [cycle_fidelity(replace(p, bath=replace(p.bath, b_field=b)))
-                        for b in np.asarray(b_values, dtype=float)])
+    return min([1.0, *cycle_fidelity(p, b_values)])
 
 
 def step_counts(max_steps: int) -> list[int]:

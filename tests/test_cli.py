@@ -148,12 +148,14 @@ class TestTraceExperiment:
 
 class TestDeterminism:
     def test_repeat_and_workers_identical(self, tmp_path):
-        argv = ["ising-approx", "--lambda-points", "5", "--n-spins", "40"]
-        _, a = run_cli(argv + ["--workers", "1"], tmp_path, "a.csv")
-        _, b = run_cli(argv + ["--workers", "1"], tmp_path, "b.csv")
-        _, c = run_cli(argv + ["--workers", "4"], tmp_path, "c.csv")
-        assert a == b == c
-        assert len(a) > 0
+        for argv in (["ising-approx", "--lambda-points", "5", "--n-spins", "40"],
+                     ["trotter-check", "--b-points", "5", "--max-steps", "8"],
+                     ["correction", "--b-points", "5"]):
+            _, a = run_cli(argv + ["--workers", "1"], tmp_path, "a.csv")
+            _, b = run_cli(argv + ["--workers", "1"], tmp_path, "b.csv")
+            _, c = run_cli(argv + ["--workers", "4"], tmp_path, "c.csv")
+            assert a == b == c, argv
+            assert len(a) > 0
 
     @pytest.mark.parametrize("workers,points,cpus,sizes", [
         (64, 2, 8, [2]),      # never more workers than points
@@ -556,7 +558,9 @@ def test_two_level_bath_holds_the_grid_field_exactly(monkeypatch):
     assert hexes(seen) == hexes(p["b_field"] for p in points)
 
     seen.clear()
-    monkeypatch.setattr(protocol, "cycle_fidelity", lambda p: seen.append(p.bath.b_field) or 1.0)
+    # the scan receives the grid fields themselves
+    monkeypatch.setattr(protocol, "cycle_fidelity",
+                        lambda p, b_values: seen.extend(b_values) or [1.0] * len(b_values))
     exp = EXPERIMENTS["trotter-check"]
     proto, b_grid = exp.prepare(exp.grid(exp.defaults)[0])
     assert len(b_grid) == 21

@@ -18,6 +18,7 @@ from gphase.protocol import (
     ProtocolParams,
     X,
     Z,
+    _exact_states,
     _initial_state,
     _rotation,
     _stepped_states,
@@ -181,8 +182,6 @@ class TestRunProtocol:
     def test_energy_conservation_exact(self):
         p = make_params(b_over_omega=0.12)
         h = build_target_hamiltonian(p)
-        from gphase.protocol import _exact_states
-
         psi0 = _initial_state(p, np.pi / 2)
         states = _exact_states(p, np.linspace(0, p.sys.tau, 65), psi0)
         energies = np.einsum("ti,ij,tj->t", states.conj(), h, states).real
@@ -190,7 +189,8 @@ class TestRunProtocol:
 
     def test_norms_preserved(self):
         p = make_params(trotter_steps=64, decomposition=Decomposition.COARSE_TROTTER)
-        states = _stepped_states(p, READOUT_SAMPLES, _initial_state(p, np.pi / 2))
+        u = trotter_step(p, p.sys.tau / p.trotter_steps)
+        states = _stepped_states(u, p.trotter_steps, READOUT_SAMPLES, _initial_state(p, np.pi / 2))
         assert states.shape == (READOUT_SAMPLES + 1, 4)
         np.testing.assert_allclose(np.linalg.norm(states, axis=1), 1.0, atol=1e-12)
 
@@ -212,7 +212,7 @@ class TestRunProtocol:
             psi = u @ psi
             if n % (steps // READOUT_SAMPLES) == 0:
                 expected.append(psi)
-        states = _stepped_states(p, READOUT_SAMPLES, _initial_state(p, np.pi / 2))
+        states = _stepped_states(u, steps, READOUT_SAMPLES, _initial_state(p, np.pi / 2))
         assert np.array_equal(states, np.array(expected))
 
     def test_coherence_matches_partial_trace(self):
@@ -264,7 +264,25 @@ class TestFidelityScan:
             u_step = np.linalg.matrix_power(trotter_step(p, p.sys.tau / n), n)
             u_exact = propagator(build_target_hamiltonian(p), p.sys.tau)
             expected = abs(np.vdot(u_exact @ psi0, u_step @ psi0)) ** 2
-            assert cycle_fidelity(p) == pytest.approx(expected, abs=1e-12)
+            (fidelity,) = cycle_fidelity(p, [p.bath.b_field])
+            assert fidelity == pytest.approx(expected, abs=1e-12)
+
+    @pytest.mark.parametrize("n", [1, 2, 64, 512])
+    @pytest.mark.parametrize("b_grid", [B_GRID, B_GRID[13:14]], ids=["21-fields", "one-field"])
+    def test_scan_is_a_per_field_loop_bit_for_bit(self, n, b_grid):
+        # the scan, which builds the step's field-independent factors once,
+        # against each field set up on its own: its bath, step and end state
+        p = make_params(trotter_steps=n, decomposition=Decomposition.COARSE_TROTTER)
+        expected = []
+        for b in b_grid:
+            pb = replace(p, bath=replace(p.bath, b_field=b))
+            u = trotter_step(pb, pb.sys.tau / n)
+            psi = psi0 = _initial_state(pb, np.pi / 2)
+            exact = _exact_states(pb, np.array([pb.sys.tau]), psi0)[0]
+            for _ in range(n):
+                psi = u @ psi
+            expected.append(np.abs(np.vdot(exact, psi)) ** 2)
+        assert np.array_equal(cycle_fidelity(p, b_grid), np.array(expected))
 
     def test_worst_is_capped_at_one(self):
         p = make_params(trotter_steps=4, decomposition=Decomposition.COARSE_TROTTER)
