@@ -11,10 +11,13 @@ ising-approx  2nd/3rd order approximations only (fast)
 trotter-check minimum fidelity over the field range per step count
 
 Each experiment is one ``Experiment`` record in ``EXPERIMENTS``: defaults
-and the fixed keys among them (only the other defaults have flags it
-accepts), output columns, ``--sweep`` axes, point grid, point function and
-row label.  Every point is validated before any point runs.  Presets name an
-experiment and run its defaults.
+and the fixed keys among them, output columns, ``--sweep`` axes, point grid,
+point function and row label.  Each is also an argparse subcommand built from
+its record, so ``gphase <experiment> --help`` lists exactly the flags it
+accepts: the run options, one flag per default that is not fixed, and
+``--preset`` and ``--sweep`` where it has a preset or an axis.  Every point
+is validated before any point runs.  Presets name an experiment and run its
+defaults.
 
 Outputs are deterministic: identical configurations produce byte-identical
 files regardless of worker count, and every row carries the configuration
@@ -300,10 +303,6 @@ def _settable(exp: Experiment) -> dict:
     """The defaults of ``exp`` that a flag can set."""
     return {k: v for k, v in exp.defaults.items() if k not in exp.fixed}
 
-
-# every physical flag's dest and a default of it; each experiment accepts
-# those of its settable defaults
-_PARAMS = {k: v for exp in EXPERIMENTS.values() for k, v in _settable(exp).items()}
 _CHOICES = {"decomposition": [d.value for d in Decomposition]}
 
 # Bundled parameter sets: each is its experiment's defaults.
@@ -398,6 +397,9 @@ def run(config: RunConfig) -> int:
     log.info("run start experiment=%s hash=%s at %s",
              config.experiment, config.config_hash,
              datetime.now(timezone.utc).isoformat())
+    folder = os.path.dirname(config.output or "") or "."
+    if not os.path.isdir(folder):
+        raise ValidationError(f"output directory {folder!r} does not exist")
     columns, rows = _rows(config)
 
     text = (_render_csv(columns, rows) if config.fmt == "csv"
@@ -412,89 +414,69 @@ def run(config: RunConfig) -> int:
 
 
 def _build_parser() -> argparse.ArgumentParser:
+    """One subparser per experiment, holding the run options and only the
+    flags that experiment accepts; no parser takes an abbreviated flag."""
     ap = argparse.ArgumentParser(
-        prog="gphase",
+        prog="gphase", allow_abbrev=False,
         description="Geometric phase of a dephased qubit near a critical bath.",
     )
-    ap.add_argument("experiment", choices=[*EXPERIMENTS, "presets"],
-                    help="experiment to run, or 'presets' to list bundled parameter sets")
-    ap.add_argument("--preset", choices=list(PRESETS), help="start from a bundled parameter set")
-    ap.add_argument("--output", help="output file (default: stdout)")
-    ap.add_argument("--format", dest="fmt", choices=("csv", "json"), default="csv")
-    ap.add_argument("--workers", type=int, default=1, help="parallel sweep workers")
-    ap.add_argument("--keep-going", action="store_true",
-                    help="flag failed sweep points instead of aborting")
-    ap.add_argument("--sweep", nargs=4, metavar=("AXIS", "MIN", "MAX", "POINTS"),
-                    help="sweep one parameter axis; "
-                         + "; ".join(f"{name}: {', '.join(exp.axes)}"
-                                     for name, exp in EXPERIMENTS.items() if exp.axes))
-    ap.add_argument("--verbose", action="store_true", help="log progress to stderr")
-
-    phys = ap.add_argument_group(
-        "physical parameters",
-        "each experiment accepts only the flags of its settable defaults; "
-        "units: README, 'Units and conventions'")
-    for key, default in _PARAMS.items():
-        phys.add_argument(f"--{key.replace('_', '-')}", type=type(default),
-                          choices=_CHOICES.get(key))
+    sub = ap.add_subparsers(dest="experiment", required=True)
+    sub.add_parser("presets", allow_abbrev=False, help="list bundled parameter sets")
+    for name, exp in EXPERIMENTS.items():
+        sp = sub.add_parser(name, allow_abbrev=False)
+        sp.add_argument("--output", help="output file (default: stdout)")
+        sp.add_argument("--format", dest="fmt", choices=("csv", "json"), default="csv")
+        sp.add_argument("--workers", type=int, default=1, help="parallel sweep workers")
+        sp.add_argument("--keep-going", action="store_true",
+                        help="flag failed sweep points instead of aborting")
+        sp.add_argument("--verbose", action="store_true", help="log progress to stderr")
+        presets = [preset for preset, target in PRESETS.items() if target == name]
+        if presets:
+            sp.add_argument("--preset", choices=presets, help="start from a bundled parameter set")
+        if exp.axes:
+            sp.add_argument("--sweep", nargs=4, metavar=("AXIS", "MIN", "MAX", "POINTS"),
+                            help=f"sweep one parameter axis: {', '.join(exp.axes)}")
+        phys = sp.add_argument_group("physical parameters",
+                                     "units: README, 'Units and conventions'")
+        for key, default in _settable(exp).items():
+            phys.add_argument(f"--{key.replace('_', '-')}", type=type(default),
+                              choices=_CHOICES.get(key), default=argparse.SUPPRESS)
     return ap
 
 
 def parse_config(argv) -> RunConfig | None:
     """Resolve argv into a RunConfig (None for the 'presets' listing)."""
-    args = _build_parser().parse_args(argv)
-    if args.experiment == "presets":
-        for name, experiment in PRESETS.items():
-            print(f"{name}: {experiment}  "
+    args = vars(_build_parser().parse_args(argv))
+    experiment = args["experiment"]
+    if experiment == "presets":
+        for name, target in PRESETS.items():
+            print(f"{name}: {target}  "
                   + " ".join(f"{k}={v:.6g}" if isinstance(v, float) else f"{k}={v}"
-                             for k, v in _settable(EXPERIMENTS[experiment]).items()))
+                             for k, v in _settable(EXPERIMENTS[target]).items()))
         return None
 
-    experiment = args.experiment
-    if args.preset and PRESETS[args.preset] != experiment:
-        raise ConfigParseError(
-            f"preset {args.preset!r} targets experiment {PRESETS[args.preset]!r}, not {experiment!r}"
-        )
     exp = EXPERIMENTS[experiment]
-    params = dict(exp.defaults)
-    for key in _PARAMS:
-        val = getattr(args, key)
-        if val is None:
-            continue
-        if key not in params:
-            raise ConfigParseError(f"{experiment} does not use --{key.replace('_', '-')}")
-        if key in exp.fixed:
-            raise ConfigParseError(
-                f"{experiment} fixes {key} at {params[key]!r}: it cannot move the output")
-        params[key] = val
-    if args.trotter_steps is not None and params["decomposition"] == Decomposition.EXACT.value:
+    params = {k: args.get(k, v) for k, v in exp.defaults.items()}
+    if "trotter_steps" in args and params["decomposition"] == Decomposition.EXACT.value:
         raise ConfigParseError("--trotter-steps is read only under --decomposition coarse-trotter")
 
     sweep = None
-    if args.sweep:
-        axis, lo, hi, n = args.sweep
+    if args.get("sweep"):
+        axis, lo, hi, n = args["sweep"]
         axis = axis.replace("-", "_")
         if axis not in exp.axes:
             raise ConfigParseError(
-                f"{experiment} cannot sweep {axis!r}; "
-                + (f"--sweep axes: {', '.join(exp.axes)}" if exp.axes else "it has no --sweep axis")
-            )
+                f"{experiment} cannot sweep {axis!r}; --sweep axes: {', '.join(exp.axes)}")
         try:
             sweep = (axis, float(lo), float(hi), int(n))
         except ValueError as exc:
             raise ConfigParseError(f"bad sweep specification: {exc}") from exc
 
-    if args.workers < 1:
+    if args["workers"] < 1:
         raise ConfigParseError("--workers must be >= 1")
-    return RunConfig(
-        experiment=experiment,
-        parameters=params,
-        output=args.output,
-        fmt=args.fmt,
-        sweep=sweep,
-        workers=args.workers,
-        keep_going=args.keep_going,
-    )
+    return RunConfig(experiment=experiment, parameters=params, output=args["output"],
+                     fmt=args["fmt"], sweep=sweep, workers=args["workers"],
+                     keep_going=args["keep_going"])
 
 
 def main(argv=None) -> int:
@@ -514,7 +496,7 @@ def main(argv=None) -> int:
     except ValidationError as exc:
         print(f"invalid configuration: {exc}", file=sys.stderr)
         return 3
-    except GphaseError as exc:
+    except (GphaseError, OSError) as exc:  # OSError: the output file cannot be written
         print(f"run failed: {exc}", file=sys.stderr)
         return 1
 

@@ -1,6 +1,7 @@
 import concurrent.futures
 import dataclasses
 import json
+import re
 import time
 
 import numpy as np
@@ -150,7 +151,10 @@ class TestDeterminism:
     def test_repeat_and_workers_identical(self, tmp_path):
         for argv in (["ising-approx", "--lambda-points", "5", "--n-spins", "40"],
                      ["trotter-check", "--b-points", "5", "--max-steps", "8"],
-                     ["correction", "--b-points", "5"]):
+                     ["correction", "--b-points", "5"],
+                     ["ising-sweep", "--n-spins", "40", "--lambda-points", "3", "--samples", "64"],
+                     ["trace", "--samples", "64"],
+                     ["gp-curve", "--samples", "64", "--sweep", "theta", "0.5", "1.0", "3"]):
             _, a = run_cli(argv + ["--workers", "1"], tmp_path, "a.csv")
             _, b = run_cli(argv + ["--workers", "1"], tmp_path, "b.csv")
             _, c = run_cli(argv + ["--workers", "4"], tmp_path, "c.csv")
@@ -220,7 +224,22 @@ class TestExitCodes:
         assert main(["gp-curve", "--omega", "-3"]) == 3
 
     def test_preset_experiment_mismatch(self):
-        assert main(["gp-curve", "--preset", "paper-figA"]) == 2
+        # --preset offers only the experiment's own presets, and gp-curve has none
+        assert exit_code(["gp-curve", "--preset", "paper-figA"]) == 2
+        assert exit_code(["ising-sweep", "--preset", "paper-fig1c"]) == 2
+
+    def test_missing_output_directory(self, tmp_path, point_calls, capsys):
+        # every point used to run before the write died with a bare
+        # FileNotFoundError traceback
+        missing = tmp_path / "missing"
+        assert main(["trace", "--samples", "64", "--output", str(missing / "x.csv")]) == 3
+        assert f"output directory {str(missing)!r} does not exist" in capsys.readouterr().err
+        assert point_calls == []
+
+    def test_failed_write(self, tmp_path, capsys):
+        # the output path is a directory: the write itself fails
+        assert main(["trace", "--samples", "64", "--output", str(tmp_path)]) == 1
+        assert capsys.readouterr().err.startswith("run failed: ")
 
     def test_bad_sweep_spec(self):
         assert main(["gp-curve", "--sweep", "b_field", "0", "1", "xyz"]) == 2
@@ -476,10 +495,9 @@ class TestScaleInvariance:
 class TestPhysicalFlags:
     @pytest.mark.parametrize("key", sorted({k for e in EXPERIMENTS.values() for k in settable(e)}))
     def test_flag_parses_for_each_experiment_with_the_key(self, key):
-        # one flag per key, typed by the key's default in every experiment
+        # each experiment's flag is typed by its own default
         owners = {name: exp.defaults[key] for name, exp in EXPERIMENTS.items()
                   if key in settable(exp)}
-        assert len({type(v) for v in owners.values()}) == 1
         # correction accepts --trotter-steps only with the stepped decomposition
         context = ["--decomposition", "coarse-trotter"] if key == "trotter_steps" else []
         for name, default in owners.items():
@@ -487,6 +505,17 @@ class TestPhysicalFlags:
             value = parse_config(argv).parameters[key]
             assert type(value) is type(default)
             assert value == default
+
+    @pytest.mark.parametrize("name", list(EXPERIMENTS))
+    def test_help_lists_exactly_the_accepted_flags(self, name, capsys):
+        assert exit_code([name, "--help"]) == 0
+        listed = set(re.findall(r"(?<![\w-])--[a-z][a-z-]*", capsys.readouterr().out))
+        exp = EXPERIMENTS[name]
+        accepted = ({"help", "output", "format", "workers", "keep-going", "verbose"}
+                    | {k.replace("_", "-") for k in settable(exp)}
+                    | ({"preset"} if name in PRESETS.values() else set())
+                    | ({"sweep"} if exp.axes else set()))
+        assert listed == {f"--{flag}" for flag in accepted}
 
 
 class TestEveryFlagMoves:
@@ -617,7 +646,8 @@ class TestRejectedBeforeWork:
         ["trace", "--sweep", "theta", "0.5", "0.7", "2"],           # ignored the sweep
     ])
     def test_sweep_on_experiment_without_axis(self, argv, point_calls):
-        assert main(argv) == 2
+        # only gp-curve has a --sweep flag
+        assert exit_code(argv) == 2
         assert point_calls == []
 
     def test_pulse_level_is_no_decomposition(self, point_calls):
@@ -629,8 +659,23 @@ class TestRejectedBeforeWork:
         assert point_calls == []
 
     def test_flag_the_experiment_does_not_use(self, point_calls):
-        # omega used to enter the parameters and the hash and change nothing
-        assert main(["ising-approx", "--omega", "5"]) == 2
+        # omega used to enter the parameters and the hash and change nothing;
+        # --omega is no prefix of --omega-over-j, since no parser takes one
+        assert exit_code(["ising-approx", "--omega", "5"]) == 2
+        assert point_calls == []
+
+    @pytest.mark.parametrize("argv", [
+        # every key another experiment accepts, or one fixed here or elsewhere;
+        # 1 parses for every numeric flag, so only a missing flag exits 2
+        *([name, f"--{key.replace('_', '-')}", "1"] for name, exp in EXPERIMENTS.items()
+          for key in sorted({k for e in EXPERIMENTS.values() for k in e.defaults}
+                            - set(settable(exp)))),
+        # abbreviations: the first ran as --lambda-points 2
+        ["ising-approx", "--lambda-p", "2"],
+        ["trace", "--samples", "64", "--work", "2"],
+    ], ids=" ".join)
+    def test_flag_not_in_its_parser(self, argv, point_calls):
+        assert exit_code(argv) == 2
         assert point_calls == []
 
     def test_samples_below_trace_floor(self, point_calls):
