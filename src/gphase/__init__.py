@@ -37,7 +37,6 @@ from .gp import (
 from .ising import IsingBathParams, chain_trace, decoherence_product
 from .perturbative import (
     IsingClosedForms,
-    elliptic_E,
     gp_approx_ising,
     ising_closed_forms,
 )

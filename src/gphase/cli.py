@@ -12,12 +12,12 @@ trotter-check minimum fidelity over the field range per step count
 
 Each experiment is one ``Experiment`` record in ``EXPERIMENTS``: defaults
 and the fixed keys among them, output columns, ``--sweep`` axes, point grid,
-point function and row label.  Each is also an argparse subcommand built from
-its record, so ``gphase <experiment> --help`` lists exactly the flags it
+the point's call and row label.  Each is also an argparse subcommand built
+from its record, so ``gphase <experiment> --help`` lists exactly the flags it
 accepts: the run options, one flag per default that is not fixed, and
-``--preset`` and ``--sweep`` where it has a preset or an axis.  Every point
-is validated before any point runs.  Presets name an experiment and run its
-defaults.
+``--preset`` and ``--sweep`` where it has a preset or an axis; one process
+builds the parser once.  Every point is validated before any point runs.
+Presets name an experiment and run its defaults.
 
 Outputs are deterministic: identical configurations produce byte-identical
 files regardless of worker count, and every row carries the configuration
@@ -34,10 +34,12 @@ import hashlib
 import json
 import logging
 import os
+import re
 import sys
 from collections.abc import Callable
 from dataclasses import dataclass
 from datetime import datetime, timezone
+from functools import cache, partial
 
 import numpy as np
 
@@ -76,6 +78,7 @@ class RunConfig:
     sweep: tuple[str, float, float, int] | None
     workers: int
     keep_going: bool
+    verbose: bool = False
 
     @property
     def identity(self) -> dict:
@@ -95,6 +98,8 @@ class RunConfig:
 def _linspace(lo: float, hi: float, n: int, what: str) -> np.ndarray:
     if int(n) < 1:
         raise ValidationError(f"{what} must be >= 1, got {n}")
+    if not np.isfinite(hi - lo):  # a bound is not finite, or their difference overflows
+        raise ValidationError(f"{what} must span a finite range, got {lo} to {hi}")
     return np.linspace(lo, hi, int(n))
 
 
@@ -127,7 +132,7 @@ def _chain(p: dict) -> tuple[IsingBathParams, SystemParams]:
     return bath, SystemParams(omega=p["omega_over_j"] * p["j_coupling"], theta=p["theta"])
 
 
-def _protocol(p: dict) -> tuple[ProtocolParams]:
+def _protocol(p: dict) -> ProtocolParams:
     """Protocol at one field; a stepped one's step count is checked against its
     ``readout_grid`` here, while a bath past the grid's reach fails at its own point."""
     sysp, bath = _two_level(p)
@@ -138,23 +143,23 @@ def _protocol(p: dict) -> tuple[ProtocolParams]:
     if proto.decomposition is not Decomposition.EXACT:
         with contextlib.suppress(UnwrapFailure):
             readout_grid(proto)
-    return (proto,)
+    return proto
 
 
-def _trotter_scan(p: dict) -> tuple[ProtocolParams, np.ndarray]:
-    """Coarse-Trotter protocol at ``n_steps`` steps, and the field grid to scan."""
+def _trotter_scan(p: dict) -> partial:
+    """The scan of the coarse-Trotter protocol at ``n_steps`` steps over the field grid."""
     sysp, bath = _two_level(p)
     proto = ProtocolParams(sys=sysp, bath=bath, trotter_steps=int(p["n_steps"]),
                            decomposition=Decomposition.COARSE_TROTTER)
-    return proto, _span(p, "b")
+    return partial(_trotter_rows, proto, _span(p, "b"))
 
 
 # ---------------------------------------------------------------------------
-# point functions: point arguments -> payload rows after the label cells (top
-# level: picklable for process pools)
+# point functions: the payload rows of one point after its label cells; each
+# experiment's ``prepare`` binds their arguments (top level: picklable for
+# process pools)
 
-def _trace_rows(args) -> list[list[float]]:
-    sysp, bath, samples = args
+def _trace_rows(sysp: SystemParams, bath: TwoLevelBathParams, samples: int) -> list[list[float]]:
     trace = oracle_trace(bath, sysp, samples)
     return [
         [t, r.real, r.imag, m, ph]
@@ -162,39 +167,32 @@ def _trace_rows(args) -> list[list[float]]:
     ]
 
 
-def _gp_curve_rows(args) -> list[list[float]]:
-    sysp, bath, samples = args
+def _gp_curve_rows(sysp: SystemParams, bath: TwoLevelBathParams,
+                   samples: int) -> list[list[float]]:
     g = (unitary_result(sysp) if bath.coupling == 0
          else geometric_phase(oracle_trace(bath, sysp, samples), sysp))
     return [[g.phi_total, g.phi_unitary, checked_correction(g), g.integral_part,
              g.arctan_part, g.eps_plus_final]]
 
 
-def _correction_rows(args) -> list[list[float]]:
-    (proto,) = args
+def _correction_rows(proto: ProtocolParams) -> list[list[float]]:
     return [list(correction_point(proto))]
 
 
-def _ising_orders_norm(bath: IsingBathParams, sysp: SystemParams) -> list[float]:
+def _ising_approx_rows(bath: IsingBathParams, sysp: SystemParams) -> list[list[float]]:
     norm = bath.n_spins * bath.coupling**2
     gp = gp_approx_ising(bath, sysp)
-    return [gp.order2 / norm, gp.order3 / norm]
+    return [[gp.order2 / norm, gp.order3 / norm]]
 
 
-def _ising_sweep_rows(args) -> list[list[float]]:
-    bath, sysp, samples = args
-    orders = _ising_orders_norm(bath, sysp)
+def _ising_sweep_rows(bath: IsingBathParams, sysp: SystemParams,
+                      samples: int) -> list[list[float]]:
+    (orders,) = _ising_approx_rows(bath, sysp)
     g = geometric_phase(chain_trace(bath, sysp, samples), sysp)
     return [[checked_correction(g) / (bath.n_spins * bath.coupling**2), *orders]]
 
 
-def _ising_approx_rows(args) -> list[list[float]]:
-    bath, sysp = args
-    return [_ising_orders_norm(bath, sysp)]
-
-
-def _trotter_rows(args) -> list[list[float]]:
-    proto, b_values = args
+def _trotter_rows(proto: ProtocolParams, b_values: np.ndarray) -> list[list[float]]:
     return [[worst_cycle_fidelity(proto, b_values)]]
 
 
@@ -206,14 +204,13 @@ class Experiment:
     """Everything the command line knows about one experiment.
 
     A run builds the points with ``grid`` (crossed with the ``--sweep`` axis,
-    if any), turns every point's parameters into ``point`` arguments with
-    ``prepare``, which validates them, and only then runs ``point`` on each.
+    if any), turns every point's parameters into the point's call with
+    ``prepare``, which validates them, and only then makes each call.
     """
 
     defaults: dict                          # parameters, all in the config hash
     columns: tuple[str, ...]                # payload columns before config_hash
-    prepare: Callable[[dict], tuple]        # point parameters -> point arguments
-    point: Callable[[tuple], list]          # point arguments -> rows after the label
+    prepare: Callable[[dict], partial]      # point parameters -> call of the rows after the label
     grid: Callable[[dict], list[dict]] = lambda p: [p]  # parameters of each point
     axes: tuple[str, ...] = ()              # parameters --sweep may vary
     label: Callable[[dict], list] = lambda p: []  # leading cells of every row of a point
@@ -246,16 +243,14 @@ EXPERIMENTS: dict[str, Experiment] = {
     "trace": Experiment(
         defaults={**_TWO_LEVEL, **_FIELD, "samples": 256},
         columns=("t", "re_r", "im_r", "abs_r", "phase"),
-        prepare=lambda p: (*_two_level(p), _samples(p)),
-        point=_trace_rows,
+        prepare=lambda p: partial(_trace_rows, *_two_level(p), _samples(p)),
         fixed=("theta", "znu", "convention"),
     ),
     "gp-curve": Experiment(
         defaults={**_TWO_LEVEL, **_FIELD, "samples": 1024},
         columns=("phi_total", "phi_unitary", "correction", "integral_part",
                  "arctan_part", "eps_plus_final"),
-        prepare=lambda p: (*_two_level(p), _samples(p)),
-        point=_gp_curve_rows,
+        prepare=lambda p: partial(_gp_curve_rows, *_two_level(p), _samples(p)),
         axes=("omega", "theta", "delta_gap", "coupling", "b_field"),
         fixed=("znu", "convention"),
     ),
@@ -263,8 +258,7 @@ EXPERIMENTS: dict[str, Experiment] = {
         defaults={**_TWO_LEVEL, **_B_RANGE, "trotter_steps": 64, "decomposition": "exact",
                   "samples": 64, "znu": 1.0, "convention": "zz"},
         columns=("b_over_omega", "dphi_protocol", "dphi_theory"),
-        prepare=_protocol,
-        point=_correction_rows,
+        prepare=lambda p: partial(_correction_rows, _protocol(p)),
         grid=lambda p: [{**p, "b_field": b} for b in _span(p, "b")],
         label=lambda p: [p["b_field"] / p["omega"]],
         fixed=("samples", "znu", "convention"),
@@ -272,8 +266,7 @@ EXPERIMENTS: dict[str, Experiment] = {
     "ising-sweep": Experiment(
         defaults={**_CHAIN, "samples": 4096},
         columns=("lambda", "dphi_exact_norm", "dphi_order2_norm", "dphi_order3_norm"),
-        prepare=lambda p: (*_chain(p), _samples(p)),
-        point=_ising_sweep_rows,
+        prepare=lambda p: partial(_ising_sweep_rows, *_chain(p), _samples(p)),
         grid=lambda p: [{**p, "lambda": lam} for lam in _span(p, "lambda")],
         label=lambda p: [p["lambda"]],
         fixed=("j_coupling",),
@@ -281,8 +274,7 @@ EXPERIMENTS: dict[str, Experiment] = {
     "ising-approx": Experiment(
         defaults=dict(_CHAIN),
         columns=("lambda", "dphi_order2_norm", "dphi_order3_norm"),
-        prepare=_chain,
-        point=_ising_approx_rows,
+        prepare=lambda p: partial(_ising_approx_rows, *_chain(p)),
         grid=lambda p: [{**p, "lambda": lam} for lam in _span(p, "lambda")],
         label=lambda p: [p["lambda"]],
         fixed=("j_coupling",),
@@ -291,7 +283,6 @@ EXPERIMENTS: dict[str, Experiment] = {
         defaults={**_TWO_LEVEL, **_B_RANGE, "fidelity_threshold": 0.997, "max_steps": 512},
         columns=("n_steps", "min_fidelity"),
         prepare=_trotter_scan,
-        point=_trotter_rows,
         grid=lambda p: [{**p, "n_steps": n} for n in step_counts(p["max_steps"])],
         label=lambda p: [float(p["n_steps"])],
         fixed=("theta", "fidelity_threshold"),
@@ -313,26 +304,26 @@ PRESETS: dict[str, str] = {
 }
 
 
-def _capture(func, task):
-    """``func(task)``, or the exception it raised (top level: picklable)."""
+def _capture(task):
+    """``task()``, or the exception it raised (top level: picklable)."""
     try:
-        return func(task)
+        return task()
     except Exception as exc:
         return exc
 
 
-def _results(func, tasks: list[tuple], workers: int):
+def _results(tasks: list[partial], workers: int):
     """Each task's result, or the exception it raised, in task order; closing
     the iterator early leaves every task not yet started unrun.  The pool is
     no larger than the task count or the CPU count, because a forked pool
     starts all of its workers at the first submit."""
     workers = min(workers, len(tasks), os.cpu_count() or 1)
     if workers < 2:
-        yield from (_capture(func, t) for t in tasks)
+        yield from map(_capture, tasks)
         return
     with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
         try:
-            yield from (f.result() for f in [pool.submit(_capture, func, t) for t in tasks])
+            yield from (f.result() for f in [pool.submit(_capture, t) for t in tasks])
         finally:
             pool.shutdown(cancel_futures=True)
 
@@ -340,22 +331,21 @@ def _results(func, tasks: list[tuple], workers: int):
 def _rows(config: RunConfig) -> tuple[list[str], list[list]]:
     """Payload columns and rows; every point is validated before any runs."""
     exp = EXPERIMENTS[config.experiment]
+    for key, val in config.parameters.items():
+        if isinstance(val, float) and not np.isfinite(val):
+            raise ValidationError(f"{key} must be finite, got {val}")
     points = exp.grid(config.parameters)
     axis: list[str] = []
     if config.sweep is not None:
         name, lo, hi, n = config.sweep
         axis = [name]
         points = [{**p, name: v} for v in _linspace(lo, hi, n, "sweep points") for p in points]
-    for p in points:
-        for key, val in p.items():
-            if isinstance(val, float) and not np.isfinite(val):
-                raise ValidationError(f"{key} must be finite, got {val}")
     tasks = [exp.prepare(p) for p in points]
     columns = axis + list(exp.columns)
 
     digest = config.config_hash
     rows: list[list] = []
-    with contextlib.closing(_results(exp.point, tasks, config.workers)) as results:
+    with contextlib.closing(_results(tasks, config.workers)) as results:
         for p, result in zip(points, results):
             head = [p[a] for a in axis] + exp.label(p)
             if isinstance(result, Exception):
@@ -394,6 +384,7 @@ def _render_json(config: RunConfig, columns: list[str], rows: list[list]) -> str
 
 def run(config: RunConfig) -> int:
     """Execute a configuration and write its output. Returns exit code."""
+    log.setLevel(logging.INFO if config.verbose else logging.NOTSET)
     log.info("run start experiment=%s hash=%s at %s",
              config.experiment, config.config_hash,
              datetime.now(timezone.utc).isoformat())
@@ -413,10 +404,21 @@ def run(config: RunConfig) -> int:
     return 0
 
 
+class _Parser(argparse.ArgumentParser):
+    """Reads a token of '-' and a digit, '.digit', 'inf' or 'nan' as a value, not
+    as a flag as argparse does with -1e-3 and -inf; no gphase flag has one dash."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = re.compile(r"-(\.?\d|inf|nan)", re.IGNORECASE)
+
+
+@cache
 def _build_parser() -> argparse.ArgumentParser:
     """One subparser per experiment, holding the run options and only the
-    flags that experiment accepts; no parser takes an abbreviated flag."""
-    ap = argparse.ArgumentParser(
+    flags that experiment accepts; no parser takes an abbreviated flag.  Built
+    once per process: the parsers are only read."""
+    ap = _Parser(
         prog="gphase", allow_abbrev=False,
         description="Geometric phase of a dephased qubit near a critical bath.",
     )
@@ -476,14 +478,11 @@ def parse_config(argv) -> RunConfig | None:
         raise ConfigParseError("--workers must be >= 1")
     return RunConfig(experiment=experiment, parameters=params, output=args["output"],
                      fmt=args["fmt"], sweep=sweep, workers=args["workers"],
-                     keep_going=args["keep_going"])
+                     keep_going=args["keep_going"], verbose=args["verbose"])
 
 
 def main(argv=None) -> int:
     logging.basicConfig(stream=sys.stderr, format="%(levelname)s %(message)s")
-    argv = sys.argv[1:] if argv is None else argv
-    if "--verbose" in argv:
-        log.setLevel(logging.INFO)
     try:
         config = parse_config(argv)
     except ConfigParseError as exc:

@@ -30,10 +30,6 @@ class CancellationFloor(GphaseError):
     """A phase correction is within the rounding floor of the phases it is the difference of."""
 
 
-class DomainError(GphaseError):
-    """Function argument outside its mathematical domain."""
-
-
 class ValidationError(GphaseError):
     """A parameter record violates its invariants."""
 

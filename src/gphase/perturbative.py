@@ -49,11 +49,7 @@ import numpy as np
 from numpy.polynomial.polynomial import polyval
 from scipy.special import ellipe, elliprd
 
-from .errors import (
-    DomainError,
-    PerturbativeBreakdown,
-    QuadratureNonconvergence,
-)
+from .errors import PerturbativeBreakdown, QuadratureNonconvergence
 from .gp import SystemParams
 from .ising import IsingBathParams, dispersion
 
@@ -91,13 +87,6 @@ _QK21_WG = np.array([  # zero at the Kronrod-only nodes
 _QK21_NODES = np.concatenate((-_QK21_X[:0:-1], _QK21_X))
 _QK21_KRONROD = np.concatenate((_QK21_WK[:0:-1], _QK21_WK))
 _QK21_GAUSS = np.concatenate((_QK21_WG[:0:-1], _QK21_WG))
-
-
-def elliptic_E(m: float) -> float:
-    """Complete elliptic integral of the second kind E(m), parameter convention."""
-    if not 0.0 <= m <= 1.0:
-        raise DomainError(f"E(m) requires 0 <= m <= 1, got {m}")
-    return float(ellipe(m))
 
 
 @dataclass(frozen=True)
@@ -292,7 +281,7 @@ class IsingClosedForms:
         if lam < 1.0:
             y = (1.0 - lam) * (1.0 + lam)
             return sign * 2.0 * n * lam * y * elliprd(0.0, 1.0, y) / (3.0 * np.pi)
-        return sign * 2.0 * n * elliptic_E(1.0 / lam**2) / np.pi
+        return sign * 2.0 * n * ellipe(1.0 / lam**2) / np.pi  # 1/lam^2 in (0, 1]
 
 
 def ising_closed_forms(p: IsingBathParams, sys: SystemParams) -> IsingClosedForms:

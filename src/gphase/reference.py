@@ -18,8 +18,9 @@ tests and demos set beside it:
   (``find_min_trotter_steps``), frozen as ``PINNED_TROTTER_STEPS``;
 - the dense two-qubit partial trace (``partial_trace_env``) against the
   protocol's single-einsum coherence readout;
-- the complete elliptic integral of the first kind (``elliptic_K``), which
-  Legendre's relation sets beside ``perturbative.elliptic_E``.
+- the complete elliptic integrals of the first and second kind
+  (``elliptic_K``, ``elliptic_E``, each behind its domain check), which
+  Legendre's relation sets side by side.
 
 The errors that only these routes raise are defined here too.
 
@@ -33,9 +34,9 @@ from dataclasses import dataclass, field, replace
 from typing import Callable
 
 import numpy as np
-from scipy.special import ellipk
+from scipy.special import ellipe, ellipk
 
-from .errors import DomainError, GphaseError, InvalidDensityMatrix, ValidationError
+from .errors import GphaseError, InvalidDensityMatrix, ValidationError
 from .gp import DecoherenceTrace, SystemParams, _simpson
 from .ising import IsingBathParams, dispersion
 from .perturbative import PerturbativeGp, _assemble
@@ -56,6 +57,10 @@ class DimensionTooLarge(GphaseError):
 
 class StencilConditioning(GphaseError):
     """Finite-difference coefficient extraction produced unphysical values."""
+
+
+class DomainError(GphaseError):
+    """Function argument outside its mathematical domain."""
 
 
 # Smallest power-of-two step count for which the full-cycle Trotter fidelity
@@ -172,6 +177,13 @@ def elliptic_K(m: float) -> float:
     if not 0.0 <= m < 1.0:
         raise DomainError(f"K(m) requires 0 <= m < 1, got {m}")
     return float(ellipk(m))
+
+
+def elliptic_E(m: float) -> float:
+    """Complete elliptic integral of the second kind E(m), parameter convention."""
+    if not 0.0 <= m <= 1.0:
+        raise DomainError(f"E(m) requires 0 <= m <= 1, got {m}")
+    return float(ellipe(m))
 
 
 @dataclass(frozen=True)

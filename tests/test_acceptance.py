@@ -13,7 +13,7 @@ import pytest
 from gphase.cli import main as cli_main
 from gphase.gp import SystemParams, build_trace, geometric_phase
 from gphase.ising import IsingBathParams, chain_trace, decoherence_product
-from gphase.perturbative import elliptic_E, gp_approx_ising
+from gphase.perturbative import gp_approx_ising
 from gphase.protocol import (
     Decomposition,
     ProtocolParams,
@@ -25,6 +25,7 @@ from gphase.reference import (
     PINNED_TROTTER_STEPS,
     brute_force_oracle,
     density_trajectory,
+    elliptic_E,
     elliptic_K,
     extract_coefficients_numeric,
     find_min_trotter_steps,

@@ -3,6 +3,8 @@ import dataclasses
 import json
 import re
 import time
+import warnings
+from functools import partial
 
 import numpy as np
 import pytest
@@ -209,9 +211,8 @@ class TestDeterminism:
         assert changed.config_hash != base.config_hash
 
 
-def _fail_first(task):
+def _fail_first(index, folder):
     """Pool point function: task 0 fails, every other task leaves a file."""
-    index, folder = task
     if index == 0:
         raise GphaseError("first point fails")
     time.sleep(0.1)
@@ -264,8 +265,8 @@ class TestExitCodes:
         assert "GphaseError" not in caplog.text
 
     def test_pool_cancels_points_not_started(self, tmp_path):
-        tasks = [(i, tmp_path) for i in range(20)]
-        results = _results(_fail_first, tasks, workers=2)
+        tasks = [partial(_fail_first, i, tmp_path) for i in range(20)]
+        results = _results(tasks, workers=2)
         assert isinstance(next(results), GphaseError)
         results.close()
         assert len(list(tmp_path.iterdir())) < len(tasks) // 2
@@ -274,12 +275,16 @@ class TestExitCodes:
         # a .6g label named a failure at lambda = 1 + 1e-8 "lambda=1"
         exp = EXPERIMENTS["ising-approx"]
 
-        def point(args):
-            if args[0].lam != 1.0:
-                raise RuntimeError("fails off the critical point")
-            return exp.point(args)
+        def prepare(p):
+            call = exp.prepare(p)
 
-        monkeypatch.setitem(EXPERIMENTS, "ising-approx", dataclasses.replace(exp, point=point))
+            def point():
+                if call.args[0].lam != 1.0:
+                    raise RuntimeError("fails off the critical point")
+                return call()
+            return point
+
+        monkeypatch.setitem(EXPERIMENTS, "ising-approx", dataclasses.replace(exp, prepare=prepare))
         config = parse_config(["ising-approx", "--lambda-min", "1", "--lambda-max", "1.00000001",
                                "--lambda-points", "2"])
         with pytest.raises(GphaseError, match=r"^point lambda=1\.00000001: RuntimeError"):
@@ -580,10 +585,11 @@ def test_two_level_bath_holds_the_grid_field_exactly(monkeypatch):
                         lambda p: seen.append(p.bath.b_field) or run_protocol(p))
     exp = EXPERIMENTS["correction"]
     points = exp.grid(exp.defaults)
-    assert hexes(exp.prepare(p)[0].bath.b_field for p in points) == hexes(
+    calls = [exp.prepare(p) for p in points]
+    assert hexes(call.args[0].bath.b_field for call in calls) == hexes(
         p["b_field"] for p in points)
-    for p in points:
-        exp.point(exp.prepare(p))
+    for call in calls:
+        call()
     assert hexes(seen) == hexes(p["b_field"] for p in points)
 
     seen.clear()
@@ -591,9 +597,10 @@ def test_two_level_bath_holds_the_grid_field_exactly(monkeypatch):
     monkeypatch.setattr(protocol, "cycle_fidelity",
                         lambda p, b_values: seen.extend(b_values) or [1.0] * len(b_values))
     exp = EXPERIMENTS["trotter-check"]
-    proto, b_grid = exp.prepare(exp.grid(exp.defaults)[0])
+    call = exp.prepare(exp.grid(exp.defaults)[0])
+    proto, b_grid = call.args
     assert len(b_grid) == 21
-    exp.point((proto, b_grid))
+    call()
     assert hexes(seen) == hexes(b_grid)
 
 
@@ -616,13 +623,13 @@ def test_config_hash_pinned(argv, digest):
 
 @pytest.fixture
 def point_calls(monkeypatch):
-    """Count the point-function calls of every experiment."""
+    """Record every point call, the call ``prepare`` returns, that runs."""
     calls = []
     for name, exp in EXPERIMENTS.items():
-        def spy(args, point=exp.point):
-            calls.append(args)
-            return point(args)
-        monkeypatch.setitem(EXPERIMENTS, name, dataclasses.replace(exp, point=spy))
+        def spy(p, prepare=exp.prepare):
+            call = prepare(p)
+            return lambda: calls.append(call) or call()
+        monkeypatch.setitem(EXPERIMENTS, name, dataclasses.replace(exp, prepare=spy))
     return calls
 
 
@@ -723,6 +730,25 @@ class TestRejectedBeforeWork:
         assert point_calls == []
 
     @pytest.mark.parametrize("argv", [
+        *([name, f"--{key.replace('_', '-')}", value] for name, exp in EXPERIMENTS.items()
+          for key in settable(exp) if isinstance(exp.defaults[key], float)
+          for value in ("nan", "inf", "-inf")),
+        *(["gp-curve", "--sweep", "theta", *bounds, "2"]
+          for bounds in (("nan", "1"), ("inf", "1"), ("0", "-inf"))),
+        # finite bounds whose span overflows
+        ["correction", "--b-min", "-1e308", "--b-max", "1e308"],
+        ["gp-curve", "--sweep", "b_field", "-1e308", "1e308", "2"],
+    ], ids=" ".join)
+    def test_non_finite_value(self, argv, point_calls, capsys):
+        # an infinite range bound printed numpy's invalid-value warnings from
+        # the grid before its check
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(argv) == 3
+        assert point_calls == []
+        assert "finite" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [
         ["trace", "--b-field", "inf"],
         ["correction", "--b-points", "0"],
         ["trotter-check", "--max-steps", "0"],
@@ -744,6 +770,39 @@ class TestRejectedBeforeWork:
     def test_other_invalid_values(self, argv, point_calls):
         assert main(argv) == 3
         assert point_calls == []
+
+
+class TestCommandLine:
+    def test_negative_values_in_exponent_notation(self, tmp_path, capsys):
+        # argparse read -1e-3 and -inf as unknown flags and exited 2
+        argv = ["ising-approx", "--lambda-max", "0", "--lambda-points", "2"]
+        spaced = run_cli(argv + ["--lambda-min", "-1e-3"], tmp_path, "spaced.csv")
+        joined = run_cli(argv + ["--lambda-min=-1e-3"], tmp_path, "joined.csv")
+        assert spaced == joined
+        assert spaced[0] == 0 and b"\n-0.001," in spaced[1]
+        swept = ["gp-curve", "--samples", "64", "--sweep", "b_field"]
+        exponent = run_cli(swept + ["-1e-3", "1e-3", "2"], tmp_path, "e.csv")
+        assert exponent == run_cli(swept + ["-0.001", "0.001", "2"], tmp_path, "f.csv")
+        assert exponent[0] == 0
+        capsys.readouterr()
+        assert main(["ising-approx", "--lambda-min", "-inf"]) == 3
+        assert "lambda_min must be finite, got -inf" in capsys.readouterr().err
+        # the single-dash help flag is still a flag
+        assert exit_code(["trace", "-h"]) == 0
+
+    def test_verbose_applies_to_its_own_run(self, tmp_path, caplog):
+        # --verbose raised the logger to INFO for every later run in the process
+        argv = ["ising-approx", "--lambda-points", "1"]
+        assert run_cli(argv + ["--verbose"], tmp_path, "loud.csv")[0] == 0
+        assert "run start" in caplog.text
+        caplog.clear()
+        assert run_cli(argv, tmp_path, "quiet.csv")[0] == 0
+        assert caplog.text == ""
+
+    def test_parser_built_once(self):
+        parse_config(["trace"])
+        parse_config(["ising-approx", "--lambda-points", "2"])
+        assert cli._build_parser.cache_info().misses == 1
 
 
 def test_trotter_grid_is_doublings(tmp_path):

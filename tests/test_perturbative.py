@@ -6,12 +6,7 @@ import pytest
 from scipy.integrate import quad
 
 import gphase.perturbative as perturbative
-from gphase.errors import (
-    DomainError,
-    PerturbativeBreakdown,
-    QuadratureNonconvergence,
-    ValidationError,
-)
+from gphase.errors import PerturbativeBreakdown, QuadratureNonconvergence, ValidationError
 from gphase.gp import SystemParams, build_trace, geometric_phase
 from gphase.ising import IsingBathParams, chain_trace, decoherence_product, dispersion, momenta
 from gphase.perturbative import (
@@ -22,13 +17,14 @@ from gphase.perturbative import (
     _f3_bracket,
     _one_minus_sinc,
     _panel_quad,
-    elliptic_E,
     gp_approx_ising,
     ising_closed_forms,
     IsingClosedForms,
 )
 from gphase.reference import (
+    DomainError,
     StencilConditioning,
+    elliptic_E,
     elliptic_K,
     extract_coefficients_numeric,
     gp_third_order,
