@@ -28,8 +28,9 @@ from .errors import MagnitudeUnderflow, ValidationError
 from .gp import DecoherenceTrace, SystemParams, build_trace
 
 _LOG_FLOOR = -700.0
-# mode-samples per block of the streamed product: 512 KB per work buffer
-_BLOCK_SAMPLES = 2**16
+# mode-samples per block of the streamed product: 256 KB per work buffer, cache-sized;
+# at 4097 times a smaller block pays its dozen numpy calls per block too often
+_BLOCK_SAMPLES = 2**15
 
 
 @dataclass(frozen=True)
@@ -121,32 +122,38 @@ def decoherence_product(p: IsingBathParams, t):
     and the phase is t sum(e_hi - e_lo) plus these bounded angles.  log1p
     keeps the O(delta^2) term that forming |z_k|^2 would round away, and at
     the tangent's pole T is huge but finite.  Blocks of about
-    ``_BLOCK_SAMPLES`` mode-samples are evaluated in place in four reused
-    buffers (11 array passes per mode-sample) and their rows added into the
-    two length-M sums in mode order (2 more): O(M) memory for M times, bits
-    independent of block size.
+    ``_BLOCK_SAMPLES`` mode-samples are evaluated in place in three reused
+    buffers (11 array passes per mode-sample), and one reduction per block,
+    down the rows of two of them, adds the block into the two length-M sums
+    in mode order (2 more): a work set of 3 (rows + 1) M doubles for M
+    times, bits independent of block size.
     """
     t = np.asarray(t, dtype=float)
-    tt = t.reshape(-1)
+    # a lone time is evaluated twice: with one column numpy would run the reduction
+    # along the modes as its inner loop, which sums pairwise, not in mode order
+    tt = np.repeat(t.reshape(-1), 2) if t.size == 1 else t.reshape(-1)
     e_hi, sin2_d, cos_d, cos_d_m1, gap_sum = _mode_constants(p)
     rows = min(e_hi.shape[0], max(1, _BLOCK_SAMPLES // max(tt.size, 1)))
-    work = np.empty((4, rows, tt.size))
-    log_mag, phase = np.zeros((2, tt.size))
+    # row 0 of each buffer carries the running sums into the next block's reduction
+    work = np.empty((3, rows + 1, tt.size))
+    sums = np.zeros((2, tt.size))  # phase, log|r|^2
     for start in range(0, e_hi.shape[0], rows):
         blk = slice(start, start + rows)
-        u, u2, s, v = work[:, :e_hi[blk].shape[0]]
+        end = 1 + e_hi[blk].shape[0]
+        u, u2, v = work[:, 1:end]
         np.tan(np.multiply(e_hi[blk], tt, out=u), out=u)
         np.multiply(u, u, out=u2)
-        np.divide(u2, np.add(1.0, u2, out=s), out=s)  # sin^2(e_hi t)
-        np.multiply(-sin2_d[blk], s, out=v)
+        np.divide(u2, np.add(1.0, u2, out=v), out=v)  # sin^2(e_hi t)
+        np.multiply(-sin2_d[blk], v, out=v)
         with np.errstate(divide="ignore"):  # a mode overlap of exactly 0 gives -inf
             np.log1p(v, out=v)
         np.add(1.0, np.multiply(cos_d[blk], u2, out=u2), out=u2)
         np.arctan2(np.multiply(cos_d_m1[blk], u, out=u), u2, out=u)
-        # row by row: a per-block np.sum would make the bits depend on the block size
-        for row_mag, row_angle in zip(v, u):
-            log_mag += row_mag
-            phase += row_angle
+        # across C-ordered rows numpy adds row after row, in mode order, onto the
+        # running sums: the bits do not depend on the block size
+        work[::2, 0] = sums
+        np.add.reduce(work[::2, :end], axis=1, out=sums)
+    phase, log_mag = sums
     log_mag *= 0.5
     phase += gap_sum * tt
 
@@ -155,5 +162,5 @@ def decoherence_product(p: IsingBathParams, t):
         i = under[0]
         raise MagnitudeUnderflow(
             f"log|r({float(tt[i])!r})| = {log_mag[i]:.6g} is below {_LOG_FLOOR}")
-    out = np.exp(log_mag) * np.exp(1j * phase)
+    out = (np.exp(log_mag) * np.exp(1j * phase))[:t.size]
     return out.reshape(t.shape) if t.ndim else complex(out[0])

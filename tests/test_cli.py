@@ -19,7 +19,7 @@ from gphase.reference import (
     TROTTER_FIDELITY_THRESHOLD,
     find_min_trotter_steps,
 )
-from gphase.two_level import TwoLevelBathParams, decoherence_factor_oracle, oracle_trace
+from gphase.two_level import TwoLevelBathParams, decoherence_factor_oracle
 
 
 def run_cli(argv, tmp_path, name="out"):
@@ -481,20 +481,6 @@ class TestOutputFormats:
         lines = raw.decode().strip().splitlines()
         tail = {line.rsplit(",", 1)[1] for line in lines[1:]}
         assert len(tail) == 1
-
-
-class TestScaleInvariance:
-    def test_rescaling_omega_changes_nothing(self):
-        # all preset scales are ratios of omega: scaling omega by 10 with the
-        # ratios fixed must leave the phase unchanged
-        outs = []
-        for scale in (1.0, 10.0):
-            w = 100.0 * np.pi * scale
-            sysp = SystemParams(omega=w, theta=np.pi / 4)
-            bath = TwoLevelBathParams(delta_gap=0.02 * w, b_field=0.05 * w, coupling=0.1 * w)
-            tr = oracle_trace(bath, sysp, 1024)
-            outs.append(geometric_phase(tr, sysp).phi_total)
-        assert abs(outs[0] - outs[1]) < 1e-10
 
 
 class TestPhysicalFlags:

@@ -1,3 +1,4 @@
+import itertools
 import re
 import tracemalloc
 
@@ -10,6 +11,16 @@ from gphase.errors import MagnitudeUnderflow, ValidationError
 from gphase.ising import IsingBathParams, decoherence_product, dispersion, momenta
 from gphase.protocol import I2, X, Z
 from gphase.reference import DimensionTooLarge, bogoliubov_angle, brute_force_oracle
+
+
+def traced_peak(p, t):
+    """Peak memory ``tracemalloc`` traces over one ``decoherence_product(p, t)``."""
+    tracemalloc.start()
+    try:
+        decoherence_product(p, t)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 class TestParams:
@@ -147,9 +158,10 @@ class TestProduct:
     def test_block_size_invariance(self, monkeypatch):
         # 500 modes, not a multiple of 7; blocks of 1, 7 and all 500 modes (the
         # whole (N/2, M) array) give the same bits: at weak coupling, for a
-        # shift down, and across lam = 1, where 74 modes have cos D < 0
-        t = np.linspace(0, 2 * np.pi, 1025)
-        for lam, delta in ((1.0, 5e-5), (1.0, -0.3), (0.5, 0.9)):
+        # shift down, and across lam = 1, where 74 modes have cos D < 0.  A
+        # lone time too, where a reduction along the modes would sum pairwise
+        grids = (np.linspace(0, 2 * np.pi, 1025), np.array([1.9]))
+        for t, (lam, delta) in itertools.product(grids, ((1.0, 5e-5), (1.0, -0.3), (0.5, 0.9))):
             p = IsingBathParams(1000, 1.0, lam, delta)
             outs = []
             for modes in (1, 7, 500):
@@ -239,17 +251,16 @@ class TestProduct:
 
     def test_memory_flat_in_chain_size(self):
         t = np.linspace(0, 2 * np.pi, 1025)
-        peaks = {}
-        for n in (1000, 10_000):
-            p = IsingBathParams(n, 1.0, 1.0, 5e-5)
-            tracemalloc.start()
-            try:
-                decoherence_product(p, t)
-                peaks[n] = tracemalloc.get_traced_memory()[1]
-            finally:
-                tracemalloc.stop()
+        peaks = {n: traced_peak(IsingBathParams(n, 1.0, 1.0, 5e-5), t) for n in (1000, 10_000)}
         assert peaks[10_000] < 16e6
         assert peaks[10_000] < 1.5 * peaks[1000]
+
+    def test_block_work_set_is_cache_sized(self):
+        # three buffers of 8 rows (7 modes and the running sums) by 4097 times
+        # are 0.79 MB, and the result's temporaries 0.3 MB; a block twice as
+        # large, or a fourth buffer, would pass the bound
+        t = np.linspace(0, 2 * np.pi, 4097)
+        assert traced_peak(IsingBathParams(1000, 1.0, 1.0, 5e-5), t) < 1.25e6
 
     def test_criticality_deepens_with_size(self):
         # cycle-averaged |r|^2 at the critical field drops as the chain grows
