@@ -22,14 +22,19 @@ from gphase import (
     ProtocolParams,
     SystemParams,
     TwoLevelBathParams,
-    build_target_hamiltonian,
     decoherence_factor_oracle,
     geometric_phase,
     run_protocol,
     trotter_step,
 )
-from gphase.protocol import X, Z, worst_cycle_fidelity
-from gphase.reference import PINNED_TROTTER_STEPS, find_min_trotter_steps
+from gphase.protocol import worst_cycle_fidelity
+from gphase.reference import (
+    PINNED_TROTTER_STEPS,
+    X,
+    Z,
+    build_target_hamiltonian,
+    find_min_trotter_steps,
+)
 
 OMEGA = 100.0 * np.pi
 Y = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex)

@@ -14,16 +14,17 @@ Library layout:
 - :mod:`gphase.perturbative`: small-coupling expansion of the phase
   correction and the Ising closed forms with complete elliptic integrals.
 - :mod:`gphase.protocol`: software replica of the Trotterized two-qubit
-  simulation protocol, its gates as closed-form rotations of the Pauli
-  matrices it defines; a run returns its readout ``DecoherenceTrace``, and
-  ``correction_point`` sets its phase correction beside the oracle's at one
-  field.
+  simulation protocol, evolved one system block at a time in closed form
+  (exactly or by Strang steps); a run returns its readout
+  ``DecoherenceTrace``, and ``correction_point`` sets its phase correction
+  beside the oracle's at one field.
 - :mod:`gphase.cli`: one table of experiments driving parameter sweeps,
   presets and CSV/JSON output.
 - :mod:`gphase.reference`: the second route of every quantity above
-  (parallel transport, the dense 2^N chain, Richardson coefficients, the
-  pinned Trotter step count, the dense partial trace), for tests and demos;
-  the package does not import it.
+  (parallel transport, the dense 2^N chain, the protocol's dense 4x4 model,
+  Richardson coefficients, the pinned Trotter step count and its certified
+  fidelity bound, the dense partial trace), for tests and demos; the package
+  does not import it.
 """
 
 from .gp import (
@@ -43,7 +44,6 @@ from .perturbative import (
 from .protocol import (
     Decomposition,
     ProtocolParams,
-    build_target_hamiltonian,
     correction_point,
     run_protocol,
     trotter_step,

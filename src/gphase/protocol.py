@@ -1,28 +1,37 @@
 """Software replica of the two-qubit quantum-simulation protocol.
 
 The target Hamiltonian H = W Z_S + d Z_S Z_E + B Z_E + G X_E (system x
-environment ordering) is built from the four Pauli strings ZI, ZZ, IZ and
-IX, and evolved either exactly or with the second-order Strang splitting
+environment ordering, that of np.kron) is evolved either exactly or with the
+second-order Strang splitting
 
     U(dt) ~ e^{-i G dt X_E / 2} e^{-i d dt Z_S Z_E} e^{-i W dt Z_S}
             e^{-i B dt Z_E} e^{-i G dt X_E / 2}.
 
-Every factor exponentiates one of those strings P, so it is the closed form
-e^{-i a P} = cos(a) I - i sin(a) P.  The paper's NMR simulator applies its Z
-rotations as X-conjugated Y pulses, e^{-i pi X/4} e^{-i a Y} e^{+i pi X/4} =
-e^{-i a Z}: an exact identity, so the pulse sequence is this same step.  Its
-coupling gate, an evolution time 2 d dt / (pi J) under a (pi J / 2) Z_S Z_E
-coupling, is the ZZ rotation by d dt.
+Z_S commutes with every term, so both act on one system block s = +-1 at a
+time (amplitudes 0, 1 and 2, 3 of a state), and on its environment in closed
+form, with b_s = B + s d, E_s = hypot(b_s, G) >= G > 0 and c_s = b_s dt:
+
+    e^{-iHt}:  e^{-i s W t} [cos(E_s t) - i sin(E_s t) (b_s Z + G X) / E_s],
+    U(dt):     e^{-i s W dt} [cos(c_s) cos(G dt) - i (cos(c_s) sin(G dt) X + sin(c_s) Z)].
+
+No eigensolver or matrix product builds either; the one matrix product of a
+run is the stepping loop's matvec.  The dense 4x4 model, H and the product of
+the four Pauli rotations e^{-i a P} = cos(a) I - i sin(a) P, is their second
+route in ``reference``.  The paper's NMR simulator applies its Z rotations as
+X-conjugated Y pulses, e^{-i pi X/4} e^{-i a Y} e^{+i pi X/4} = e^{-i a Z}: an
+exact identity, so the pulse sequence is this same step.  Its coupling gate,
+an evolution time 2 d dt / (pi J) under a (pi J / 2) Z_S Z_E coupling, is the
+ZZ rotation by d dt.
 
 ``run_protocol`` reads the decoherence factor out from the system coherence
 on the ``readout_grid`` and returns it as a ``DecoherenceTrace``, the same
 record ``build_trace`` returns for the oracle; ``geometric_phase`` takes
 either.  Its coupling-induced correction is ``GpResult.correction``.  An
-uncoupled (d = 0) run needs no simulating: Z_S commutes with every
-environment factor, so each exact or Strang step factorises and its readout
-is r = 1 to rounding.  ``cycle_fidelity`` scans one step count over a grid
-of fields, building the step's field-independent factors once; it shares
-with the readout one stepping loop, which applies a given step matrix.
+uncoupled (d = 0) run needs no simulating: both blocks then evolve the
+environment alike, so its readout is r = 1 to rounding.  ``cycle_fidelity``
+scans one step count over a grid of fields, computing the step's
+field-independent factors once; it shares with the readout one stepping
+loop, which applies a given step matrix.
 """
 
 from __future__ import annotations
@@ -40,7 +49,7 @@ from .gp import (
     geometric_phase,
     trace_from_samples,
 )
-from .two_level import TwoLevelBathParams, ground_state, nyquist_grid, oracle_trace
+from .two_level import TwoLevelBathParams, _branch_fields, ground_state, nyquist_grid, oracle_trace
 
 # Intervals per cycle that ``readout_grid`` starts from.
 READOUT_SAMPLES = 64
@@ -48,15 +57,11 @@ READOUT_SAMPLES = 64
 # Samples per cycle of correction_point's theory column.
 THEORY_SAMPLES = 1024
 
-# Pauli matrices, Z|0> = +|0>, and the Pauli strings of H in the
-# (system x environment) Kronecker order of np.kron.
-I2 = np.eye(2, dtype=complex)
-X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
-Z = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
-ZI = np.kron(Z, I2)
-ZZ = np.kron(Z, Z)
-IZ = np.kron(I2, Z)
-IX = np.kron(I2, X)
+# The system's Z eigenvalue s of the two blocks, in the order of
+# ``two_level._branch_fields`` (B + d, B - d), and the amplitudes of each
+# block's environment |0> and |1> (Z|0> = +|0>).
+_SIGNS = np.array([1.0, -1.0])
+_UP, _DOWN = np.array([0, 2]), np.array([1, 3])
 
 
 class Decomposition(enum.Enum):
@@ -78,27 +83,28 @@ class ProtocolParams:
             raise ValidationError(f"trotter_steps must be >= 1, got {self.trotter_steps}")
 
 
-def build_target_hamiltonian(p: ProtocolParams) -> np.ndarray:
-    """Dense 4x4 H = W Z_S + d Z_S Z_E + B Z_E + G X_E."""
-    b = p.bath
-    return p.sys.omega * ZI + b.coupling * ZZ + b.b_field * IZ + b.delta_gap * IX
-
-
-def _rotation(pauli: np.ndarray, angle: float) -> np.ndarray:
-    """e^{-i angle P} = cos(angle) I - i sin(angle) P of a Pauli string P (P^2 = I)."""
-    return np.cos(angle) * np.eye(len(pauli)) - 1j * np.sin(angle) * pauli
-
-
 def _strang_steps(p: ProtocolParams, dt: float, b_values) -> list[np.ndarray]:
-    """The Strang step for time dt at each bath field of ``b_values``: the factors that do
-    not depend on the field are built once, and every product runs left to right."""
-    half_x = _rotation(IX, p.bath.delta_gap * dt / 2.0)
-    head = half_x @ _rotation(ZZ, p.bath.coupling * dt) @ _rotation(ZI, p.sys.omega * dt)
-    return [head @ _rotation(IZ, b * dt) @ half_x for b in b_values]
+    """The Strang step for time dt at each bath field of ``b_values``, block by block
+    in closed form; the factors that do not depend on the field are computed once."""
+    phase = np.exp(-1j * p.sys.omega * dt * _SIGNS)
+    g_dt = p.bath.delta_gap * dt
+    phase_cos_g, phase_sin_g, i_phase = phase * np.cos(g_dt), -1j * phase * np.sin(g_dt), 1j * phase
+    shift = p.bath.coupling * _SIGNS
+    steps = []
+    for b in b_values:
+        c = (b + shift) * dt
+        cos_c, sin_c = np.cos(c), np.sin(c)
+        diag, z_part, x_part = phase_cos_g * cos_c, i_phase * sin_c, phase_sin_g * cos_c
+        u = np.zeros((4, 4), dtype=complex)
+        u[_UP, _UP] = diag - z_part
+        u[_DOWN, _DOWN] = diag + z_part
+        u[_UP, _DOWN] = u[_DOWN, _UP] = x_part
+        steps.append(u)
+    return steps
 
 
 def trotter_step(p: ProtocolParams, dt: float) -> np.ndarray:
-    """One Strang splitting step for time dt, as a product of Pauli rotations."""
+    """One Strang splitting step for time dt, as a 4x4 matrix."""
     if dt <= 0:
         raise ValidationError("dt must be positive")
     return _strang_steps(p, dt, [p.bath.b_field])[0]
@@ -110,11 +116,18 @@ def _initial_state(p: ProtocolParams, input_theta: float) -> np.ndarray:
 
 
 def _exact_states(p: ProtocolParams, times: np.ndarray, psi0: np.ndarray) -> np.ndarray:
-    h = build_target_hamiltonian(p)
-    w, v = np.linalg.eigh(h)
-    coeff = v.conj().T @ psi0
-    phases = np.exp(-1j * np.outer(times, w))
-    return (phases * coeff) @ v.T
+    """e^{-iHt} psi0 at each of ``times`` (rows), block by block in closed form."""
+    g = p.bath.delta_gap
+    b = np.array(_branch_fields(p.bath))
+    e = np.hypot(b, g)
+    et = np.multiply.outer(times, e)
+    phase = np.exp(-1j * np.multiply.outer(times, p.sys.omega * _SIGNS))
+    phase_cos, phase_sin = phase * np.cos(et), -1j * phase * (np.sin(et) / e)
+    up, down = psi0[_UP], psi0[_DOWN]
+    states = np.empty((len(times), 4), dtype=complex)
+    states[:, _UP] = phase_cos * up + phase_sin * (b * up + g * down)
+    states[:, _DOWN] = phase_cos * down + phase_sin * (g * up - b * down)
+    return states
 
 
 def readout_grid(p: ProtocolParams) -> int:
@@ -191,8 +204,8 @@ def run_protocol(p: ProtocolParams, input_theta: float = np.pi / 2.0) -> Decoher
 def cycle_fidelity(p: ProtocolParams, b_values) -> np.ndarray:
     """Full-cycle state fidelity of ``p.trotter_steps`` Strang steps against exact evolution,
     from run_protocol's default input state, at each bath field of ``b_values``.  The step's
-    field-independent factors are built once; each field has its own bath, exact end state
-    and steps.  ``p.decomposition`` is not read: there is one step scheme."""
+    field-independent factors are computed once; each field has its own bath, exact end
+    state and steps.  ``p.decomposition`` is not read: there is one step scheme."""
     b_values = np.asarray(b_values, dtype=float)
     fidelities = []
     for b, u in zip(b_values, _strang_steps(p, p.sys.tau / p.trotter_steps, b_values)):
@@ -200,7 +213,7 @@ def cycle_fidelity(p: ProtocolParams, b_values) -> np.ndarray:
         psi0 = _initial_state(pb, np.pi / 2.0)
         psi_exact = _exact_states(pb, np.array([p.sys.tau]), psi0)[0]
         psi = _stepped_states(u, p.trotter_steps, 1, psi0)[-1]
-        fidelities.append(np.abs(np.vdot(psi_exact, psi)) ** 2)
+        fidelities.append(np.abs((psi_exact.conj() * psi).sum()) ** 2)
     return np.array(fidelities)
 
 

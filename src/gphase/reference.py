@@ -14,8 +14,14 @@ tests and demos set beside it:
   in the coupling (``extract_coefficients_numeric``, ``gp_third_order``) and
   per mode (``mode_coefficients``) against the Ising closed forms of
   ``perturbative``;
+- the protocol's dense 4x4 model (``build_target_hamiltonian`` from the
+  Pauli strings ``ZI``, ``ZZ``, ``IZ`` and ``IX``, and ``strang_product``,
+  the Strang step as a product of ``_rotation`` matrices) against its
+  closed-form blocks in ``protocol``;
 - the smallest Trotter step count that meets the 0.3% fidelity budget
-  (``find_min_trotter_steps``), frozen as ``PINNED_TROTTER_STEPS``;
+  (``find_min_trotter_steps``), frozen as ``PINNED_TROTTER_STEPS``, and the
+  fidelity the commutator bound certifies over a whole field interval
+  (``fidelity_bound``) against the scan on a grid;
 - the dense two-qubit partial trace (``partial_trace_env``) against the
   protocol's single-einsum coherence readout;
 - the complete elliptic integrals of the first and second kind
@@ -41,6 +47,17 @@ from .gp import DecoherenceTrace, SystemParams, _simpson
 from .ising import IsingBathParams, dispersion
 from .perturbative import PerturbativeGp, _assemble
 from .protocol import ProtocolParams, step_counts, worst_cycle_fidelity
+
+
+# Pauli matrices, Z|0> = +|0>, and the Pauli strings of the protocol's H in the
+# (system x environment) Kronecker order of np.kron.
+I2 = np.eye(2, dtype=complex)
+X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
+Z = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
+ZI = np.kron(Z, I2)
+ZZ = np.kron(Z, Z)
+IZ = np.kron(I2, Z)
+IX = np.kron(I2, X)
 
 
 class DimensionMismatch(GphaseError):
@@ -269,6 +286,43 @@ def mode_coefficients(lam: float, k, t):
     r3 = -128.0 * a * s2 * np.sin(et) * (np.sin(et) - et * np.cos(et)) / e**6
     p1 = 4.0 * t * a / e
     return r2, r3, p1
+
+
+def build_target_hamiltonian(p: ProtocolParams) -> np.ndarray:
+    """Dense 4x4 H = W Z_S + d Z_S Z_E + B Z_E + G X_E."""
+    b = p.bath
+    return p.sys.omega * ZI + b.coupling * ZZ + b.b_field * IZ + b.delta_gap * IX
+
+
+def _rotation(pauli: np.ndarray, angle: float) -> np.ndarray:
+    """e^{-i angle P} = cos(angle) I - i sin(angle) P of a Pauli string P (P^2 = I)."""
+    return np.cos(angle) * np.eye(len(pauli)) - 1j * np.sin(angle) * pauli
+
+
+def strang_product(p: ProtocolParams, dt: float) -> np.ndarray:
+    """The Strang step for time dt as the product of its dense Pauli rotations, left to
+    right: e^{-i G dt X_E / 2} e^{-i d dt Z_S Z_E} e^{-i W dt Z_S} e^{-i B dt Z_E}
+    e^{-i G dt X_E / 2}."""
+    half_x = _rotation(IX, p.bath.delta_gap * dt / 2.0)
+    return (half_x @ _rotation(ZZ, p.bath.coupling * dt) @ _rotation(ZI, p.sys.omega * dt)
+            @ _rotation(IZ, p.bath.b_field * dt) @ half_x)
+
+
+def fidelity_bound(p: ProtocolParams, b_min: float, b_max: float) -> float:
+    """Lower bound on the cycle fidelity of ``p.trotter_steps`` Strang steps, for every
+    input state and every field in [b_min, b_max].
+
+    Block s of the step splits b_s Z + G X (b_s = B + s d) into A = G X, the outer half
+    steps, and B_s = b_s Z, with ||[B_s, [B_s, A]]|| = 4 b_s^2 G and ||[A, [A, B_s]]|| =
+    4 G^2 |b_s|.  The second-order commutator bound of Childs et al., PRX 11, 011020
+    (2021), puts n steps over the cycle tau within eps = (tau^3 / n^2)(b^2 G / 3 +
+    G^2 |b| / 6) of the exact evolution, largest at the largest |b_s|, max(|b_min|,
+    |b_max|) + |d|.  Two unit vectors that far apart overlap with F >= 1 - eps^2.
+    """
+    g = p.bath.delta_gap
+    b = max(abs(b_min), abs(b_max)) + abs(p.bath.coupling)
+    eps = p.sys.tau**3 / p.trotter_steps**2 * (b**2 * g / 3.0 + g**2 * b / 6.0)
+    return 1.0 - eps**2
 
 
 def find_min_trotter_steps(p: ProtocolParams, b_values) -> int:

@@ -86,8 +86,8 @@ def decoherence_factor_oracle(p: TwoLevelBathParams, t):
     n0, n1 = (np.array([p.delta_gap, 0.0, bj]) / ej for bj, ej in zip(b, e))
     et = np.multiply.outer(e, t)
     (c0, c1), (s0, s1) = np.cos(et), np.sin(et)
-    out = (np.vdot(psi, psi).real * (c1 * c0 + s1 * s0 * (n1 @ n0))
-           + 1j * (s1 * c0 * (n1 @ m) - c1 * s0 * (n0 @ m)))
+    out = ((psi.conj() * psi).sum().real * (c1 * c0 + s1 * s0 * (n1 * n0).sum())
+           + 1j * (s1 * c0 * (n1 * m).sum() - c1 * s0 * (n0 * m).sum()))
     return out if out.shape else complex(out)
 
 

@@ -9,8 +9,7 @@ import scipy.linalg
 import gphase.ising
 from gphase.errors import MagnitudeUnderflow, ValidationError
 from gphase.ising import IsingBathParams, decoherence_product, dispersion, momenta
-from gphase.protocol import I2, X, Z
-from gphase.reference import DimensionTooLarge, bogoliubov_angle, brute_force_oracle
+from gphase.reference import I2, X, Z, DimensionTooLarge, bogoliubov_angle, brute_force_oracle
 
 
 def traced_peak(p, t):

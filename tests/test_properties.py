@@ -1,6 +1,7 @@
 """Properties over drawn parameters (hypothesis): the chain's mode product and
-its phase-rate bound, the correction's invariance under a common rescaling of
-every frequency, and the correction's envelope.
+its phase-rate bound, the protocol's closed-form blocks against its dense
+model, the correction's invariance under a common rescaling of every
+frequency, and the correction's envelope.
 
 Each property runs a fixed set of examples (``derandomize``, no example
 database), so Tier-1 stays deterministic: the same draws on every run until
@@ -11,14 +12,15 @@ from unittest import mock
 
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import assume, given, settings, strategies as st
 
 import gphase.ising
 from gphase.errors import GphaseError
 from gphase.gp import SystemParams, checked_correction, geometric_phase
 from gphase.ising import IsingBathParams, chain_trace, decoherence_product, phase_rate_bound
-from gphase.protocol import ProtocolParams, correction_point
-from gphase.reference import brute_force_oracle
+from gphase.protocol import ProtocolParams, _exact_states, correction_point, trotter_step
+from gphase.reference import brute_force_oracle, build_target_hamiltonian, strang_product
 from gphase.two_level import TwoLevelBathParams, oracle_trace
 
 FIXED = settings(derandomize=True, database=None, deadline=None)
@@ -111,6 +113,28 @@ def test_phase_rate_bound_is_attained_at_two_spins():
 def test_uncoupled_phase_rate_bound_is_zero():
     for n, lam in [(2, 0.0), (100, 1.0), (1000, -0.7)]:
         assert phase_rate_bound(IsingBathParams(n, 1.0, lam, 0.0)) == 0.0
+
+
+@settings(FIXED, max_examples=100)
+@given(omega=log_uniform(-2.0, 3.0), gap=log_uniform(-3.0, 3.0),
+       b=st.one_of(st.just(0.0), signed_log_uniform(-3.0, 3.0)),
+       delta=signed_log_uniform(-3.0, 3.0), t=st.floats(0.0, 10.0), dt=log_uniform(-4.0, 0.0),
+       amplitudes=st.lists(st.floats(-1.0, 1.0), min_size=8, max_size=8))
+def test_closed_form_evolution_matches_the_dense_model(omega, gap, b, delta, t, dt, amplitudes):
+    # each system block in closed form against the dense 4x4 model: the exact
+    # evolution against scipy's expm of H, and the Strang step against the
+    # product of its Pauli rotations, in the step's order; rounding grows with
+    # the phases ||H|| t, so the tolerance does too
+    p = ProtocolParams(SystemParams(omega=omega, theta=np.pi / 4.0),
+                       TwoLevelBathParams(delta_gap=gap, b_field=b, coupling=delta))
+    psi0 = np.array(amplitudes[:4]) + 1j * np.array(amplitudes[4:])
+    assume(np.linalg.norm(psi0) > 0.1)
+    psi0 /= np.linalg.norm(psi0)
+    norm = omega + gap + abs(b) + abs(delta)
+    expected = scipy.linalg.expm(-1j * t * build_target_hamiltonian(p)) @ psi0
+    assert np.max(np.abs(_exact_states(p, np.array([t]), psi0)[0] - expected)) <= (
+        1e-12 * (1.0 + norm * t))
+    assert np.max(np.abs(trotter_step(p, dt) - strang_product(p, dt))) <= 1e-12 * (1.0 + norm * dt)
 
 
 @settings(FIXED, max_examples=25)

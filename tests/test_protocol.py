@@ -7,22 +7,13 @@ import scipy.linalg
 from gphase.errors import InvalidDensityMatrix, UnwrapFailure, ValidationError
 from gphase.gp import SystemParams, build_trace, geometric_phase
 from gphase.protocol import (
-    I2,
-    IX,
-    IZ,
     READOUT_SAMPLES,
     THEORY_SAMPLES,
-    ZI,
-    ZZ,
     Decomposition,
     ProtocolParams,
-    X,
-    Z,
     _exact_states,
     _initial_state,
-    _rotation,
     _stepped_states,
-    build_target_hamiltonian,
     correction_point,
     cycle_fidelity,
     readout_grid,
@@ -32,8 +23,19 @@ from gphase.protocol import (
     worst_cycle_fidelity,
 )
 from gphase.reference import (
+    I2,
+    IX,
+    IZ,
     PINNED_TROTTER_STEPS,
+    TROTTER_FIDELITY_THRESHOLD,
+    ZI,
+    ZZ,
     DimensionMismatch,
+    X,
+    Z,
+    _rotation,
+    build_target_hamiltonian,
+    fidelity_bound,
     find_min_trotter_steps,
     partial_trace_env,
 )
@@ -253,6 +255,32 @@ class TestTrotterPinning:
         assert worst_cycle_fidelity(p, B_GRID) < 0.997
 
 
+class TestFidelityBound:
+    """``fidelity_bound`` certifies a step count over the whole field interval,
+    where the scan checks a grid of it."""
+
+    @pytest.mark.parametrize("n, certified", [(1, 0.976348), (2, 0.998522)])
+    def test_certifies_the_pinned_count_and_refuses_one_below(self, n, certified):
+        # the trotter-claim preset, |B| <= 0.2 Omega
+        p = make_params(trotter_steps=n, decomposition=Decomposition.COARSE_TROTTER)
+        bound = fidelity_bound(p, B_GRID[0], B_GRID[-1])
+        assert bound == pytest.approx(certified, abs=5e-7)
+        assert (bound >= TROTTER_FIDELITY_THRESHOLD) == (n >= PINNED_TROTTER_STEPS)
+
+    @pytest.mark.parametrize("n", [1, 2, 4, 8])
+    def test_below_the_scan_on_a_fine_grid(self, n):
+        fine = np.linspace(B_GRID[0], B_GRID[-1], 4001)
+        p = make_params(trotter_steps=n, decomposition=Decomposition.COARSE_TROTTER)
+        assert np.all(fidelity_bound(p, fine[0], fine[-1]) <= cycle_fidelity(p, fine))
+
+    def test_bound_reaches_the_worst_field_of_either_block(self):
+        # the bound rises with the largest |B +- d| over the interval, from either end
+        p = make_params(trotter_steps=2, decomposition=Decomposition.COARSE_TROTTER)
+        b = 0.2 * OMEGA
+        assert fidelity_bound(p, -b, b) == fidelity_bound(p, -b, 0.0) == fidelity_bound(p, 0.0, b)
+        assert fidelity_bound(p, 0.0, b) < fidelity_bound(p, 0.0, b / 2) < 1.0
+
+
 class TestFidelityScan:
     def test_cycle_fidelity_against_matrix_power(self):
         # the cycle readout of the stepped states against an independent
@@ -281,7 +309,7 @@ class TestFidelityScan:
             exact = _exact_states(pb, np.array([pb.sys.tau]), psi0)[0]
             for _ in range(n):
                 psi = u @ psi
-            expected.append(np.abs(np.vdot(exact, psi)) ** 2)
+            expected.append(np.abs((exact.conj() * psi).sum()) ** 2)
         assert np.array_equal(cycle_fidelity(p, b_grid), np.array(expected))
 
     def test_worst_is_capped_at_one(self):
@@ -301,6 +329,34 @@ class TestFidelityScan:
         assert step_counts(512) == [2**i for i in range(10)]
         with pytest.raises(ValidationError):
             step_counts(0)
+
+
+class TestWithoutLapack:
+    """The protocol path calls no numpy.linalg routine: each block is evolved in
+    closed form."""
+
+    @pytest.fixture(autouse=True)
+    def refuse_linalg(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("numpy.linalg called on the protocol path")
+
+        for name in ("eigh", "eig", "eigvalsh", "solve"):
+            monkeypatch.setattr(np.linalg, name, refuse)
+
+    @pytest.mark.parametrize("decomposition", list(Decomposition))
+    def test_paper_fig1c(self, decomposition):
+        # the correction preset: its 64 steps, at fields of its grid
+        for b in B_GRID[::5]:
+            p = make_params(b_over_omega=b / OMEGA, decomposition=decomposition)
+            assert run_protocol(p).samples == READOUT_SAMPLES
+            assert np.all(np.isfinite(correction_point(p)))
+
+    def test_trotter_claim(self):
+        # the fidelity preset: every step count up to its 512
+        for n in step_counts(512):
+            p = make_params(trotter_steps=n, decomposition=Decomposition.COARSE_TROTTER)
+            worst = np.min(cycle_fidelity(p, B_GRID))
+            assert (worst >= TROTTER_FIDELITY_THRESHOLD) == (n >= PINNED_TROTTER_STEPS)
 
 
 class TestCorrectionExperiment:
@@ -396,8 +452,8 @@ class TestCorrectionExperiment:
 
 
 class TestExpm:
-    """The closed-form Pauli rotation e^{-i a P} = cos a - i sin a P of the
-    protocol gates, against scipy's scaling-and-squaring matrix exponential."""
+    """The closed-form Pauli rotation e^{-i a P} = cos a - i sin a P of the dense
+    Strang product, against scipy's scaling-and-squaring matrix exponential."""
 
     def test_zero_generator(self):
         for p in STEP_PAULIS.values():

@@ -9,8 +9,7 @@ import gphase.two_level
 
 from gphase.errors import UnwrapFailure, ValidationError
 from gphase.gp import SystemParams, build_trace, first_grid, geometric_phase, trace_from_samples
-from gphase.protocol import X, Z
-from gphase.reference import density_trajectory, gp_from_trajectory
+from gphase.reference import X, Z, density_trajectory, gp_from_trajectory
 from gphase.two_level import (
     TwoLevelBathParams,
     bandwidth,
