@@ -23,8 +23,8 @@ Library layout:
 - :mod:`gphase.reference`: the second route of every quantity above
   (parallel transport, the dense 2^N chain, the protocol's dense 4x4 model,
   Richardson coefficients, the pinned Trotter step count and its certified
-  fidelity bound, the dense partial trace), for tests and demos; the package
-  does not import it.
+  fidelity bound, the dense partial trace, the one-qubit bath's second order
+  in closed form), for tests and demos; the package does not import it.
 """
 
 from .gp import (

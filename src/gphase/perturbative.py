@@ -27,16 +27,16 @@ Carlson's R_D below lam = 1 and to E(1/lam^2) above it, and is singular in
 slope at the critical point lam = 1.  The per-mode coefficients are
 ``reference.mode_coefficients``, checked against the numeric extraction.
 
-The k-integrals f2, F2, F3 are taken by ``_panel_quad``: (0, pi) is cut into
-panels against the integrand's oscillation, and each level of an adaptive
-bisection is one vectorised pass of the QUADPACK qk21 Gauss-Kronrod rule over
-every open interval, so the integrands take arrays of k.  An interval is
-accepted under an absolute target (its width's share of the total) or a
-relative one on its own value, and otherwise bisected; a panel that reaches
-the subdivision limit is held to a looser bound, and QuadratureNonconvergence
-is raised beyond it.  Near lam = 1 the integrands have a dip of width
-|1 - lam| at k = 0, which bisection resolves because they are written without
-cancellation there (``ising.dispersion``, ``_one_minus_sinc``, ``_f3_bracket``).
+The k-integrands of f2, F2 and F3 are one table, ``_INTEGRANDS``; summed over
+the chain's momenta they give the finite-N orders, and ``IsingClosedForms``
+takes their continuum limit by ``_panel_quad``: (0, pi) is cut into panels
+against the integrand's oscillation, and each level of an adaptive bisection
+is one vectorised pass of the QUADPACK qk21 Gauss-Kronrod rule over every
+open interval, so the integrands take arrays of k (the acceptance rule and
+QuadratureNonconvergence are in its docstring).  Near lam = 1 the integrands
+have a dip of width |1 - lam| at k = 0, which bisection resolves because they
+are written without cancellation there (``ising.dispersion``, and the Taylor
+tails of ``_one_minus_sinc`` and ``_f3_bracket`` in ``_taylor_below_two``).
 """
 
 from __future__ import annotations
@@ -186,26 +186,36 @@ _SINC_TAIL = np.array([(-1) ** j / factorial(2 * j + 3) for j in range(13)])
 _F3_TAIL = np.array([(-1) ** (j + 1) * 32 * (j + 1) / factorial(2 * j + 5) for j in range(13)])
 
 
-def _one_minus_sinc(x):
-    """1 - sin(x)/x, by its Taylor series for x <= 2."""
+def _taylor_below_two(x, direct, tail, power):
+    """direct(x), and x^power polyval(x^2, tail), its Taylor series, for x <= 2."""
     x = np.asarray(x)
-    out = np.asarray(1.0 - np.sin(x) / x)
+    out = np.asarray(direct(x))
     small = x <= 2.0
     if small.any():
-        y = x[small] ** 2
-        out[small] = y * polyval(y, _SINC_TAIL)
+        xs = x[small]
+        out[small] = xs**power * polyval(xs**2, tail)
     return out
+
+
+def _one_minus_sinc(x):
+    """1 - sin(x)/x, by its Taylor series for x <= 2."""
+    return _taylor_below_two(x, lambda x: 1.0 - np.sin(x) / x, _SINC_TAIL, 2)
 
 
 def _f3_bracket(x):
     """48 sin x - 16 x (2 + cos x), by its Taylor series for x <= 2."""
-    x = np.asarray(x)
-    out = np.asarray(48.0 * np.sin(x) - 16.0 * x * (2.0 + np.cos(x)))
-    small = x <= 2.0
-    if small.any():
-        xs = x[small]
-        out[small] = xs**5 * polyval(xs**2, _F3_TAIL)
-    return out
+    return _taylor_below_two(x, lambda x: 48.0 * np.sin(x) - 16.0 * x * (2.0 + np.cos(x)),
+                             _F3_TAIL, 5)
+
+
+# The k-integrands of f2, F2 and F3 (J = 1 units): R2_k at t = T and the time integrals
+# of R2_k and R3_k over (0, T), as functions of k, e_k = dispersion(lam, k), lam >= 0, T.
+_INTEGRANDS = {
+    "f2": lambda k, e, lam, T: 16.0 * np.sin(k) ** 2 * np.sin(e * T) ** 2 / e**4,
+    "F2": lambda k, e, lam, T: 8.0 * T * np.sin(k) ** 2 / e**4 * _one_minus_sinc(2.0 * e * T),
+    "F3": lambda k, e, lam, T: (lam - np.cos(k)) * np.sin(k) ** 2 * _f3_bracket(2.0 * e * T)
+                               / e**7,
+}
 
 
 @dataclass(frozen=True)
@@ -215,55 +225,37 @@ class IsingClosedForms:
     All quantities are in J = 1 units: the dispersion is ``ising.dispersion``
     at J = 1, e_k = 2 sqrt(1 + lam^2 - 2 lam cos k), and ``t_period`` is the
     cycle period measured in 1/J.  Each carries the N/(2 pi) mode density.
-    The integrands take e_k in that function's cancellation-free form and the
-    small-e_k T brackets of F2 and F3 from their Taylor series, so they keep
-    full relative accuracy at the k = 0 feature of width |1 - lam| that
+    The ``_INTEGRANDS`` take e_k in that function's cancellation-free form and
+    the small-e_k T brackets of F2 and F3 from their Taylor series, so they
+    keep full relative accuracy at the k = 0 feature of width |1 - lam| that
     bisection resolves.  Under k -> pi - k, lam -> -lam maps e_k to itself and
-    lam - cos k to its negative, so f2 and F2 are even in lam and F3 and G1 are odd: a negative
-    lam is taken at |lam|, where the feature sits at k = 0 and not at k = pi.
+    lam - cos k to its negative, so f2 and F2 are even in lam, F3 and G1 odd:
+    a negative lam is taken at |lam|, where the feature sits at k = 0.
     """
 
     n_spins: int
     t_period: float
 
-    def _density(self) -> float:
-        return self.n_spins / (2.0 * np.pi)
-
-    def _n_osc(self, lam) -> float:
-        return 2.0 * (1.0 + abs(lam)) * self.t_period / np.pi
+    def _k_integral(self, name: str, lam: float) -> float:
+        """(N/2pi) Int_0^pi of ``_INTEGRANDS[name]`` at |lam|, by ``_panel_quad`` on
+        panels against 2 (1 + |lam|) T/pi oscillations; F3 is odd in lam."""
+        T, sign, lam = self.t_period, (-1.0 if name == "F3" and lam < 0.0 else 1.0), abs(lam)
+        f, n_osc = _INTEGRANDS[name], 2.0 * (1.0 + lam) * T / np.pi
+        return sign * (self.n_spins / (2.0 * np.pi)) * _panel_quad(
+            lambda k: f(k, dispersion(lam, k), lam, T), n_osc)
 
     def f2(self, lam: float) -> float:
         """R2 evaluated at the cycle end: (N/2pi) Int 16 sin^2 k sin^2(e T)/e^4 dk."""
-        T, lam = self.t_period, abs(lam)
-
-        def integrand(k):
-            e = dispersion(lam, k)
-            return 16.0 * np.sin(k) ** 2 * np.sin(e * T) ** 2 / e**4
-
-        return self._density() * _panel_quad(integrand, self._n_osc(lam))
+        return self._k_integral("f2", lam)
 
     def F2(self, lam: float) -> float:
         """Time integral of R2: (N/2pi) Int (8 T sin^2 k/e^4)(1 - sinc(2 e T)) dk."""
-        T, lam = self.t_period, abs(lam)
-
-        def integrand(k):
-            e = dispersion(lam, k)
-            return 8.0 * T * np.sin(k) ** 2 / e**4 * _one_minus_sinc(2.0 * e * T)
-
-        return self._density() * _panel_quad(integrand, self._n_osc(lam))
+        return self._k_integral("F2", lam)
 
     def F3(self, lam: float) -> float:
-        """Time integral of R3:
-        (N/2pi) Int (lam - cos k) sin^2 k [48 sin(2eT) - 32 T e (2 + cos(2eT))]/e^7 dk.
-        """
-        T, sign, lam = self.t_period, (-1.0 if lam < 0.0 else 1.0), abs(lam)
-
-        def integrand(k):
-            e = dispersion(lam, k)
-            a = lam - np.cos(k)
-            return a * np.sin(k) ** 2 * _f3_bracket(2.0 * e * T) / e**7
-
-        return sign * self._density() * _panel_quad(integrand, self._n_osc(lam))
+        """Time integral of R3: (N/2pi) Int (lam - cos k) sin^2 k
+        [48 sin(2eT) - 32 T e (2 + cos(2eT))]/e^7 dk."""
+        return self._k_integral("F3", lam)
 
     def g1(self, lam: float) -> float:
         """Slope of the linear phase coefficient: (N/2pi) Int 4 (lam - cos k)/e dk.

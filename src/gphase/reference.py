@@ -24,9 +24,9 @@ tests and demos set beside it:
   (``fidelity_bound``) against the scan on a grid;
 - the dense two-qubit partial trace (``partial_trace_env``) against the
   protocol's single-einsum coherence readout;
-- the complete elliptic integrals of the first and second kind
-  (``elliptic_K``, ``elliptic_E``, each behind its domain check), which
-  Legendre's relation sets side by side.
+- the one-qubit bath's second-order correction in closed form
+  (``two_level_order2``; at that order the bath is one chain mode) against
+  its oracle trace.
 
 The errors that only these routes raise are defined here too.
 
@@ -40,13 +40,13 @@ from dataclasses import dataclass, field, replace
 from typing import Callable
 
 import numpy as np
-from scipy.special import ellipe, ellipk
 
 from .errors import GphaseError, InvalidDensityMatrix, ValidationError
 from .gp import DecoherenceTrace, SystemParams, _simpson
 from .ising import IsingBathParams, dispersion
-from .perturbative import PerturbativeGp, _assemble
+from .perturbative import PerturbativeGp, _assemble, _one_minus_sinc
 from .protocol import ProtocolParams, step_counts, worst_cycle_fidelity
+from .two_level import TwoLevelBathParams
 
 
 # Pauli matrices, Z|0> = +|0>, and the Pauli strings of the protocol's H in the
@@ -74,10 +74,6 @@ class DimensionTooLarge(GphaseError):
 
 class StencilConditioning(GphaseError):
     """Finite-difference coefficient extraction produced unphysical values."""
-
-
-class DomainError(GphaseError):
-    """Function argument outside its mathematical domain."""
 
 
 # Smallest power-of-two step count for which the full-cycle Trotter fidelity
@@ -189,20 +185,6 @@ def brute_force_oracle(p: IsingBathParams, t):
     return out if t.ndim else complex(out[0])
 
 
-def elliptic_K(m: float) -> float:
-    """Complete elliptic integral of the first kind, parameter convention K(m)."""
-    if not 0.0 <= m < 1.0:
-        raise DomainError(f"K(m) requires 0 <= m < 1, got {m}")
-    return float(ellipk(m))
-
-
-def elliptic_E(m: float) -> float:
-    """Complete elliptic integral of the second kind E(m), parameter convention."""
-    if not 0.0 <= m <= 1.0:
-        raise DomainError(f"E(m) requires 0 <= m <= 1, got {m}")
-    return float(ellipe(m))
-
-
 @dataclass(frozen=True)
 class ExpansionCoefficients:
     """Coupling-expansion coefficients sampled on a time grid."""
@@ -286,6 +268,20 @@ def mode_coefficients(lam: float, k, t):
     r3 = -128.0 * a * s2 * np.sin(et) * (np.sin(et) - et * np.cos(et)) / e**6
     p1 = 4.0 * t * a / e
     return r2, r3, p1
+
+
+def two_level_order2(p: TwoLevelBathParams, sys: SystemParams) -> float:
+    """Second-order phase correction of the one-qubit bath in closed form,
+    -pi cos th sin^2 th (d Delta)^2/E^4 (1 - sinc(2 E tau)), with E = hypot(B, Delta).
+
+    At second order the bath is one chain mode: |r|^2 = 1 - 4 d^2 Delta^2 sin^2(E t)/E^4
+    is the chain's R2_k at coupling 2d, gap 2 sin k and e_k = E, and ``_assemble``'s
+    order2 integrates it over the cycle.
+    """
+    e = np.hypot(p.b_field, p.delta_gap)
+    pref = np.cos(sys.theta) * np.sin(sys.theta) ** 2
+    return float(-np.pi * pref * (p.coupling * p.delta_gap) ** 2 / e**4
+                 * _one_minus_sinc(2.0 * e * sys.tau))
 
 
 def build_target_hamiltonian(p: ProtocolParams) -> np.ndarray:
