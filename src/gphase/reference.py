@@ -19,7 +19,9 @@ tests and demos set beside it:
   the Strang step as a product of ``_rotation`` matrices) against its
   closed-form blocks in ``protocol``;
 - the smallest Trotter step count that meets the 0.3% fidelity budget
-  (``find_min_trotter_steps``), frozen as ``PINNED_TROTTER_STEPS``, and the
+  (``find_min_trotter_steps``, which reads the budget and the largest step
+  count from the ``trotter-check`` table of ``gphase.cli``), frozen as
+  ``PINNED_TROTTER_STEPS``, and the
   fidelity the commutator bound certifies over a whole field interval
   (``fidelity_bound``) against the scan on a grid;
 - the dense two-qubit partial trace (``partial_trace_env``) against the
@@ -41,6 +43,7 @@ from typing import Callable
 
 import numpy as np
 
+from .cli import EXPERIMENTS
 from .errors import GphaseError, InvalidDensityMatrix, ValidationError
 from .gp import DecoherenceTrace, SystemParams, _simpson
 from .ising import IsingBathParams, dispersion
@@ -77,16 +80,11 @@ class StencilConditioning(GphaseError):
 
 
 # Smallest power-of-two step count for which the full-cycle Trotter fidelity
-# stays at or above 0.997 across B in [-0.2 W, 0.2 W] at the reference
-# parameters (G = 0.02 W, d = 0.1 W); found by find_min_trotter_steps and
-# frozen here as a regression anchor.  One step per cycle already misses the
-# 0.3% budget (worst fidelity 0.9947); two steps give 0.99979.
+# meets the 0.3% budget of the trotter-check table across its fields,
+# B in [-0.2 W, 0.2 W] (G = 0.02 W, d = 0.1 W); found by find_min_trotter_steps
+# and frozen here as a regression anchor.  One step per cycle already misses
+# the budget (worst fidelity 0.9947); two steps give 0.99979.
 PINNED_TROTTER_STEPS = 2
-
-# The 0.3% fidelity budget and the largest step count find_min_trotter_steps
-# tries.
-TROTTER_FIDELITY_THRESHOLD = 0.997
-MAX_TROTTER_STEPS = 512
 
 
 def density_trajectory(trace: DecoherenceTrace, params: SystemParams) -> np.ndarray:
@@ -322,16 +320,15 @@ def fidelity_bound(p: ProtocolParams, b_min: float, b_max: float) -> float:
 
 
 def find_min_trotter_steps(p: ProtocolParams, b_values) -> int:
-    """Smallest power-of-two step count up to MAX_TROTTER_STEPS whose worst
-    cycle fidelity over ``b_values`` meets TROTTER_FIDELITY_THRESHOLD."""
-    for n in step_counts(MAX_TROTTER_STEPS):
-        worst = worst_cycle_fidelity(replace(p, trotter_steps=n), b_values)
-        if worst >= TROTTER_FIDELITY_THRESHOLD:
+    """Smallest power-of-two step count up to the trotter-check ``max_steps``
+    whose worst cycle fidelity over ``b_values`` meets its ``fidelity_threshold``."""
+    table = EXPERIMENTS["trotter-check"].defaults
+    threshold, max_steps = table["fidelity_threshold"], table["max_steps"]
+    for n in step_counts(max_steps):
+        if worst_cycle_fidelity(replace(p, trotter_steps=n), b_values) >= threshold:
             return n
     raise ValidationError(
-        f"no power-of-two step count <= {MAX_TROTTER_STEPS} reaches fidelity "
-        f"{TROTTER_FIDELITY_THRESHOLD}"
-    )
+        f"no power-of-two step count <= {max_steps} reaches fidelity {threshold}")
 
 
 # Largest deviation of a density matrix's trace from 1, and its smallest

@@ -11,17 +11,11 @@ import numpy as np
 import pytest
 from scipy.special import ellipe, ellipk
 
+from conftest import field_grid, point, protocol, rows, trotter, two_level
 from gphase.cli import main as cli_main
-from gphase.gp import SystemParams, build_trace, geometric_phase
-from gphase.ising import IsingBathParams, chain_trace, decoherence_product
-from gphase.perturbative import gp_approx_ising
-from gphase.protocol import (
-    Decomposition,
-    ProtocolParams,
-    correction_point,
-    run_protocol,
-    worst_cycle_fidelity,
-)
+from gphase.gp import build_trace, geometric_phase
+from gphase.ising import IsingBathParams, decoherence_product
+from gphase.protocol import run_protocol, worst_cycle_fidelity
 from gphase.reference import (
     PINNED_TROTTER_STEPS,
     brute_force_oracle,
@@ -32,14 +26,7 @@ from gphase.reference import (
     gp_from_trajectory,
     gp_third_order,
 )
-from gphase.two_level import TwoLevelBathParams, decoherence_factor_oracle
-
-OMEGA = 100.0 * np.pi
-B_GRID = np.linspace(-0.2 * OMEGA, 0.2 * OMEGA, 21)
-
-
-def paper_bath(b=0.05 * OMEGA):
-    return TwoLevelBathParams(delta_gap=0.02 * OMEGA, b_field=b, coupling=0.1 * OMEGA)
+from gphase.two_level import decoherence_factor_oracle
 
 
 def ones(t):
@@ -66,7 +53,7 @@ def test_c01_unitary_limit():
     with Budget(1.0) as b:
         worst = 0.0
         for th in np.linspace(0.02, np.pi - 0.02, 20):
-            sp = SystemParams(omega=OMEGA, theta=th)
+            sp, _ = two_level(theta=th)
             res = geometric_phase(build_trace(ones, sp, 128), sp)
             worst = max(worst, abs(res.phi_total - np.pi * (1.0 - np.cos(th))))
         assert worst < 1e-8
@@ -75,16 +62,16 @@ def test_c01_unitary_limit():
 
 def test_c02_dual_formula_equivalence():
     with Budget(10.0) as bud:
-        cases = [(np.pi / 4, b) for b in B_GRID]
+        b_grid = field_grid()
+        cases = [(np.pi / 4, b) for b in b_grid]
         rng = np.random.default_rng(2024)
         cases += [
-            (rng.uniform(0.3, np.pi - 0.3), rng.uniform(-0.2, 0.2) * OMEGA)
+            (rng.uniform(0.3, np.pi - 0.3), rng.uniform(b_grid[0], b_grid[-1]))
             for _ in range(10)
         ]
         worst = 0.0
         for th, b in cases:
-            sp = SystemParams(omega=OMEGA, theta=th)
-            bath = paper_bath(b)
+            sp, bath = two_level(theta=th, b_field=b)
             eq3 = geometric_phase(
                 build_trace(lambda t: decoherence_factor_oracle(bath, t), sp, 4096), sp
             ).phi_total
@@ -98,12 +85,11 @@ def test_c02_dual_formula_equivalence():
 
 def test_c03_protocol_vs_branch_oracle():
     with Budget(10.0) as bud:
-        sp = SystemParams(omega=OMEGA, theta=np.pi / 4)
         worst = 0.0
-        for b in B_GRID:
-            bath = paper_bath(b)
-            trace = run_protocol(ProtocolParams(sys=sp, bath=bath))
-            ref = decoherence_factor_oracle(bath, trace.times)
+        for b in field_grid():
+            p = protocol(b_field=b)
+            trace = run_protocol(p)
+            ref = decoherence_factor_oracle(p.bath, trace.times)
             worst = max(worst, float(np.max(np.abs(trace.r_values - ref))))
         assert worst < 1e-10
     print(f"\nC03 protocol vs branch oracle: PASS (worst {worst:.2e}, {bud.elapsed:.1f}s)")
@@ -111,28 +97,25 @@ def test_c03_protocol_vs_branch_oracle():
 
 def test_c04_trotter_fidelity_claim():
     with Budget(30.0) as bud:
-        sp = SystemParams(omega=OMEGA, theta=np.pi / 4)
-        proto = ProtocolParams(sys=sp, bath=paper_bath())
-        n = find_min_trotter_steps(proto, B_GRID)
+        budget = point("trotter-check")["fidelity_threshold"]
+        n = find_min_trotter_steps(*trotter(1))
         assert n == PINNED_TROTTER_STEPS  # frozen regression anchor
-        stepped = replace(proto, trotter_steps=n, decomposition=Decomposition.COARSE_TROTTER)
-        worst = worst_cycle_fidelity(stepped, B_GRID)
-        assert worst >= 0.997
+        stepped, b_grid = trotter(n)
+        worst = worst_cycle_fidelity(stepped, b_grid)
+        assert worst >= budget
         # the commutator bound certifies the whole interval, not only the grid
-        certified = fidelity_bound(stepped, B_GRID[0], B_GRID[-1])
-        assert 0.997 <= certified <= worst
+        certified = fidelity_bound(stepped, b_grid[0], b_grid[-1])
+        assert budget <= certified <= worst
     print(f"\nC04 trotter fidelity: PASS (n = {n}, worst fidelity {worst:.6f}, "
           f"certified {certified:.6f}, {bud.elapsed:.1f}s)")
 
 
 def test_c05_correction_curve_structure():
     with Budget(30.0) as bud:
-        sp = SystemParams(omega=OMEGA, theta=np.pi / 4)
-        dphi = np.array([correction_point(ProtocolParams(sys=sp, bath=paper_bath(b)))[0]
-                         for b in B_GRID])
-        assert np.argmax(np.abs(dphi)) == np.argmin(np.abs(B_GRID))
-        ip = np.argmin(np.abs(B_GRID - 0.1 * OMEGA))
-        im = np.argmin(np.abs(B_GRID + 0.1 * OMEGA))
+        b_grid, dphi = field_grid(), rows("correction")[:, 0]
+        assert np.argmax(np.abs(dphi)) == np.argmin(np.abs(b_grid))
+        ip = np.argmin(np.abs(b_grid - b_grid[-1] / 2))
+        im = np.argmin(np.abs(b_grid - b_grid[0] / 2))
         rel = abs(abs(dphi[ip]) - abs(dphi[im])) / max(abs(dphi[ip]), abs(dphi[im]))
         assert rel > 0.05
     print(
@@ -155,31 +138,19 @@ def test_c06_ising_product_vs_brute_force():
     print(f"\nC06 ising product vs brute force: PASS (worst {worst:.2e}, {bud.elapsed:.1f}s)")
 
 
-def _exact_ising_dphi(lam, n_spins=100, delta=5e-5, omega=1.0, theta=np.pi / 4):
-    sp = SystemParams(omega=omega, theta=theta)
-    p = IsingBathParams(n_spins, 1.0, lam, delta)
-    return geometric_phase(chain_trace(p, sp, 4096), sp).correction
-
-
 def test_c07_appendix_figure_desk_scale():
     with Budget(300.0) as bud:
-        sp = SystemParams(omega=1.0, theta=np.pi / 4)
-        lams = np.concatenate([np.arange(0.2, 0.901, 0.05), np.arange(1.1, 1.801, 0.05)])
-        norm = 100 * 5e-5**2
-        rel_errs, wins = [], 0
-        for lam in lams:
-            ex = _exact_ising_dphi(lam) / norm
-            p = IsingBathParams(100, 1.0, float(lam), 5e-5)
-            out = gp_approx_ising(p, sp)
-            o3 = out.order3 / norm
-            o2 = out.order2 / norm
-            rel_errs.append(abs(o3 - ex) / abs(ex))
-            wins += abs(o3 - ex) < abs(o2 - ex)
+        # the paper-figA rows at lambda = 0.2, 0.25, ..., 0.9 and 1.1, ..., 1.8
+        ex, o2, o3 = np.concatenate([
+            rows("ising-sweep", lambda_min=lo, lambda_max=hi, lambda_points=15)
+            for lo, hi in ((0.2, 0.9), (1.1, 1.8))]).T
+        rel_errs = np.abs(o3 - ex) / np.abs(ex)
+        wins = np.sum(np.abs(o3 - ex) < np.abs(o2 - ex))
         assert max(rel_errs) < 0.10
-        assert wins >= 0.9 * len(lams)
+        assert wins >= 0.9 * len(ex)
     print(
         f"\nC07 chain weak-coupling figure: PASS (worst 3rd-order rel err "
-        f"{100 * max(rel_errs):.2f}%, 3rd beats 2nd on {wins}/{len(lams)}, {bud.elapsed:.0f}s)"
+        f"{100 * max(rel_errs):.2f}%, 3rd beats 2nd on {wins}/{len(ex)}, {bud.elapsed:.0f}s)"
     )
 
 
@@ -194,22 +165,24 @@ def test_c08_criticality_grows_with_size():
     wherever G1 != 0, that is at every lambda but 0.
     """
     with Budget(120.0) as bud:
-        vals = [abs(_exact_ising_dphi(1.0, n_spins=n)) for n in (20, 50, 100)]
+        # the paper-figA exact column is dphi / (N delta^2)
+        delta = point("ising-sweep")["coupling"]
+        vals = [abs(rows("ising-sweep", n_spins=n, lambda_min=1.0, lambda_max=1.0,
+                         lambda_points=1)[0, 0]) * n * delta**2 for n in (20, 50, 100)]
         assert vals[0] < vals[1] < vals[2]
     print(f"\nC08 criticality vs size: PASS ({[f'{v:.2e}' for v in vals]}, {bud.elapsed:.1f}s)")
 
 
 def test_c09_perturbative_order():
     with Budget(60.0) as bud:
-        sp = SystemParams(omega=OMEGA, theta=np.pi / 4)
-        base = paper_bath()
+        sp, base = two_level()
 
         def sampler(delta, t):
             return decoherence_factor_oracle(replace(base, coupling=delta), t)
 
         times = np.linspace(0.0, sp.tau, 2049)
-        co = extract_coefficients_numeric(sampler, times, h=1e-4 * OMEGA)
-        deltas = np.array([0.02, 0.01, 0.005, 0.0025]) * OMEGA
+        co = extract_coefficients_numeric(sampler, times, h=1e-4 * sp.omega)
+        deltas = np.array([0.02, 0.01, 0.005, 0.0025]) * sp.omega
         residuals = []
         for d in deltas:
             bath = replace(base, coupling=d)

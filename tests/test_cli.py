@@ -9,16 +9,12 @@ from functools import partial
 import numpy as np
 import pytest
 
+from conftest import OMEGA
 from gphase import cli, protocol
 from gphase.cli import EXPERIMENTS, PRESETS, _results, main, parse_config
 from gphase.errors import GphaseError, PerturbativeBreakdown
 from gphase.gp import SystemParams, build_trace, geometric_phase
-from gphase.protocol import ProtocolParams
-from gphase.reference import (
-    PINNED_TROTTER_STEPS,
-    TROTTER_FIDELITY_THRESHOLD,
-    find_min_trotter_steps,
-)
+from gphase.reference import PINNED_TROTTER_STEPS, find_min_trotter_steps
 from gphase.two_level import TwoLevelBathParams, decoherence_factor_oracle
 
 
@@ -41,10 +37,6 @@ def exit_code(argv):
 STEPPED_GAP_30 = ["correction", "--decomposition", "coarse-trotter", "--delta-gap",
                   "9424.77796076938", "--coupling", "3.141592653589793", "--b-min", "0",
                   "--b-max", "0", "--b-points", "1"]
-
-
-def settable(exp):
-    return [k for k in exp.defaults if k not in exp.fixed]
 
 
 class TestPresets:
@@ -83,7 +75,7 @@ class TestPresets:
         for name, experiment in PRESETS.items():
             exp = EXPERIMENTS[experiment]
             keys = [cell.split("=")[0] for cell in lines[name].split()[1:]]
-            assert keys == settable(exp)
+            assert keys == list(cli._settable(exp))
 
 
 class TestGpCurve:
@@ -248,7 +240,7 @@ class TestExitCodes:
     # at B = 0 this coupling (d = omega) makes r(t) a sign-flipping real
     # cosine whose unwrap fails at every resolution; the grid includes that
     # point, and at B = +-0.2 omega both columns resolve r(t)
-    _BAD = ["correction", "--coupling", str(100 * np.pi), "--b-points", "3"]
+    _BAD = ["correction", "--coupling", str(OMEGA), "--b-points", "3"]
 
     def test_runtime_failure_without_keep_going(self, tmp_path):
         rc = main(self._BAD + ["--output", str(tmp_path / "f.csv")])
@@ -484,11 +476,12 @@ class TestOutputFormats:
 
 
 class TestPhysicalFlags:
-    @pytest.mark.parametrize("key", sorted({k for e in EXPERIMENTS.values() for k in settable(e)}))
+    @pytest.mark.parametrize("key", sorted({k for e in EXPERIMENTS.values()
+                                            for k in cli._settable(e)}))
     def test_flag_parses_for_each_experiment_with_the_key(self, key):
         # each experiment's flag is typed by its own default
         owners = {name: exp.defaults[key] for name, exp in EXPERIMENTS.items()
-                  if key in settable(exp)}
+                  if key in cli._settable(exp)}
         # correction accepts --trotter-steps only with the stepped decomposition
         context = ["--decomposition", "coarse-trotter"] if key == "trotter_steps" else []
         for name, default in owners.items():
@@ -503,7 +496,7 @@ class TestPhysicalFlags:
         listed = set(re.findall(r"(?<![\w-])--[a-z][a-z-]*", capsys.readouterr().out))
         exp = EXPERIMENTS[name]
         accepted = ({"help", "output", "format", "workers", "keep-going", "verbose"}
-                    | {k.replace("_", "-") for k in settable(exp)}
+                    | {k.replace("_", "-") for k in cli._settable(exp)}
                     | ({"preset"} if name in PRESETS.values() else set())
                     | ({"sweep"} if exp.axes else set()))
         assert listed == {f"--{flag}" for flag in accepted}
@@ -553,7 +546,7 @@ class TestEveryFlagMoves:
         params = parse_config(base).parameters
         before = self.payload(base)
         assert before is not None
-        still = [key for key in settable(EXPERIMENTS[name])
+        still = [key for key in cli._settable(EXPERIMENTS[name])
                  if self.payload(base + [f"--{key.replace('_', '-')}",
                                          str(self.moved(key, params[key]))]) in (before, None)]
         assert still == []
@@ -662,7 +655,7 @@ class TestRejectedBeforeWork:
         # 1 parses for every numeric flag, so only a missing flag exits 2
         *([name, f"--{key.replace('_', '-')}", "1"] for name, exp in EXPERIMENTS.items()
           for key in sorted({k for e in EXPERIMENTS.values() for k in e.defaults}
-                            - set(settable(exp)))),
+                            - set(cli._settable(exp)))),
         # abbreviations: the first ran as --lambda-points 2
         ["ising-approx", "--lambda-p", "2"],
         ["trace", "--samples", "64", "--work", "2"],
@@ -717,7 +710,7 @@ class TestRejectedBeforeWork:
 
     @pytest.mark.parametrize("argv", [
         *([name, f"--{key.replace('_', '-')}", value] for name, exp in EXPERIMENTS.items()
-          for key in settable(exp) if isinstance(exp.defaults[key], float)
+          for key in cli._settable(exp) if isinstance(exp.defaults[key], float)
           for value in ("nan", "inf", "-inf")),
         *(["gp-curve", "--sweep", "theta", *bounds, "2"]
           for bounds in (("nan", "1"), ("inf", "1"), ("0", "-inf"))),
@@ -803,12 +796,11 @@ def test_trotter_check_agrees_with_library(tmp_path):
     rc, raw = run_cli(argv + ["--max-steps", "4"], tmp_path, "t.csv")
     assert rc == 0
     rows = [line.split(",") for line in raw.decode().strip().splitlines()[1:]]
+    exp = EXPERIMENTS["trotter-check"]
     first = next(int(float(n)) for n, fid, _ in rows
-                 if float(fid) >= TROTTER_FIDELITY_THRESHOLD)
+                 if float(fid) >= exp.defaults["fidelity_threshold"])
 
-    p = parse_config(argv).parameters
-    bath = TwoLevelBathParams(delta_gap=p["delta_gap"], b_field=0.0, coupling=p["coupling"])
-    proto = ProtocolParams(sys=SystemParams(omega=p["omega"], theta=p["theta"]), bath=bath)
-    b_grid = np.linspace(p["b_min"], p["b_max"], p["b_points"])
+    # the protocol and fields of the preset's first point, as its prepare binds them
+    proto, b_grid = exp.prepare(exp.grid(parse_config(argv).parameters)[0]).args
     assert len(b_grid) == 21
     assert first == find_min_trotter_steps(proto, b_grid) == PINNED_TROTTER_STEPS

@@ -8,7 +8,7 @@ from gphase.errors import (
     UnwrapFailure,
     ValidationError,
 )
-from gphase.cli import EXPERIMENTS
+from conftest import OMEGA, chain, point, two_level
 from gphase.gp import (
     SystemParams,
     build_trace,
@@ -18,19 +18,10 @@ from gphase.gp import (
 )
 from gphase.ising import IsingBathParams, chain_trace, decoherence_product, phase_rate_bound
 from gphase.reference import EigenbranchCrossing, density_trajectory, gp_from_trajectory
-from gphase.two_level import TwoLevelBathParams, decoherence_factor_oracle
-
-OMEGA = 100.0 * np.pi
-
+from gphase.two_level import decoherence_factor_oracle
 
 def ones_sampler(t):
     return np.ones_like(t, dtype=complex)
-
-
-def paper_bath(b_over_omega=0.05, coupling=0.1):
-    return TwoLevelBathParams(
-        delta_gap=0.02 * OMEGA, b_field=b_over_omega * OMEGA, coupling=coupling * OMEGA
-    )
 
 
 def counting(sampler, calls):
@@ -43,7 +34,7 @@ def counting(sampler, calls):
 
 class TestSystemParams:
     def test_tau(self):
-        sp = SystemParams(omega=OMEGA, theta=0.3)
+        sp, _ = two_level(theta=0.3)
         assert sp.tau * sp.omega == pytest.approx(2.0 * np.pi, rel=1e-15)
 
     def test_validation(self):
@@ -55,20 +46,20 @@ class TestSystemParams:
 
 class TestBuildTrace:
     def test_constant_one(self):
-        sp = SystemParams(omega=OMEGA, theta=0.5)
+        sp, _ = two_level(theta=0.5)
         tr = build_trace(ones_sampler, sp, 128)
         assert np.all(tr.phase_unwrapped == 0.0)
         np.testing.assert_allclose(tr.magnitude, 1.0, atol=0)
 
     def test_linear_phase_no_folding(self):
         # r = e^{-i w t} with w tau = 6 pi stores phi(tau) = +6 pi unwrapped
-        sp = SystemParams(omega=OMEGA, theta=0.5)
+        sp, _ = two_level(theta=0.5)
         w = 3.0 * sp.omega
         tr = build_trace(lambda t: np.exp(-1j * w * t), sp, 64)
         assert tr.phase_unwrapped[-1] == pytest.approx(6.0 * np.pi, abs=1e-9)
 
     def test_refinement_kicks_in(self):
-        sp = SystemParams(omega=OMEGA, theta=0.5)
+        sp, _ = two_level(theta=0.5)
         w = 100.0 * sp.omega  # 100 cycles: far too fast for 64 samples
         tr = build_trace(lambda t: np.exp(-1j * w * t), sp, 64)
         assert tr.samples > 64
@@ -76,7 +67,7 @@ class TestBuildTrace:
 
     def test_one_sampler_call_per_try(self):
         # each try samples the 2m grid once; its even points are the m grid
-        sp = SystemParams(omega=OMEGA, theta=0.5)
+        sp, _ = two_level(theta=0.5)
         calls = []
         build_trace(counting(ones_sampler, calls), sp, 64)
         assert calls == [2 * 64 + 1]
@@ -91,9 +82,9 @@ class TestBuildTrace:
         # both grids unwrap with every step under pi/2, so each coarse step is
         # the sum of the two fine steps it spans: the trace's phase is the
         # fine grid's at its even points, also after a refinement
-        sp = SystemParams(omega=OMEGA, theta=0.5)
+        sp, bath = two_level(theta=0.5)
         rng = np.random.default_rng(12)
-        samplers = [lambda t: decoherence_factor_oracle(paper_bath(), t),
+        samplers = [lambda t: decoherence_factor_oracle(bath, t),
                     lambda t: np.exp(-1j * 100.0 * sp.omega * t)]
         for _ in range(20):
             amp, freq, shift = rng.uniform(0, 20, 6), rng.integers(1, 9, 6), rng.uniform(0, 7, 6)
@@ -124,7 +115,7 @@ class TestBuildTrace:
     def test_zero_crossing_fails(self):
         # real r passing through 0 flips the phase by pi at every resolution:
         # the loop doubles up to the reach of 2^18 intervals and names it
-        sp = SystemParams(omega=OMEGA, theta=0.5)
+        sp, _ = two_level(theta=0.5)
         calls = []
         with pytest.raises(UnwrapFailure, match="needs more than 262144 intervals, past the "
                                                 "reach of 262144"):
@@ -132,19 +123,19 @@ class TestBuildTrace:
         assert calls == [2 * 64 * 2**i + 1 for i in range(13)]
 
     def test_initial_value_checked(self):
-        sp = SystemParams(omega=OMEGA, theta=0.5)
+        sp, _ = two_level(theta=0.5)
         with pytest.raises(InvalidInitialValue):
             build_trace(lambda t: 0.5 * np.ones_like(t, dtype=complex), sp, 64)
 
     def test_minimum_samples(self):
-        sp = SystemParams(omega=OMEGA, theta=0.5)
+        sp, _ = two_level(theta=0.5)
         with pytest.raises(ValidationError):
             build_trace(ones_sampler, sp, 32)
 
     def test_nan_sampler_fails(self):
         # every check of a trace is False on NaN, so a NaN sample used to pass
         # them all and give an all-NaN GpResult
-        sp = SystemParams(omega=OMEGA, theta=0.5)
+        sp, _ = two_level(theta=0.5)
 
         def sampler(t):
             r = np.ones_like(t, dtype=complex)
@@ -156,8 +147,7 @@ class TestBuildTrace:
 
     def test_grid_refinement_consistency(self):
         # sampled trace values agree with a 10x finer evaluation on shared points
-        sp = SystemParams(omega=OMEGA, theta=np.pi / 4)
-        bath = paper_bath()
+        sp, bath = two_level()
         tr = build_trace(lambda t: decoherence_factor_oracle(bath, t), sp, 128)
         tr_fine = build_trace(lambda t: decoherence_factor_oracle(bath, t), sp, 1280)
         np.testing.assert_allclose(tr.r_values, tr_fine.r_values[::10], atol=1e-8)
@@ -166,8 +156,8 @@ class TestBuildTrace:
         )
 
     def test_magnitude_phase_consistency(self):
-        sp = SystemParams(omega=OMEGA, theta=np.pi / 4)
-        tr = build_trace(lambda t: decoherence_factor_oracle(paper_bath(), t), sp, 256)
+        sp, bath = two_level()
+        tr = build_trace(lambda t: decoherence_factor_oracle(bath, t), sp, 256)
         rebuilt = tr.magnitude * np.exp(-1j * tr.phase_unwrapped)
         np.testing.assert_allclose(rebuilt, tr.r_values, atol=1e-12)
 
@@ -202,7 +192,7 @@ class TestFirstGrid:
         with pytest.raises(ValidationError, match="samples must be >= 64, got 8"):
             first_grid(8, np.nan, "")
         with pytest.raises(ValidationError, match="samples must be >= 64, got 8"):
-            build_trace(counting(ones_sampler, calls), SystemParams(omega=OMEGA, theta=0.5), 8,
+            build_trace(counting(ones_sampler, calls), two_level(theta=0.5)[0], 8,
                         rate_bound=1.0)
         assert calls == []
 
@@ -212,7 +202,7 @@ class TestRateBound:
 
     def test_a_bound_that_fits_samples_once(self):
         # 6 pi over the cycle: 0.29 rad per interval of the 64-interval grid
-        sp = SystemParams(omega=OMEGA, theta=0.5)
+        sp, _ = two_level(theta=0.5)
         w = 3.0 * sp.omega
         calls = []
         tr = build_trace(counting(lambda t: np.exp(-1j * w * t), calls), sp, 64, rate_bound=w)
@@ -223,7 +213,7 @@ class TestRateBound:
     def test_a_bound_over_the_grid_samples_its_own_grid_once(self):
         # bound * tau / m at or over pi/2: the first of m * 2^j intervals under
         # it is sampled once, and the grids below it not at all
-        sp = SystemParams(omega=OMEGA, theta=0.5)
+        sp, _ = two_level(theta=0.5)
         w = 100.0 * sp.omega
         cases = [(ones_sampler, np.pi / 2 * 64 / sp.tau * (1.0 + 1e-12), 128),
                  (lambda t: np.exp(-1j * w * t), w, 512)]
@@ -238,7 +228,7 @@ class TestRateBound:
     def test_a_bound_beyond_reach_fails_before_sampling(self):
         # 2^18 intervals are the reach of every request: a bound just under it
         # is sampled there once, one just over it never
-        sp = SystemParams(omega=OMEGA, theta=0.5)
+        sp, _ = two_level(theta=0.5)
         edge = np.pi / 2 * 2**18 / sp.tau
         calls = []
         build_trace(counting(ones_sampler, calls), sp, 64, rate_bound=edge * (1.0 - 1e-12))
@@ -250,7 +240,7 @@ class TestRateBound:
         assert calls == []
 
     def test_a_nan_bound_fails_before_sampling(self):
-        sp = SystemParams(omega=OMEGA, theta=0.5)
+        sp, _ = two_level(theta=0.5)
         calls = []
         with pytest.raises(UnwrapFailure, match="rate_bound nan rad/s needs more than nan"):
             build_trace(counting(ones_sampler, calls), sp, 64, rate_bound=np.nan)
@@ -258,7 +248,7 @@ class TestRateBound:
 
     def test_a_request_above_the_reach_is_sampled_as_asked(self):
         # 2^18 + 2 intervals: sampled once on the requested grid, never refined
-        sp = SystemParams(omega=OMEGA, theta=0.5)
+        sp, _ = two_level(theta=0.5)
         m = 2**18 + 2
         calls = []
         tr = build_trace(counting(ones_sampler, calls), sp, m, rate_bound=1.0)
@@ -275,7 +265,7 @@ class TestRateBound:
         assert calls == [2 * m + 1]
 
     def test_a_broken_bound_fails(self):
-        sp = SystemParams(omega=OMEGA, theta=0.5)
+        sp, _ = two_level(theta=0.5)
         w = 3.0 * sp.omega
         with pytest.raises(UnwrapFailure, match="rate_bound"):
             build_trace(lambda t: np.exp(-1j * w * t), sp, 64, rate_bound=w / 10.0)
@@ -283,13 +273,12 @@ class TestRateBound:
     def test_chain_traces_match_the_unbounded_route(self):
         # the paper-figA chain: its bound fits the requested grid, and the
         # m + 1 points sampled once are the even points of the 2m + 1 grid
-        d = EXPERIMENTS["ising-sweep"].defaults
-        sp = SystemParams(omega=d["omega_over_j"] * d["j_coupling"], theta=d["theta"])
+        samples = point("ising-sweep")["samples"]
         for lam in (0.0, 1.0, 2.0):
-            p = IsingBathParams(d["n_spins"], d["j_coupling"], lam, d["coupling"])
-            assert phase_rate_bound(p) * sp.tau / d["samples"] < np.pi / 2
-            got = chain_trace(p, sp, d["samples"])
-            want = build_trace(lambda t: decoherence_product(p, t), sp, d["samples"])
+            p, sp = chain(lam)
+            assert phase_rate_bound(p) * sp.tau / samples < np.pi / 2
+            got = chain_trace(p, sp, samples)
+            want = build_trace(lambda t: decoherence_product(p, t), sp, samples)
             for name in ("times", "r_values", "magnitude", "phase_unwrapped"):
                 np.testing.assert_array_equal(getattr(got, name), getattr(want, name))
 
@@ -351,18 +340,18 @@ class TestEpsPlus:
     """``eps_plus_final``, the larger eigenvalue (1 + R)/2 of rho(tau)."""
 
     def test_pure_state(self):
-        sp = SystemParams(omega=OMEGA, theta=0.7)
+        sp, _ = two_level(theta=0.7)
         res = geometric_phase(build_trace(ones_sampler, sp, 64), sp)
         assert res.eps_plus_final == pytest.approx(1.0, abs=1e-15)
 
     def test_dephased_equator(self):
-        sp = SystemParams(omega=OMEGA, theta=np.pi / 2)
+        sp, _ = two_level(theta=np.pi / 2)
         assert geometric_phase(decay_to(sp, 1e-13), sp).eps_plus_final == pytest.approx(
             0.5, abs=1e-13)
 
     def test_intermediate(self):
         # eigenvalue of the explicit 2x2 matrix: (1 + sqrt(0.625))/2
-        sp = SystemParams(omega=OMEGA, theta=np.pi / 4)
+        sp, _ = two_level()
         assert geometric_phase(decay_to(sp, 0.5), sp).eps_plus_final == pytest.approx(
             0.5 * (1 + np.sqrt(0.625)), abs=1e-12)
 
@@ -370,7 +359,7 @@ class TestEpsPlus:
         rng = np.random.default_rng(7)
         for _ in range(20):
             r, th = rng.uniform(0.01, 1), rng.uniform(0.1, np.pi - 0.1)
-            sp = SystemParams(omega=OMEGA, theta=th)
+            sp, _ = two_level(theta=th)
             tr = decay_to(sp, r, 64)
             w = np.linalg.eigvalsh(density_trajectory(tr, sp)[-1])
             assert geometric_phase(tr, sp).eps_plus_final == pytest.approx(w[1], abs=1e-12)
@@ -383,20 +372,20 @@ class TestBlochPlusAngle:
     def test_unitary_limit(self):
         # r = 1: g = sin^2(theta/2) and the quadrature term is Omega tau g
         th = 0.9
-        sp = SystemParams(omega=OMEGA, theta=th)
+        sp, _ = two_level(theta=th)
         res = geometric_phase(build_trace(ones_sampler, sp, 64), sp)
         assert res.integral_part == pytest.approx(2 * np.pi * np.sin(th / 2) ** 2, abs=1e-12)
         assert res.arctan_part == 0.0
 
     def test_degenerate_equator(self):
-        sp = SystemParams(omega=OMEGA, theta=np.pi / 2)
+        sp, _ = two_level(theta=np.pi / 2)
         with pytest.raises(DegenerateEigenvector):
             geometric_phase(decay_to(sp, 0.0), sp)
 
     def test_matches_eigenvector_components(self):
         # closing term = arg <v+(0)|v+(tau)> with both + eigenvectors in the
         # gauge whose |1> component is real positive
-        sp = SystemParams(omega=OMEGA, theta=np.pi / 4)
+        sp, _ = two_level()
         tr = build_trace(lambda t: 0.5 ** (t / sp.tau) * np.exp(0.7j * t / sp.tau), sp, 64)
         plus = plus_eigenvectors(density_trajectory(tr, sp)[[0, -1]])
         res = geometric_phase(tr, sp)
@@ -407,7 +396,7 @@ class TestBlochPlusAngle:
         rng = np.random.default_rng(13)
         for _ in range(50):
             r, th, ph = 10 ** rng.uniform(-6, 0), rng.uniform(0.1, np.pi - 0.1), rng.uniform(-3, 3)
-            sp = SystemParams(omega=OMEGA, theta=th)
+            sp, _ = two_level(theta=th)
             tr = build_trace(lambda t: r ** (t / sp.tau) * np.exp(1j * ph * t / sp.tau), sp, 64)
             plus = plus_eigenvectors(density_trajectory(tr, sp)[[0, -1]])
             assert geometric_phase(tr, sp).arctan_part == pytest.approx(
@@ -417,7 +406,7 @@ class TestBlochPlusAngle:
         # south of the equator at |r(tau)| ~ 1e-8, R + cos(theta) ~ 3e-17 is
         # below the rounding of either term; a direct sum is off by 3e-9 here
         mpmath = pytest.importorskip("mpmath")
-        sp = SystemParams(omega=OMEGA, theta=2.5)
+        sp, _ = two_level(theta=2.5)
         r_end = 1.2456613801138862e-08
         tr = build_trace(lambda t: r_end ** (t / sp.tau) * np.exp(0.5j * np.pi * t / sp.tau),
                          sp, 64)
@@ -433,28 +422,28 @@ class TestBlochPlusAngle:
 class TestGeometricPhase:
     def test_unitary_limit_sweep(self):
         for th in np.linspace(0.05, np.pi - 0.05, 20):
-            sp = SystemParams(omega=OMEGA, theta=th)
+            sp, _ = two_level(theta=th)
             res = geometric_phase(build_trace(ones_sampler, sp, 256), sp)
             assert res.phi_total == pytest.approx(np.pi * (1 - np.cos(th)), abs=1e-8)
             assert abs(res.correction) < 1e-8
 
     def test_quarter_angle_value(self):
-        sp = SystemParams(omega=OMEGA, theta=np.pi / 4)
+        sp, _ = two_level()
         res = geometric_phase(build_trace(ones_sampler, sp, 256), sp)
         assert res.phi_total == pytest.approx(np.pi * (1 - np.sqrt(2) / 2), abs=1e-9)
 
     def test_total_is_sum_of_parts(self):
-        sp = SystemParams(omega=OMEGA, theta=np.pi / 4)
+        sp, bath = two_level()
         res = geometric_phase(
-            build_trace(lambda t: decoherence_factor_oracle(paper_bath(), t), sp, 512), sp
+            build_trace(lambda t: decoherence_factor_oracle(bath, t), sp, 512), sp
         )
         assert res.phi_total == res.integral_part + res.arctan_part
         assert res.correction == res.phi_total - res.phi_unitary
 
     def test_poles(self):
-        bath = paper_bath()
+        _, bath = two_level()
         for th, expected in ((0.0, 0.0), (np.pi, 2.0 * np.pi)):
-            sp = SystemParams(omega=OMEGA, theta=th)
+            sp, _ = two_level(theta=th)
             res = geometric_phase(
                 build_trace(lambda t: decoherence_factor_oracle(bath, t), sp, 128), sp
             )
@@ -462,7 +451,7 @@ class TestGeometricPhase:
 
     def test_degenerate_propagates(self):
         # an equator trajectory whose coherence dies completely mid-cycle
-        sp = SystemParams(omega=OMEGA, theta=np.pi / 2)
+        sp, _ = two_level(theta=np.pi / 2)
         decay = lambda t: np.exp(-((14.0 * t / sp.tau) ** 2)) + 0j
         with pytest.raises(DegenerateEigenvector):
             geometric_phase(build_trace(decay, sp, 256), sp)
@@ -470,7 +459,7 @@ class TestGeometricPhase:
     def test_deep_dephasing_south_of_equator(self):
         # |r(tau)| ~ 1e-85 at theta = 2.5 is no degeneracy: the eigenvalue gap
         # stays >= |cos(theta)| = 0.8
-        sp = SystemParams(omega=OMEGA, theta=2.5)
+        sp, _ = two_level(theta=2.5)
         decay = lambda t: np.exp(-((14.0 * t / sp.tau) ** 2)
                                  + 0.3j * np.sin(2 * np.pi * t / sp.tau))
         tr = build_trace(decay, sp, 2048)
@@ -479,8 +468,7 @@ class TestGeometricPhase:
         assert abs((closed - transported + np.pi) % (2 * np.pi) - np.pi) < 1e-6
 
     def test_grid_convergence(self):
-        sp = SystemParams(omega=OMEGA, theta=np.pi / 4)
-        bath = paper_bath()
+        sp, bath = two_level()
         vals = [
             geometric_phase(
                 build_trace(lambda t: decoherence_factor_oracle(bath, t), sp, m), sp
@@ -492,8 +480,7 @@ class TestGeometricPhase:
     def test_global_phase_covariance(self):
         # r -> r e^{i chi(t)} shifts the engine phase by -chi; verify the output
         # moves exactly as an independent recomputation of both affected terms
-        sp = SystemParams(omega=OMEGA, theta=np.pi / 4)
-        bath = paper_bath()
+        sp, bath = two_level()
         m = 2048
         base = build_trace(lambda t: decoherence_factor_oracle(bath, t), sp, m)
         amp, s0, c0 = 0.21, np.sin(sp.theta / 2), np.cos(sp.theta / 2)
@@ -525,7 +512,7 @@ class TestGeometricPhase:
 
 class TestTrajectoryRoute:
     def test_unitary_limit(self):
-        sp = SystemParams(omega=OMEGA, theta=np.pi / 3)
+        sp, _ = two_level(theta=np.pi / 3)
         tr = build_trace(ones_sampler, sp, 8192)
         phi = gp_from_trajectory(density_trajectory(tr, sp))
         assert phi == pytest.approx(np.pi / 2, abs=1e-6)
@@ -535,8 +522,7 @@ class TestTrajectoryRoute:
         for _ in range(4):
             th = rng.uniform(0.3, 2.7)
             b = rng.uniform(-0.2, 0.2) * OMEGA
-            sp = SystemParams(omega=OMEGA, theta=th)
-            bath = paper_bath(b_over_omega=b / OMEGA)
+            sp, bath = two_level(theta=th, b_field=b)
             eq3 = geometric_phase(
                 build_trace(lambda t: decoherence_factor_oracle(bath, t), sp, 4096), sp
             ).phi_total
@@ -546,8 +532,8 @@ class TestTrajectoryRoute:
             assert abs(diff) < 1e-6
 
     def test_time_reversal_negates(self):
-        sp = SystemParams(omega=OMEGA, theta=np.pi / 4)
-        tr = build_trace(lambda t: decoherence_factor_oracle(paper_bath(), t), sp, 16384)
+        sp, bath = two_level()
+        tr = build_trace(lambda t: decoherence_factor_oracle(bath, t), sp, 16384)
         rho = density_trajectory(tr, sp)
         fwd = gp_from_trajectory(rho)
         bwd = gp_from_trajectory(rho[::-1])
@@ -557,8 +543,8 @@ class TestTrajectoryRoute:
     def test_gauge_invariance(self, monkeypatch):
         # scramble the eigensolver's phase gauge with a smooth profile; the
         # parallel-transport result must not move
-        sp = SystemParams(omega=OMEGA, theta=np.pi / 4)
-        tr = build_trace(lambda t: decoherence_factor_oracle(paper_bath(), t), sp, 4096)
+        sp, bath = two_level()
+        tr = build_trace(lambda t: decoherence_factor_oracle(bath, t), sp, 4096)
         rho = density_trajectory(tr, sp)
         base = gp_from_trajectory(rho)
 
@@ -576,7 +562,7 @@ class TestTrajectoryRoute:
         assert gp_from_trajectory(rho) == pytest.approx(base, abs=1e-8)
 
     def test_branch_crossing_detected(self):
-        sp = SystemParams(omega=OMEGA, theta=np.pi / 2)
+        sp, _ = two_level(theta=np.pi / 2)
         times = np.linspace(0.0, sp.tau, 257)
         r = np.exp(-((20.0 * times / sp.tau) ** 2))
         rho = np.zeros((257, 2, 2), dtype=complex)
@@ -589,8 +575,8 @@ class TestTrajectoryRoute:
             gp_from_trajectory(rho)
 
     def test_density_trajectory_structure(self):
-        sp = SystemParams(omega=OMEGA, theta=np.pi / 3)
-        tr = build_trace(lambda t: decoherence_factor_oracle(paper_bath(), t), sp, 128)
+        sp, bath = two_level(theta=np.pi / 3)
+        tr = build_trace(lambda t: decoherence_factor_oracle(bath, t), sp, 128)
         rho = density_trajectory(tr, sp)
         expected = 0.5 * np.sin(sp.theta) * np.exp(-1j * sp.omega * tr.times) * tr.r_values
         np.testing.assert_allclose(rho[:, 0, 1], expected, atol=1e-15)

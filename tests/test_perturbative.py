@@ -7,9 +7,10 @@ from scipy.integrate import quad
 from scipy.special import ellipe, ellipk
 
 import gphase.perturbative as perturbative
+from conftest import OMEGA, chain, field_grid, point, points, rows, two_level
 from gphase.errors import PerturbativeBreakdown, QuadratureNonconvergence, ValidationError
 from gphase.gp import SystemParams, build_trace, geometric_phase
-from gphase.ising import IsingBathParams, chain_trace, decoherence_product, dispersion, momenta
+from gphase.ising import IsingBathParams, decoherence_product, dispersion, momenta
 from gphase.perturbative import (
     _INTEGRANDS,
     _QK21_GAUSS,
@@ -31,9 +32,7 @@ from gphase.reference import (
     mode_coefficients,
     two_level_order2,
 )
-from gphase.two_level import TwoLevelBathParams, decoherence_factor_oracle, oracle_trace
-
-OMEGA = 100.0 * np.pi
+from gphase.two_level import decoherence_factor_oracle, oracle_trace
 
 
 class TestElliptic:
@@ -58,13 +57,12 @@ class TestElliptic:
 
 
 def two_level_sampler(delta, t):
-    bath = TwoLevelBathParams(delta_gap=0.02 * OMEGA, b_field=0.05 * OMEGA, coupling=delta)
-    return decoherence_factor_oracle(bath, t)
+    return decoherence_factor_oracle(two_level(coupling=delta)[1], t)
 
 
 class TestExtraction:
     def test_two_level_short_time_decay(self):
-        sp = SystemParams(omega=OMEGA, theta=np.pi / 4)
+        sp, _ = two_level()
         times = np.linspace(0, sp.tau, 513)
         co = extract_coefficients_numeric(two_level_sampler, times, h=1e-4 * OMEGA)
         assert np.min(co.R2) > -1e-9
@@ -88,8 +86,7 @@ class TestExtraction:
         assert np.max(np.abs(co.phi1 - p1)) < 1e-9
 
     def test_chain_phase_slope_matches_g1(self):
-        p = IsingBathParams(100, 1.0, 0.5, 5e-5)
-        sp = SystemParams(omega=1.0, theta=np.pi / 4)
+        p, sp = chain(0.5)
         times = np.linspace(0, sp.tau, 257)
 
         def sampler(delta, t):
@@ -122,7 +119,7 @@ class TestExtraction:
 
 class TestThirdOrder:
     def test_zero_coupling(self):
-        sp = SystemParams(omega=OMEGA, theta=np.pi / 3)
+        sp, _ = two_level(theta=np.pi / 3)
         times = np.linspace(0, sp.tau, 257)
         co = extract_coefficients_numeric(two_level_sampler, times, h=1e-4 * OMEGA)
         out = gp_third_order(co, sp, 0.0)
@@ -130,7 +127,7 @@ class TestThirdOrder:
         assert out.order3 == 0.0
 
     def test_equator_null(self):
-        sp = SystemParams(omega=OMEGA, theta=np.pi / 2)
+        sp, _ = two_level(theta=np.pi / 2)
         times = np.linspace(0, sp.tau, 257)
         co = extract_coefficients_numeric(two_level_sampler, times, h=1e-4 * OMEGA)
         out = gp_third_order(co, sp, 0.05 * OMEGA)
@@ -139,19 +136,19 @@ class TestThirdOrder:
 
     def test_residual_fourth_order(self):
         # halving the coupling shrinks the third-order residual ~16x
-        sp = SystemParams(omega=OMEGA, theta=np.pi / 4)
+        sp, _ = two_level()
         times = np.linspace(0, sp.tau, 2049)
         co = extract_coefficients_numeric(two_level_sampler, times, h=1e-4 * OMEGA)
         res = []
         for d in (0.02 * OMEGA, 0.01 * OMEGA):
-            bath = TwoLevelBathParams(delta_gap=0.02 * OMEGA, b_field=0.05 * OMEGA, coupling=d)
+            _, bath = two_level(coupling=d)
             tr = build_trace(lambda t: decoherence_factor_oracle(bath, t), sp, 4096)
             exact = geometric_phase(tr, sp).correction
             res.append(abs(gp_third_order(co, sp, d).order3 - exact))
         assert res[0] / res[1] == pytest.approx(16.0, rel=0.35)
 
     def test_grid_must_cover_cycle(self):
-        sp = SystemParams(omega=OMEGA, theta=np.pi / 4)
+        sp, _ = two_level()
         times = np.linspace(0, sp.tau / 2, 129)
         co = extract_coefficients_numeric(two_level_sampler, times, h=1e-4 * OMEGA)
         with pytest.raises(ValidationError):
@@ -162,13 +159,12 @@ class TestOneQubitBathOrder2:
     def test_matches_the_oracle_to_third_order(self):
         # the paper-fig1c fields at Delta = 0.02 Omega: the closed second order
         # is 2.75 delta/Delta off the oracle at worst, a residual of O(delta^3)
-        sp = SystemParams(omega=OMEGA, theta=np.pi / 4)
-        gap = 0.02 * OMEGA
+        gap = point("gp-curve")["delta_gap"]
         worst = []
         for delta in (1e-2 * gap, 1e-3 * gap):
             dev = 0.0
-            for b in np.linspace(-0.2 * OMEGA, 0.2 * OMEGA, 21):
-                p = TwoLevelBathParams(delta_gap=gap, b_field=b, coupling=delta)
+            for b in field_grid():
+                sp, p = two_level(b_field=b, coupling=delta)
                 exact = geometric_phase(oracle_trace(p, sp, 4096), sp).correction
                 dev = max(dev, abs(exact / two_level_order2(p, sp) - 1.0))
             worst.append(dev)
@@ -225,31 +221,28 @@ class TestFiniteSizeLaws:
         # lam in [0.9, 1.1], the window C07 leaves out, at N = 100: order 3 from
         # the mode sums is within 6.1e-5 of the exact pipeline, the continuum
         # closed forms are 3.5e-2 off at lam = 0.99
-        sp = SystemParams(omega=1.0, theta=np.pi / 4)
-        k = momenta(100)
-        sums, continuum = [], []
-        for lam in np.linspace(0.9, 1.1, 21):
-            p = IsingBathParams(100, 1.0, float(lam), 5e-5)
-            exact = geometric_phase(chain_trace(p, sp, 4096), sp).correction
-            f2, F2, F3 = (_mode_sum(name, 100, lam, sp.tau) for name in ("f2", "F2", "F3"))
+        window = {"lambda_min": 0.9, "lambda_max": 1.1, "lambda_points": 21}
+        exact, _, continuum = rows("ising-sweep", **window).T
+        sums = []
+        for q, ex in zip(points("ising-sweep", **window), exact):
+            p, sp = chain(q["lambda"])
+            n, lam, k = p.n_spins, p.lam, momenta(p.n_spins)
+            f2, F2, F3 = (_mode_sum(name, n, lam, sp.tau) for name in ("f2", "F2", "F3"))
             g1 = np.sum(4.0 * (lam - np.cos(k)) / dispersion(lam, k))
             order3 = _assemble(sp.theta, sp.omega, p.coupling, int_r2=F2, r2_end=f2,
                                p1_end=sp.tau * g1, int_r3=F3, int_cross=g1 * F2).order3
-            sums.append(abs(order3 / exact - 1.0))
-            continuum.append(abs(gp_approx_ising(p, sp).order3 / exact - 1.0))
+            sums.append(abs(order3 / (n * p.coupling**2 * ex) - 1.0))
         assert max(sums) < 1e-4
-        assert max(continuum) > 1e-2
+        assert max(np.abs(continuum / exact - 1.0)) > 1e-2
 
 
 class TestClosedForms:
     def test_g1_critical_value(self):
-        p = IsingBathParams(100, 1.0, 1.0, 0.0)
-        cf = ising_closed_forms(p, SystemParams(omega=1.0, theta=np.pi / 4))
+        cf = ising_closed_forms(*chain(1.0))
         assert cf.g1(1.0) == pytest.approx(200.0 / np.pi, abs=1e-12)
 
     def test_g1_vs_discrete_sum(self):
-        p = IsingBathParams(100, 1.0, 0.5, 0.0)
-        cf = ising_closed_forms(p, SystemParams(omega=1.0, theta=np.pi / 4))
+        cf = ising_closed_forms(*chain(0.5))
         k = momenta(100)
         eps = 2.0 * np.sqrt(1 + 0.25 - np.cos(k))
         ksum = np.sum(4.0 * (0.5 - np.cos(k)) / eps)
@@ -487,9 +480,8 @@ class TestSmallArgumentForms:
 
 class TestApproxIsing:
     def test_zero_coupling(self):
-        p = IsingBathParams(100, 1.0, 0.5, 0.0)
-        sp = SystemParams(omega=1.0, theta=np.pi / 4)
-        out = gp_approx_ising(p, sp)
+        p, sp = chain(0.5)
+        out = gp_approx_ising(replace(p, coupling=0.0), sp)
         assert out.order2 == 0.0
         assert out.order3 == 0.0
 
@@ -500,51 +492,37 @@ class TestApproxIsing:
                 calls.append(name)
                 return method(self, lam)
             monkeypatch.setattr(IsingClosedForms, name, counted)
-        gp_approx_ising(IsingBathParams(100, 1.0, 0.5, 5e-5), SystemParams(omega=1.0, theta=0.5))
+        gp_approx_ising(*chain(0.5, theta=0.5))
         assert sorted(calls) == ["F2", "F3", "f2", "g1"]
 
     def test_breakdown_warns_far_outside_weak_coupling(self):
         # N d = 5 at the critical point: |d T G1| = 5e-5 * 2 pi * 2e5 / pi = 20 rad
-        p = IsingBathParams(100_000, 1.0, 1.0, 5e-5)
         with pytest.warns(PerturbativeBreakdown, match="= 20 rad"):
-            gp_approx_ising(p, SystemParams(omega=1.0, theta=np.pi / 4))
+            gp_approx_ising(*chain(1.0, n_spins=100_000))
 
     def test_weak_coupling_sweep_is_silent(self):
-        sp = SystemParams(omega=1.0, theta=np.pi / 4)
+        # the ising-approx grid at N = 1000
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            for lam in np.linspace(0.0, 2.0, 41):
-                gp_approx_ising(IsingBathParams(1000, 1.0, lam, 5e-5), sp)
+            assert np.all(np.isfinite(rows("ising-approx", n_spins=1000)))
 
     def test_theta_dependence_factorizes(self):
         # the correction scales exactly as cos(th) sin^2(th)
-        p = IsingBathParams(100, 1.0, 0.6, 5e-5)
         th1, th2 = 0.5, 1.1
-        out = []
-        for th in (th1, th2):
-            sp = SystemParams(omega=1.0, theta=th)
-            out.append(gp_approx_ising(p, sp).order3)
+        out = [gp_approx_ising(*chain(0.6, theta=th)).order3 for th in (th1, th2)]
         expected = (np.cos(th1) * np.sin(th1) ** 2) / (np.cos(th2) * np.sin(th2) ** 2)
         assert out[0] / out[1] == pytest.approx(expected, abs=1e-12)
 
     def test_third_order_beats_second(self):
-        sp = SystemParams(omega=1.0, theta=np.pi / 4)
-        wins = 0
-        lams = [0.3, 0.5, 0.7, 1.3, 1.5]
-        for lam in lams:
-            p = IsingBathParams(100, 1.0, lam, 5e-5)
-            exact = geometric_phase(chain_trace(p, sp, 4096), sp).correction
-            out = gp_approx_ising(p, sp)
-            e3 = abs(out.order3 - exact)
-            e2 = abs(out.order2 - exact)
-            wins += e3 < e2
-        assert wins == len(lams)
+        # the paper-figA rows at lambda = 0.3, 0.5, 0.7, 1.3, 1.5
+        exact, order2, order3 = np.concatenate([
+            rows("ising-sweep", lambda_min=lo, lambda_max=hi, lambda_points=n)
+            for lo, hi, n in ((0.3, 0.7, 3), (1.3, 1.5, 2))]).T
+        assert np.all(np.abs(order3 - exact) < np.abs(order2 - exact))
 
     def test_critical_slope_diverges(self):
         # |d(dPhi)/d(lam)| grows without bound approaching the critical point
-        p = IsingBathParams(100, 1.0, 1.0, 5e-5)
-        sp = SystemParams(omega=1.0, theta=np.pi / 4)
-        cf = ising_closed_forms(p, sp)
+        cf = ising_closed_forms(*chain(1.0))
         slopes = []
         for h in (1e-2, 1e-4, 1e-6):
             slopes.append(abs(cf.g1(1.0 + h) - cf.g1(1.0)) / h)
@@ -555,15 +533,15 @@ class TestGenericThirdOrderOnChain:
     def test_matches_exact_pipeline_within_five_percent(self):
         # generic route (numeric coefficients + cycle assembly) against the
         # exact product -> phase pipeline at the figure parameters
-        sp = SystemParams(omega=1.0, theta=np.pi / 4)
-        p = IsingBathParams(100, 1.0, 0.5, 5e-5)
+        p, sp = chain(0.5)
         times = np.linspace(0.0, sp.tau, 2049)
 
         def sampler(delta, t):
             return decoherence_product(replace(p, coupling=delta), t)
 
         co = extract_coefficients_numeric(sampler, times, h=1e-4)
-        approx = gp_third_order(co, sp, 5e-5).order3
+        approx = gp_third_order(co, sp, p.coupling).order3 / (p.n_spins * p.coupling**2)
 
-        exact = geometric_phase(chain_trace(p, sp, 4096), sp).correction
+        # the paper-figA exact column, dphi / (N delta^2)
+        exact = rows("ising-sweep", lambda_min=0.5, lambda_max=0.5, lambda_points=1)[0, 0]
         assert abs(approx - exact) < 0.05 * abs(exact)

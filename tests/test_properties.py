@@ -16,6 +16,7 @@ import scipy.linalg
 from hypothesis import assume, given, settings, strategies as st
 
 import gphase.ising
+from conftest import OMEGA, chain, point, protocol
 from gphase.errors import GphaseError
 from gphase.gp import SystemParams, checked_correction, geometric_phase
 from gphase.ising import IsingBathParams, chain_trace, decoherence_product, phase_rate_bound
@@ -143,19 +144,19 @@ def test_rescaling_every_frequency_leaves_the_correction(scale, b, lam):
     # every scale is a frequency, so Omega and the bath's scales rescaled
     # together only stretch time: the exact protocol's and the oracle's
     # (Delta, B, delta), the two columns of correction_point, and the chain's J
-    def two_level(s):
-        sysp = SystemParams(omega=100.0 * np.pi * s, theta=np.pi / 4.0)
-        bath = TwoLevelBathParams(delta_gap=0.02 * sysp.omega, b_field=b * sysp.omega,
-                                  coupling=0.1 * sysp.omega)
-        return correction_point(ProtocolParams(sysp, bath))
+    # the paper's two-level point at field b Omega, and its figA chain at delta = 0.1
+    paper = point("gp-curve", b_field=b * OMEGA)
 
-    def chain(s):
-        sysp = SystemParams(omega=s, theta=np.pi / 4.0)
-        trace = chain_trace(IsingBathParams(100, s, lam, 0.1), sysp, 256)
-        return checked_correction(geometric_phase(trace, sysp))
+    def scaled_protocol(s):
+        frequencies = ("omega", "delta_gap", "b_field", "coupling")
+        return correction_point(protocol(**{key: s * paper[key] for key in frequencies}))
 
-    assert np.max(np.abs(np.subtract(two_level(scale), two_level(1.0)))) <= 1e-10
-    assert abs(chain(scale) - chain(1.0)) <= 1e-10
+    def scaled_chain(s):
+        bath, sysp = chain(lam, j_coupling=s, coupling=0.1)
+        return checked_correction(geometric_phase(chain_trace(bath, sysp, 256), sysp))
+
+    assert np.max(np.abs(np.subtract(scaled_protocol(scale), scaled_protocol(1.0)))) <= 1e-10
+    assert abs(scaled_chain(scale) - scaled_chain(1.0)) <= 1e-10
 
 
 @settings(FIXED, max_examples=150)

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
+from conftest import OMEGA, field_grid, point, points, protocol, rows, trotter, two_level
 from gphase.errors import InvalidDensityMatrix, UnwrapFailure, ValidationError
 from gphase.gp import SystemParams, build_trace, geometric_phase
 from gphase.protocol import (
@@ -27,7 +28,6 @@ from gphase.reference import (
     IX,
     IZ,
     PINNED_TROTTER_STEPS,
-    TROTTER_FIDELITY_THRESHOLD,
     ZI,
     ZZ,
     DimensionMismatch,
@@ -45,8 +45,6 @@ from gphase.two_level import (
     ground_state,
 )
 
-OMEGA = 100.0 * np.pi
-B_GRID = np.linspace(-0.2 * OMEGA, 0.2 * OMEGA, 21)
 Y = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex)
 
 # every Pauli string a protocol step exponentiates: the four of H
@@ -69,24 +67,9 @@ def propagator(h, t):
     return scipy.linalg.expm(-1j * t * h)
 
 
-def make_params(b_over_omega=0.05, theta=np.pi / 4, **kw):
-    sysp = SystemParams(omega=OMEGA, theta=theta)
-    bath = TwoLevelBathParams(
-        delta_gap=0.02 * OMEGA, b_field=b_over_omega * OMEGA, coupling=0.1 * OMEGA
-    )
-    return ProtocolParams(sys=sysp, bath=bath, **kw)
-
-
-def corrections(p, b_grid):
-    """(protocol, theory) correction columns of ``p`` over ``b_grid``."""
-    return np.array([correction_point(replace(p, bath=replace(p.bath, b_field=b)))
-                     for b in b_grid]).T
-
-
 class TestHamiltonian:
     def test_commuting_diagonal(self):
-        p = make_params(b_over_omega=0.3)
-        p = replace(p, bath=replace(p.bath, coupling=0.0, delta_gap=1e-300))
+        p = protocol(b_field=0.3 * OMEGA, coupling=0.0, delta_gap=1e-300)
         h = build_target_hamiltonian(p)
         b = p.bath.b_field
         np.testing.assert_allclose(
@@ -95,8 +78,7 @@ class TestHamiltonian:
         np.testing.assert_allclose(h - np.diag(np.diag(h)), 0.0, atol=1e-12)
 
     def test_uncoupled_spectrum(self):
-        p = make_params()
-        p = replace(p, bath=replace(p.bath, coupling=0.0))
+        p = protocol(coupling=0.0)
         h = build_target_hamiltonian(p)
         w = np.linalg.eigvalsh(h)
         e = np.hypot(p.bath.b_field, p.bath.delta_gap)
@@ -104,22 +86,20 @@ class TestHamiltonian:
         np.testing.assert_allclose(w, expected, atol=1e-9)
 
     def test_hermiticity(self):
-        h = build_target_hamiltonian(make_params())
+        h = build_target_hamiltonian(protocol())
         assert np.max(np.abs(h - h.conj().T)) < 1e-15
 
 
 class TestTrotterStep:
     def test_commuting_limit_exact(self):
-        p = make_params()
-        p = replace(p, bath=replace(p.bath, delta_gap=1e-300),
-                    decomposition=Decomposition.COARSE_TROTTER)
+        p = protocol(delta_gap=1e-300, decomposition="coarse-trotter")
         dt = p.sys.tau / 16
         u = trotter_step(p, dt)
         u_exact = propagator(build_target_hamiltonian(p), dt)
         assert np.max(np.abs(u - u_exact)) < 1e-12
 
     def test_single_step_third_order(self):
-        p = make_params(decomposition=Decomposition.COARSE_TROTTER)
+        p = protocol(decomposition="coarse-trotter")
         h = build_target_hamiltonian(p)
         errs, dts = [], [p.sys.tau / n for n in (64, 128, 256, 512, 1024)]
         for dt in dts:
@@ -128,11 +108,11 @@ class TestTrotterStep:
         assert slope == pytest.approx(3.0, abs=0.2)
 
     def test_unitarity(self):
-        u = trotter_step(make_params(), 0.001)
+        u = trotter_step(protocol(), 0.001)
         assert np.max(np.abs(u.conj().T @ u - np.eye(4))) < 1e-12
 
     def test_cycle_error_second_order(self):
-        p = make_params(b_over_omega=0.1)
+        p = protocol(b_field=0.1 * OMEGA)
         h = build_target_hamiltonian(p)
         u_exact = propagator(h, p.sys.tau)
         ns = [8, 16, 32, 64, 128, 256, 512]
@@ -161,8 +141,7 @@ class TestPulseIdentities:
 
 class TestRunProtocol:
     def test_uncoupled_trivial(self):
-        p = make_params()
-        p = replace(p, bath=replace(p.bath, coupling=0.0))
+        p = protocol(coupling=0.0)
         trace = run_protocol(p)
         np.testing.assert_allclose(trace.r_values, 1.0, atol=1e-12)
         phi0 = np.pi * (1 - np.cos(p.sys.theta))
@@ -170,19 +149,19 @@ class TestRunProtocol:
 
     def test_readout_matches_oracle(self):
         for b in (-0.15, 0.0, 0.05, 0.2):
-            p = make_params(b_over_omega=b)
+            p = protocol(b_field=b * OMEGA)
             trace = run_protocol(p)
             expected = decoherence_factor_oracle(p.bath, trace.times)
             assert np.max(np.abs(trace.r_values - expected)) < 1e-10
 
     def test_readout_input_angle_independent(self):
-        p = make_params(b_over_omega=0.07)
+        p = protocol(b_field=0.07 * OMEGA)
         traces = [run_protocol(p, input_theta=th) for th in (np.pi / 6, np.pi / 4, np.pi / 2)]
         for tr in traces[1:]:
             assert np.max(np.abs(tr.r_values - traces[0].r_values)) < 1e-10
 
     def test_energy_conservation_exact(self):
-        p = make_params(b_over_omega=0.12)
+        p = protocol(b_field=0.12 * OMEGA)
         h = build_target_hamiltonian(p)
         psi0 = _initial_state(p, np.pi / 2)
         states = _exact_states(p, np.linspace(0, p.sys.tau, 65), psi0)
@@ -190,14 +169,15 @@ class TestRunProtocol:
         assert np.max(np.abs(energies - energies[0])) < 1e-10 * max(1.0, abs(energies[0]))
 
     def test_norms_preserved(self):
-        p = make_params(trotter_steps=64, decomposition=Decomposition.COARSE_TROTTER)
+        p = protocol(trotter_steps=64, decomposition="coarse-trotter")
         u = trotter_step(p, p.sys.tau / p.trotter_steps)
         states = _stepped_states(u, p.trotter_steps, READOUT_SAMPLES, _initial_state(p, np.pi / 2))
         assert states.shape == (READOUT_SAMPLES + 1, 4)
         np.testing.assert_allclose(np.linalg.norm(states, axis=1), 1.0, atol=1e-12)
 
     def test_incompatible_sample_grid_rejected(self):
-        p = make_params(trotter_steps=3, decomposition=Decomposition.COARSE_TROTTER)
+        # the command line refuses this step count before any point runs
+        p = replace(protocol(), trotter_steps=3, decomposition=Decomposition.COARSE_TROTTER)
         with pytest.raises(ValidationError):
             run_protocol(p)
 
@@ -205,8 +185,7 @@ class TestRunProtocol:
     def test_stepped_states_one_step_at_a_time(self, steps):
         # the readout states are those of a plain loop over single steps,
         # bit for bit
-        p = make_params(b_over_omega=0.13, trotter_steps=steps,
-                        decomposition=Decomposition.COARSE_TROTTER)
+        p = protocol(b_field=0.13 * OMEGA, trotter_steps=steps, decomposition="coarse-trotter")
         psi = _initial_state(p, np.pi / 2)
         u = trotter_step(p, p.sys.tau / steps)
         expected = [psi]
@@ -234,25 +213,24 @@ class TestRunProtocol:
 
     def test_input_theta_domain(self):
         with pytest.raises(ValidationError):
-            run_protocol(make_params(), input_theta=0.0)
+            run_protocol(protocol(), input_theta=0.0)
+
+
+# the paper's 0.3% fidelity budget
+BUDGET = point("trotter-check")["fidelity_threshold"]
 
 
 class TestTrotterPinning:
     def test_pinned_step_count(self):
-        p = make_params()
-        assert find_min_trotter_steps(p, B_GRID) == PINNED_TROTTER_STEPS
+        assert find_min_trotter_steps(*trotter(1)) == PINNED_TROTTER_STEPS
 
     def test_claim_holds_at_pinned(self):
-        p = make_params(trotter_steps=PINNED_TROTTER_STEPS,
-                        decomposition=Decomposition.COARSE_TROTTER)
-        assert worst_cycle_fidelity(p, B_GRID) >= 0.997
+        assert worst_cycle_fidelity(*trotter(PINNED_TROTTER_STEPS)) >= BUDGET
 
     def test_claim_fails_below_pinned(self):
-        p = make_params(trotter_steps=PINNED_TROTTER_STEPS // 2 or 1,
-                        decomposition=Decomposition.COARSE_TROTTER)
         if PINNED_TROTTER_STEPS == 1:
             pytest.skip("pinned count is already the minimum")
-        assert worst_cycle_fidelity(p, B_GRID) < 0.997
+        assert worst_cycle_fidelity(*trotter(PINNED_TROTTER_STEPS // 2)) < BUDGET
 
 
 class TestFidelityBound:
@@ -262,21 +240,20 @@ class TestFidelityBound:
     @pytest.mark.parametrize("n, certified", [(1, 0.976348), (2, 0.998522)])
     def test_certifies_the_pinned_count_and_refuses_one_below(self, n, certified):
         # the trotter-claim preset, |B| <= 0.2 Omega
-        p = make_params(trotter_steps=n, decomposition=Decomposition.COARSE_TROTTER)
-        bound = fidelity_bound(p, B_GRID[0], B_GRID[-1])
+        p, b_grid = trotter(n)
+        bound = fidelity_bound(p, b_grid[0], b_grid[-1])
         assert bound == pytest.approx(certified, abs=5e-7)
-        assert (bound >= TROTTER_FIDELITY_THRESHOLD) == (n >= PINNED_TROTTER_STEPS)
+        assert (bound >= BUDGET) == (n >= PINNED_TROTTER_STEPS)
 
     @pytest.mark.parametrize("n", [1, 2, 4, 8])
     def test_below_the_scan_on_a_fine_grid(self, n):
-        fine = np.linspace(B_GRID[0], B_GRID[-1], 4001)
-        p = make_params(trotter_steps=n, decomposition=Decomposition.COARSE_TROTTER)
+        p, fine = trotter(n, b_points=4001)
         assert np.all(fidelity_bound(p, fine[0], fine[-1]) <= cycle_fidelity(p, fine))
 
     def test_bound_reaches_the_worst_field_of_either_block(self):
         # the bound rises with the largest |B +- d| over the interval, from either end
-        p = make_params(trotter_steps=2, decomposition=Decomposition.COARSE_TROTTER)
-        b = 0.2 * OMEGA
+        p, b_grid = trotter(2)
+        b = b_grid[-1]
         assert fidelity_bound(p, -b, b) == fidelity_bound(p, -b, 0.0) == fidelity_bound(p, 0.0, b)
         assert fidelity_bound(p, 0.0, b) < fidelity_bound(p, 0.0, b / 2) < 1.0
 
@@ -286,8 +263,8 @@ class TestFidelityScan:
         # the cycle readout of the stepped states against an independent
         # propagator product
         for n in (1, 3, 16):
-            p = make_params(b_over_omega=0.13, trotter_steps=n,
-                            decomposition=Decomposition.COARSE_TROTTER)
+            p = replace(protocol(b_field=0.13 * OMEGA), trotter_steps=n,
+                        decomposition=Decomposition.COARSE_TROTTER)
             psi0 = np.kron([np.sqrt(0.5), np.sqrt(0.5)], ground_state(p.bath))
             u_step = np.linalg.matrix_power(trotter_step(p, p.sys.tau / n), n)
             u_exact = propagator(build_target_hamiltonian(p), p.sys.tau)
@@ -296,11 +273,12 @@ class TestFidelityScan:
             assert fidelity == pytest.approx(expected, abs=1e-12)
 
     @pytest.mark.parametrize("n", [1, 2, 64, 512])
-    @pytest.mark.parametrize("b_grid", [B_GRID, B_GRID[13:14]], ids=["21-fields", "one-field"])
-    def test_scan_is_a_per_field_loop_bit_for_bit(self, n, b_grid):
+    @pytest.mark.parametrize("some", [slice(None), slice(13, 14)], ids=["21-fields", "one-field"])
+    def test_scan_is_a_per_field_loop_bit_for_bit(self, n, some):
         # the scan, which builds the step's field-independent factors once,
         # against each field set up on its own: its bath, step and end state
-        p = make_params(trotter_steps=n, decomposition=Decomposition.COARSE_TROTTER)
+        p, b_grid = trotter(n)
+        b_grid = b_grid[some]
         expected = []
         for b in b_grid:
             pb = replace(p, bath=replace(p.bath, b_field=b))
@@ -313,20 +291,21 @@ class TestFidelityScan:
         assert np.array_equal(cycle_fidelity(p, b_grid), np.array(expected))
 
     def test_worst_is_capped_at_one(self):
-        p = make_params(trotter_steps=4, decomposition=Decomposition.COARSE_TROTTER)
+        p, b_grid = trotter(4)
         assert worst_cycle_fidelity(p, []) == 1.0
-        assert worst_cycle_fidelity(p, B_GRID[::5]) <= 1.0
+        assert worst_cycle_fidelity(p, b_grid[::5]) <= 1.0
 
     def test_worst_is_the_smallest_field_value(self):
-        p = make_params(trotter_steps=1, decomposition=Decomposition.COARSE_TROTTER)
-        worst = worst_cycle_fidelity(p, B_GRID)
-        assert worst in {worst_cycle_fidelity(p, [b]) for b in B_GRID}
-        assert all(worst <= worst_cycle_fidelity(p, [b]) for b in B_GRID)
+        p, b_grid = trotter(1)
+        worst = worst_cycle_fidelity(p, b_grid)
+        assert worst in {worst_cycle_fidelity(p, [b]) for b in b_grid}
+        assert all(worst <= worst_cycle_fidelity(p, [b]) for b in b_grid)
 
     def test_step_counts(self):
         assert step_counts(1) == [1]
         assert step_counts(5) == [1, 2, 4]
-        assert step_counts(512) == [2**i for i in range(10)]
+        # the trotter-check grid: every doubling up to its max_steps, 512
+        assert step_counts(point("trotter-check")["max_steps"]) == [2**i for i in range(10)]
         with pytest.raises(ValidationError):
             step_counts(0)
 
@@ -346,24 +325,22 @@ class TestWithoutLapack:
     @pytest.mark.parametrize("decomposition", list(Decomposition))
     def test_paper_fig1c(self, decomposition):
         # the correction preset: its 64 steps, at fields of its grid
-        for b in B_GRID[::5]:
-            p = make_params(b_over_omega=b / OMEGA, decomposition=decomposition)
+        for b in field_grid()[::5]:
+            p = protocol(b_field=b, decomposition=decomposition.value)
             assert run_protocol(p).samples == READOUT_SAMPLES
             assert np.all(np.isfinite(correction_point(p)))
 
     def test_trotter_claim(self):
-        # the fidelity preset: every step count up to its 512
-        for n in step_counts(512):
-            p = make_params(trotter_steps=n, decomposition=Decomposition.COARSE_TROTTER)
-            worst = np.min(cycle_fidelity(p, B_GRID))
-            assert (worst >= TROTTER_FIDELITY_THRESHOLD) == (n >= PINNED_TROTTER_STEPS)
+        # the fidelity preset: every step count up to its max_steps
+        steps = [p["n_steps"] for p in points("trotter-check")]
+        worst = rows("trotter-check")[:, 0]
+        assert steps == step_counts(point("trotter-check")["max_steps"])
+        assert list(worst >= BUDGET) == [n >= PINNED_TROTTER_STEPS for n in steps]
 
 
 class TestCorrectionExperiment:
     def test_uncoupled_is_zero(self):
-        p = make_params()
-        p = replace(p, bath=replace(p.bath, coupling=0.0))
-        dphi, theory = corrections(p, B_GRID[::4])
+        dphi, theory = rows("correction", coupling=0.0, b_points=6).T
         assert np.max(np.abs(dphi)) < 1e-8
         assert np.max(np.abs(theory)) < 1e-8
 
@@ -375,23 +352,23 @@ class TestCorrectionExperiment:
         # Z_S commutes with every environment factor, so at d = 0 each step
         # factorises and the readout is r = 1 to rounding: the correction
         # needs no uncoupled reference run
-        for b in B_GRID:
-            p = make_params(b_over_omega=b / OMEGA, trotter_steps=steps,
-                            decomposition=decomposition)
-            trace = run_protocol(replace(p, bath=replace(p.bath, coupling=0.0)))
+        for b in field_grid():
+            p = protocol(b_field=b, coupling=0.0, trotter_steps=steps,
+                         decomposition=decomposition.value)
+            trace = run_protocol(p)
             assert np.max(np.abs(trace.r_values - 1.0)) <= 1e-11
             assert abs(geometric_phase(trace, p.sys).correction) <= 1e-11
 
     def test_structure_and_theory_agreement(self):
-        dphi, theory = corrections(make_params(), B_GRID)
-        assert np.argmax(np.abs(dphi)) == np.argmin(np.abs(B_GRID))
+        dphi, theory = rows("correction").T
+        assert np.argmax(np.abs(dphi)) == np.argmin(np.abs(field_grid()))
         assert np.max(np.abs(dphi - theory)) < 1e-4 * max(1.0, np.max(np.abs(dphi)))
 
     def test_point_is_the_phase_of_each_trace(self):
         # the protocol column is the phase of run_protocol's trace, and the
         # theory column that of the oracle's, at the field of p
         for b in (-0.13, 0.0, 0.05):
-            p = make_params(b_over_omega=b)
+            p = protocol(b_field=b * OMEGA)
             oracle = build_trace(lambda t: decoherence_factor_oracle(p.bath, t), p.sys,
                                  THEORY_SAMPLES)
             assert correction_point(p) == (geometric_phase(run_protocol(p), p.sys).correction,
@@ -400,11 +377,8 @@ class TestCorrectionExperiment:
     def test_exact_vs_trotter_robustness(self):
         # stepped evolution at the sample-grid resolution shifts the curve by
         # far less than 2% of its peak
-        p_exact = make_params()
-        p_trot = make_params(trotter_steps=64, decomposition=Decomposition.COARSE_TROTTER)
-        grid = B_GRID[::4]
-        d_exact = corrections(p_exact, grid)[0]
-        d_trot = corrections(p_trot, grid)[0]
+        d_exact = rows("correction", b_points=6)[:, 0]
+        d_trot = rows("correction", b_points=6, decomposition="coarse-trotter")[:, 0]
         assert np.max(np.abs(d_exact - d_trot)) < 0.02 * np.max(np.abs(d_exact))
 
     @pytest.mark.parametrize("d_over_omega, failure", [
@@ -417,8 +391,7 @@ class TestCorrectionExperiment:
         # than pi per interval; the unwrap step check still catches steps >=
         # pi/2 on it (from d = 15.99 Omega up), and a bath that needs a grid past
         # the reach of 2^18 intervals is rejected before any evolution
-        p = make_params()
-        p = replace(p, bath=replace(p.bath, coupling=d_over_omega * OMEGA))
+        p = protocol(coupling=d_over_omega * OMEGA)
         b, g, d = p.bath.b_field, p.bath.delta_gap, p.bath.coupling
         need = (np.hypot(b + d, g) + np.hypot(b - d, g)) * p.sys.tau / np.pi
         assert (need >= 2**18) == (failure == "bandwidth")
@@ -433,8 +406,7 @@ class TestCorrectionExperiment:
         # 1.9 pi per interval of the 64 and is read out on 128, where it agrees
         # with the oracle; the readout grid used to be refused.  A stepped
         # evolution needs a multiple of those 128 intervals as steps
-        p = make_params(b_over_omega=0.0)
-        p = replace(p, bath=replace(p.bath, delta_gap=30.0 * OMEGA, coupling=0.01 * OMEGA))
+        p = protocol(b_field=0.0, delta_gap=30.0 * OMEGA, coupling=0.01 * OMEGA)
         trace = run_protocol(p)
         assert trace.samples == readout_grid(p) == 128
         np.testing.assert_allclose(trace.r_values, decoherence_factor_oracle(p.bath, trace.times),
@@ -445,8 +417,7 @@ class TestCorrectionExperiment:
         assert run_protocol(replace(stepped, trotter_steps=128)).samples == 128
 
     def test_failing_point_raises_typed_error(self):
-        p = make_params(b_over_omega=0.0)
-        p = replace(p, bath=replace(p.bath, coupling=1e6 * OMEGA))
+        p = protocol(b_field=0.0, coupling=1e6 * OMEGA)
         with pytest.raises(UnwrapFailure):
             correction_point(p)
 
@@ -535,12 +506,8 @@ class TestPartialTrace:
         # evolving a product state under a dephasing Hamiltonian must give a
         # reduced matrix whose coherence is (sin th / 2) e^{-2i w t} r(t) with
         # r the branch overlap; build both sides independently
-        from gphase.two_level import TwoLevelBathParams, decoherence_factor_oracle, ground_state
-
-        omega = 100 * np.pi
-        theta = np.pi / 3
-        bath = TwoLevelBathParams(delta_gap=0.02 * omega, b_field=0.05 * omega,
-                                  coupling=0.1 * omega)
+        sysp, bath = two_level(theta=np.pi / 3)
+        omega, theta = sysp.omega, sysp.theta
         h = (
             omega * np.kron(Z, I2)
             + bath.coupling * np.kron(Z, Z)

@@ -7,8 +7,9 @@ import scipy.linalg
 
 import gphase.two_level
 
+from conftest import OMEGA, field_grid, point, rows, two_level
 from gphase.errors import UnwrapFailure, ValidationError
-from gphase.gp import SystemParams, build_trace, first_grid, geometric_phase, trace_from_samples
+from gphase.gp import build_trace, first_grid, trace_from_samples
 from gphase.reference import X, Z, density_trajectory, gp_from_trajectory
 from gphase.two_level import (
     TwoLevelBathParams,
@@ -17,14 +18,6 @@ from gphase.two_level import (
     ground_state,
     oracle_trace,
 )
-
-OMEGA = 100.0 * np.pi
-
-
-def paper_bath(**kw):
-    base = TwoLevelBathParams(delta_gap=0.02 * OMEGA, b_field=0.05 * OMEGA, coupling=0.1 * OMEGA)
-    return replace(base, **kw) if kw else base
-
 
 class TestParams:
     def test_fields(self):
@@ -92,12 +85,12 @@ class TestGroundState:
 
 class TestOracle:
     def test_uncoupled_is_one(self):
-        p = paper_bath(coupling=0.0)
+        _, p = two_level(coupling=0.0)
         t = np.linspace(0, 0.1, 50)
         np.testing.assert_allclose(decoherence_factor_oracle(p, t), 1.0, atol=1e-14)
 
     def test_initial_value_and_bound(self):
-        p = paper_bath()
+        _, p = two_level()
         assert decoherence_factor_oracle(p, 0.0) == pytest.approx(1.0, abs=0)
         t = np.linspace(0, 1.0, 2000)
         assert np.max(np.abs(decoherence_factor_oracle(p, t))) <= 1.0 + 1e-12
@@ -119,7 +112,7 @@ class TestOracle:
         # independent oracle: dense matrix exponentials of the branch pair
         # applied to the bath ground state
         t = np.array([0.0, 0.0007, 0.0041, 0.013])
-        p = paper_bath(b_field=0.07 * OMEGA)
+        _, p = two_level(b_field=0.07 * OMEGA)
         b0, b1 = p.b_field + p.coupling, p.b_field - p.coupling
         u1 = [scipy.linalg.expm(1j * (b1 * Z + p.delta_gap * X) * tt) for tt in t]
         u0 = [scipy.linalg.expm(-1j * (b0 * Z + p.delta_gap * X) * tt) for tt in t]
@@ -134,12 +127,12 @@ class TestOracle:
     def test_bandwidth_is_the_widest_branch_beat(self, projector):
         # r(t) = <psi| e^{+i H1 t} e^{-i H0 t} |psi> beats every eigenvalue of
         # H1 against every eigenvalue of H0
-        b, d = -0.13 * OMEGA, paper_bath().coupling
+        b, d = -0.13 * OMEGA, point("gp-curve")["coupling"]
         if projector:
-            p = paper_bath(b_field=b + d, coupling=-d)
+            _, p = two_level(b_field=b + d, coupling=-d)
             b0, b1 = b, b + 2 * d
         else:
-            p = paper_bath(b_field=b)
+            _, p = two_level(b_field=b)
             b0, b1 = b + d, b - d
         e0 = np.linalg.eigvalsh(b0 * Z + p.delta_gap * X)
         e1 = np.linalg.eigvalsh(b1 * Z + p.delta_gap * X)
@@ -157,8 +150,7 @@ class TestOracle:
         # at 1024 on an aliased winding), and its trace is that of a 16x finer
         # direct trace.  At 1e6 Omega that grid lies past the reach of 2^18
         # intervals, and the oracle is never sampled
-        sysp = SystemParams(omega=OMEGA, theta=np.pi / 4)
-        p = paper_bath(coupling=d_over_omega * OMEGA)
+        sysp, p = two_level(coupling=d_over_omega * OMEGA)
         need = bandwidth(p) * sysp.tau / np.pi
         assert (need >= 1024) == (d_over_omega > 256.0)
         calls = []
@@ -189,7 +181,7 @@ class TestOracle:
     def test_nan_turn_is_unresolved(self):
         # a NaN turn per interval (here from tau = NaN) is resolved by no grid:
         # not (grid > NaN), so the grid rule fails instead of passing it
-        band = bandwidth(paper_bath())
+        band = bandwidth(two_level()[1])
         with pytest.raises(UnwrapFailure, match="needs more than nan intervals"):
             first_grid(64, band * np.nan / np.pi, f"bandwidth {band:.6g} rad/s")
 
@@ -218,15 +210,15 @@ def one_sided_closed_forms(p, t):
 class TestAnalyticFormula:
     def test_uncoupled_and_initial(self):
         t = np.linspace(0, 0.05, 20)
-        for form in one_sided_closed_forms(paper_bath(coupling=0.0), t):
+        for form in one_sided_closed_forms(two_level(coupling=0.0)[1], t):
             np.testing.assert_allclose(form, 1.0, atol=1e-12)
-        for form in one_sided_closed_forms(paper_bath(), 0.0):
+        for form in one_sided_closed_forms(two_level()[1], 0.0):
             assert form == pytest.approx(1.0, abs=0)
 
     def test_magnitude_periodicity(self):
         # |r| of the exact one-sided overlap repeats with the shifted branch's
         # half period pi / eps_shift
-        p = paper_bath()
+        _, p = two_level()
         eps_s = np.hypot(p.delta_gap, p.b_field + p.coupling)
         period = np.pi / eps_s
         t = np.linspace(0, period, 40)
@@ -237,7 +229,7 @@ class TestAnalyticFormula:
     def test_discrepancy_report(self):
         # the quoted sin coefficient deviates from the exact one-sided overlap
         # at first order in lam*d; the repaired one removes the gap entirely
-        p = paper_bath()
+        _, p = two_level()
         eps_s = np.hypot(p.delta_gap, p.b_field + p.coupling)
         t = np.linspace(0.0, np.pi / eps_s, 512)  # one magnitude period
         quoted, repaired, exact = one_sided_closed_forms(p, t)
@@ -248,29 +240,23 @@ class TestAnalyticFormula:
     def test_matches_exact_at_critical_point(self):
         # at B = 0 the quoted coefficient is exact
         t = np.linspace(0, 0.02, 100)
-        quoted, _, exact = one_sided_closed_forms(paper_bath(b_field=0.0), t)
+        quoted, _, exact = one_sided_closed_forms(two_level(b_field=0.0)[1], t)
         np.testing.assert_allclose(quoted, exact, atol=1e-10)
 
 
-def dphi(bath, b, sysp, samples):
-    """Phase correction of the bath at field b."""
-    at_b = replace(bath, b_field=b)
-    trace = build_trace(lambda t: decoherence_factor_oracle(at_b, t), sysp, samples)
-    return geometric_phase(trace, sysp).correction
-
-
 class TestCorrectionCurve:
+    """The gp-curve correction column (``rows(...)[0, 2]``) across the fields."""
+
     def test_uncoupled_curve_is_zero(self):
-        sysp = SystemParams(omega=OMEGA, theta=np.pi / 4)
-        bs = np.linspace(-1, 1, 5) * OMEGA / 10
-        assert max(abs(dphi(paper_bath(coupling=0.0), b, sysp, 256)) for b in bs) < 1e-8
+        bs = field_grid(b_points=5) / 2
+        assert max(abs(rows("gp-curve", coupling=0.0, b_field=b, samples=256)[0, 2])
+                   for b in bs) < 1e-8
 
     def test_peak_at_criticality_and_asymmetry(self):
-        sysp = SystemParams(omega=OMEGA, theta=np.pi / 4)
-        bs = np.linspace(-0.2 * OMEGA, 0.2 * OMEGA, 21)
-        curve = np.array([dphi(paper_bath(), b, sysp, 512) for b in bs])
+        bs = field_grid()
+        curve = np.array([rows("gp-curve", b_field=b, samples=512)[0, 2] for b in bs])
         assert np.argmax(np.abs(curve)) == np.argmin(np.abs(bs))
-        ip, im = np.argmin(np.abs(bs - 0.1 * OMEGA)), np.argmin(np.abs(bs + 0.1 * OMEGA))
+        ip, im = np.argmin(np.abs(bs - bs[-1] / 2)), np.argmin(np.abs(bs - bs[0] / 2))
         rel = abs(abs(curve[ip]) - abs(curve[im])) / max(abs(curve[ip]), abs(curve[im]))
         assert rel > 0.05
 
@@ -284,9 +270,8 @@ class TestCorrectionCurve:
             _system_coherence,
         )
 
-        sysp = SystemParams(omega=OMEGA, theta=np.pi / 4)
-        bath = paper_bath(b_field=0.1 * OMEGA)
-        point = dphi(bath, bath.b_field, sysp, 2048)
+        sysp, bath = two_level(b_field=0.1 * OMEGA)
+        dphi = rows("gp-curve", b_field=bath.b_field, samples=2048)[0, 2]
         p = ProtocolParams(sys=sysp, bath=bath)
         times = np.linspace(0.0, sysp.tau, 32769)
         states = _exact_states(p, times, _initial_state(p, np.pi / 2))
@@ -294,24 +279,22 @@ class TestCorrectionCurve:
         r = 2.0 * _system_coherence(states) * np.exp(2j * OMEGA * times)
         phi_traj = gp_from_trajectory(density_trajectory(trace_from_samples(times, r), sysp))
         baseline = np.pi * (1 - np.cos(sysp.theta))
-        diff = (point - (phi_traj - baseline) + np.pi) % (2 * np.pi) - np.pi
+        diff = (dphi - (phi_traj - baseline) + np.pi) % (2 * np.pi) - np.pi
         assert abs(diff) < 1e-6
 
     def test_failed_points_flagged(self):
         # a coupling winding faster than the refinement cap can resolve fails
         # loudly at B = 0; a sane point still succeeds
-        sysp = SystemParams(omega=OMEGA, theta=np.pi / 4)
         with pytest.raises(UnwrapFailure):
-            dphi(paper_bath(coupling=1e6 * OMEGA), 0.0, sysp, 256)
-        assert np.isfinite(dphi(paper_bath(), 0.1 * OMEGA, sysp, 256))
+            rows("gp-curve", coupling=1e6 * OMEGA, b_field=0.0, samples=256)
+        assert np.isfinite(rows("gp-curve", b_field=0.1 * OMEGA, samples=256)[0, 2])
 
 
 class TestLandscape:
     def test_deepest_collapse_at_critical_field(self):
         # the time-minimum of |r(t)|^2 over one cycle is deepest at B = 0
-        sysp = SystemParams(omega=OMEGA, theta=np.pi / 4)
-        bath = paper_bath()
-        bs = np.linspace(-0.2 * OMEGA, 0.2 * OMEGA, 21)
+        sysp, bath = two_level()
+        bs = field_grid()
         t = np.linspace(0.0, sysp.tau, 257)
         mins = [
             np.min(np.abs(decoherence_factor_oracle(replace(bath, b_field=b), t)) ** 2)
