@@ -3,11 +3,12 @@ experiment table.
 
 A point's parameters are an experiment's defaults with overrides (``point``),
 and its records are built by the CLI's own constructors (``two_level``,
-``protocol``, ``chain``); a sweep runs the table's own ``grid`` and
-``prepare`` (``points``, ``rows``, ``field_grid``).  So no test module types the
-setting out again: the cycle Omega, theta = pi/4, Delta = 0.02 Omega,
-delta = 0.1 Omega, the fields |B| <= 0.2 Omega and the Trotter budget all
-come from ``EXPERIMENTS``.
+``protocol``, ``chain``) or taken from what the table's ``prepare`` binds
+(``trotter``); a sweep runs the table's own ``grid`` and ``prepare``
+(``points``, ``rows``, ``field_grid``).  So no test module types the setting
+out again: the cycle Omega, theta = pi/4, Delta = 0.02 Omega, delta =
+0.1 Omega, the fields |B| <= 0.2 Omega and the Trotter budget all come from
+``EXPERIMENTS``.
 """
 
 import numpy as np

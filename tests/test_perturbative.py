@@ -370,7 +370,7 @@ class TestPanelQuad:
         """A stand-in for _panel_quad that returns scipy's scalar quad on the
         same panels at the same targets, and appends (vectorised value, quad
         value, integral of |f|, calls of f) to ``record``."""
-        def oracle(f, n_osc):
+        def oracle(f, n_osc, dip):
             panels = max(8, int(np.ceil(2.0 * n_osc)))
             edges = np.linspace(0.0, np.pi, panels + 1)
             ref = scale = 0.0
@@ -378,13 +378,14 @@ class TestPanelQuad:
                 ref += quad(f, a, b, epsabs=_QUAD_TOL / panels, epsrel=1e-12, limit=200)[0]
                 scale += quad(lambda k: abs(f(k)), a, b, limit=200)[0]
             calls = []
-            got = _panel_quad(lambda k: calls.append(k.size) or f(k), n_osc)
+            got = _panel_quad(lambda k: calls.append(k.size) or f(k), n_osc, dip)
             record.append((got, ref, scale, len(calls)))
             return ref
         return oracle
 
     # scalar quad resolves the width-|1 - lam| dip at k = 0 down to 1e-5; at
-    # 1e-6 its first rule misses it (TestSmallArgumentForms checks mpmath there)
+    # 1e-6 its first rule misses it (TestSmallArgumentForms checks mpmath there);
+    # both widths are inside the grading window, 4.3e-4 here
     _NEAR_CRITICAL = (1.0 - 1e-4, 1.0 + 1e-4, 1.0 - 1e-5, 1.0 + 1e-5)
 
     @pytest.mark.parametrize("name, lam", [
@@ -418,7 +419,7 @@ class TestPanelQuad:
 
         ceiling = perturbative._MAX_PANELS
         with pytest.raises(QuadratureNonconvergence, match=f"ceiling of {ceiling}$"):
-            _panel_quad(never, n_osc)
+            _panel_quad(never, n_osc, 0.0)
 
     def test_slow_cycle_closed_form_raises(self):
         # omega/J = 1e-300 asks for 8e300 panels; 1e-6 would ask for 8e6,
@@ -429,9 +430,9 @@ class TestPanelQuad:
 
     def test_non_integrable_or_nan_integrand_raises(self):
         with pytest.raises(QuadratureNonconvergence, match="limit of 200 intervals"):
-            _panel_quad(lambda k: 1.0 / k, 1.0)
+            _panel_quad(lambda k: 1.0 / k, 1.0, 0.0)
         with pytest.raises(QuadratureNonconvergence):
-            _panel_quad(lambda k: np.where(k > 3.0, np.nan, 1.0), 1.0)
+            _panel_quad(lambda k: np.where(k > 3.0, np.nan, 1.0), 1.0, 0.0)
 
 
 class TestSmallArgumentForms:
@@ -446,16 +447,15 @@ class TestSmallArgumentForms:
             assert abs((_f3_bracket(x) - bracket_ref) / bracket_ref) <= 1e-14
 
     @pytest.mark.parametrize("name, lam", [
-        ("f2", 1.0 - 1e-6), ("F2", 1.0 + 1e-6),
-        # F3's dip weighs only 1e-9 here, and the first qk21 pass, whose nodes
-        # nearest k = 0 sit at 4e-4, accepts the panel without seeing it
-        pytest.param("F3", 1.0 - 1e-6, marks=pytest.mark.xfail(
-            strict=True, reason="a dip much narrower than the node spacing is stepped over")),
+        ("f2", 1.0 - 1e-6), ("F2", 1.0 + 1e-6), ("F3", 1.0 - 1e-6),
+        ("f2", 1.0 - 1e-8), ("f2", 1.0 + 1e-8), ("F3", 1.0 - 1e-8), ("F3", 1.0 + 1e-8),
     ])
     def test_near_critical_against_mpmath(self, name, lam):
-        # the closed form with the width-1e-6 dip at k = 0 split off (the dip
-        # weighs about 1e-5 of f2 and F2); 50 digits, as the F3 bracket cancels
-        # to O(x^5) with x down to 1e-5
+        # the closed form with the width-|1 - lam| dip at k = 0 split off (the dip
+        # weighs about 10 |1 - lam| of f2 and F2, and 1e-9 of F3 at 1e-6); 50 digits,
+        # as the F3 bracket cancels to O(x^5) with x down to 1e-7.  Equal panels
+        # step over these dips, whose width is below their first node at 4.3e-4:
+        # f2 came out 1.3e-7 low at 1 -+ 1e-8, F3 1.1e-9 off at 1 - 1e-6
         mpmath = pytest.importorskip("mpmath")
         T = 2.0 * np.pi
         with mpmath.workdps(50):
@@ -471,11 +471,45 @@ class TestSmallArgumentForms:
                     * (48 * mpmath.sin(x) - 16 * x * (2 + mpmath.cos(x))) / e**7,
                 }[name]()
 
-            pts = [0, mpmath.mpf("1e-6"), mpmath.mpf("1e-4")] + [
-                mpmath.pi * i / 64 for i in range(1, 65)]
+            pts = [0, abs(1 - L), mpmath.mpf("1e-4")] + [mpmath.pi * i / 64 for i in range(1, 65)]
             ref = 1000 / (2 * mpmath.pi) * mpmath.quad(integrand, pts)
         got = getattr(IsingClosedForms(n_spins=1000, t_period=T), name)(lam)
         assert abs((got - ref) / ref) <= 1e-13
+
+
+class TestGradedPanelsCostNothingElsewhere:
+    """The graded panels near k = 0 are cut only inside their window, so every
+    other field keeps the integrand calls and nodes of equal panels."""
+
+    @staticmethod
+    def _count(monkeypatch):
+        """Sizes of the k arrays that every ``_panel_quad`` hands its integrand."""
+        sizes, quad = [], perturbative._panel_quad
+        monkeypatch.setattr(perturbative, "_panel_quad",
+                            lambda f, *args: quad(lambda k: sizes.append(k.size) or f(k), *args))
+        return sizes
+
+    @pytest.mark.parametrize("lam, calls, nodes", [
+        (1.0 - 5e-4, (10, 10, 9), (714, 714, 672)),
+        (1.0 + 5e-4, (9, 9, 9), (693, 693, 693)),
+    ], ids=["below", "above"])
+    def test_just_outside_the_window(self, lam, calls, nodes, monkeypatch):
+        # N = 1000, T = 2 pi: the window ends at the first node, 4.3e-4
+        sizes = self._count(monkeypatch)
+        cf = IsingClosedForms(n_spins=1000, t_period=2.0 * np.pi)
+        counts = []
+        for name in ("f2", "F2", "F3"):
+            sizes.clear()
+            getattr(cf, name)(lam)
+            counts.append((len(sizes), sum(sizes)))
+        assert counts == list(zip(calls, nodes))
+
+    def test_on_the_401_field_approximation_grid(self, monkeypatch):
+        # ising-approx at N = 1000 over 401 fields in [0, 2]: f2 makes 499
+        # calls, F2 and F3 497 each
+        sizes = self._count(monkeypatch)
+        rows("ising-approx", n_spins=1000, lambda_points=401)
+        assert (len(sizes), sum(sizes)) == (1493, 428547)
 
 
 class TestApproxIsing:

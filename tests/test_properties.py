@@ -1,7 +1,8 @@
 """Properties over drawn parameters (hypothesis): the chain's mode product and
 its phase-rate bound, the protocol's closed-form blocks against its dense
-model, the correction's invariance under a common rescaling of every
-frequency, and the correction's envelope.
+model, the closed-form phase against parallel transport, the correction's
+invariance under a common rescaling of every frequency, and the envelope of
+every correction: the oracle's, the protocol's and the chain's.
 
 Each property runs a fixed set of examples (``derandomize``, no example
 database), so Tier-1 stays deterministic: the same draws on every run until
@@ -16,12 +17,18 @@ import scipy.linalg
 from hypothesis import assume, given, settings, strategies as st
 
 import gphase.ising
-from conftest import OMEGA, chain, point, protocol
+from conftest import OMEGA, chain, point, protocol, rows, two_level
 from gphase.errors import GphaseError
 from gphase.gp import SystemParams, checked_correction, geometric_phase
 from gphase.ising import IsingBathParams, chain_trace, decoherence_product, phase_rate_bound
 from gphase.protocol import ProtocolParams, _exact_states, correction_point, trotter_step
-from gphase.reference import brute_force_oracle, build_target_hamiltonian, strang_product
+from gphase.reference import (
+    brute_force_oracle,
+    build_target_hamiltonian,
+    density_trajectory,
+    gp_from_trajectory,
+    strang_product,
+)
 from gphase.two_level import TwoLevelBathParams, oracle_trace
 
 FIXED = settings(derandomize=True, database=None, deadline=None)
@@ -172,3 +179,57 @@ def test_correction_is_finite_or_a_typed_error(theta, gap, b, delta):
     except GphaseError:
         return
     assert np.isfinite(correction)
+
+
+def _wrapped(phase):
+    """``phase`` mod 2 pi, in [-pi, pi)."""
+    return (phase + np.pi) % (2.0 * np.pi) - np.pi
+
+
+@settings(FIXED, max_examples=40)
+@given(theta=st.floats(0.0, np.pi), b=st.floats(-0.2, 0.2), delta=st.floats(-0.2, 0.2))
+def test_closed_form_phase_is_parallel_transport(theta, b, delta):
+    # the gp-curve phase against discrete parallel transport of the + eigenvector,
+    # over the paper's fields and up to twice its coupling; transport converges as
+    # 1/M^2, so its 4096- and 8192-sample phases extrapolate to within 8e-8 here
+    overrides = {"theta": theta, "b_field": b * OMEGA, "coupling": delta * OMEGA}
+    sysp, bath = two_level(**overrides)
+    try:
+        closed = rows("gp-curve", **overrides, samples=4096)[0, 0]
+        coarse, fine = (gp_from_trajectory(density_trajectory(oracle_trace(bath, sysp, m), sysp))
+                        for m in (4096, 8192))
+    except GphaseError:
+        return
+    assert abs(_wrapped(closed - fine - _wrapped(fine - coarse) / 3.0)) <= 1e-6
+
+
+@settings(FIXED, max_examples=60)
+@given(theta=st.floats(0.0, np.pi), gap=log_uniform(-4.0, 4.0),
+       b=st.one_of(st.just(0.0), signed_log_uniform(-4.0, 4.0)),
+       delta=signed_log_uniform(-4.0, 4.0), stepped=st.booleans(),
+       steps=st.sampled_from([64, 128, 512]))
+def test_protocol_correction_is_finite_or_a_typed_error(theta, gap, b, delta, stepped, steps):
+    # a correction point, every scale in units of Omega, exactly and by Strang steps
+    try:
+        correction = rows("correction", theta=theta, delta_gap=gap * OMEGA, coupling=delta * OMEGA,
+                          b_min=b * OMEGA, b_max=b * OMEGA, b_points=1, trotter_steps=steps,
+                          decomposition="coarse-trotter" if stepped else "exact")
+    except GphaseError:
+        return
+    assert correction.shape == (1, 2) and np.all(np.isfinite(correction))
+
+
+@pytest.mark.filterwarnings("ignore::gphase.errors.PerturbativeBreakdown")
+@settings(FIXED, max_examples=30)
+@given(n=st.integers(1, 50).map(lambda m: 2 * m), lam=st.floats(-2.0, 2.0),
+       delta=signed_log_uniform(-6.0, 0.0), theta=st.floats(0.0, np.pi),
+       omega_over_j=log_uniform(-1.0, 1.0))
+def test_chain_corrections_are_finite_or_a_typed_error(n, lam, delta, theta, omega_over_j):
+    # an ising-sweep point: the exact correction and both weak-coupling orders
+    try:
+        corrections = rows("ising-sweep", n_spins=n, lambda_min=lam, lambda_max=lam,
+                           lambda_points=1, coupling=delta, theta=theta,
+                           omega_over_j=omega_over_j, samples=256)
+    except GphaseError:
+        return
+    assert corrections.shape == (1, 3) and np.all(np.isfinite(corrections))
