@@ -46,9 +46,9 @@ def two_level(**overrides):
     return _two_level(point("gp-curve", **overrides))
 
 
-def protocol(**overrides):
-    """The protocol of a correction point, at gp-curve's field unless ``b_field`` is given."""
-    return _protocol(point("correction", **{"b_field": point("gp-curve")["b_field"], **overrides}))
+def protocol(*, b_field, **overrides):
+    """The protocol of a correction point at field ``b_field``."""
+    return _protocol(point("correction", b_field=b_field, **overrides))
 
 
 def trotter(n_steps, **overrides):

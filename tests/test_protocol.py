@@ -78,7 +78,7 @@ class TestHamiltonian:
         np.testing.assert_allclose(h - np.diag(np.diag(h)), 0.0, atol=1e-12)
 
     def test_uncoupled_spectrum(self):
-        p = protocol(coupling=0.0)
+        p = protocol(b_field=0.05 * OMEGA, coupling=0.0)
         h = build_target_hamiltonian(p)
         w = np.linalg.eigvalsh(h)
         e = np.hypot(p.bath.b_field, p.bath.delta_gap)
@@ -86,20 +86,20 @@ class TestHamiltonian:
         np.testing.assert_allclose(w, expected, atol=1e-9)
 
     def test_hermiticity(self):
-        h = build_target_hamiltonian(protocol())
+        h = build_target_hamiltonian(protocol(b_field=0.05 * OMEGA))
         assert np.max(np.abs(h - h.conj().T)) < 1e-15
 
 
 class TestTrotterStep:
     def test_commuting_limit_exact(self):
-        p = protocol(delta_gap=1e-300, decomposition="coarse-trotter")
+        p = protocol(b_field=0.05 * OMEGA, delta_gap=1e-300, decomposition="coarse-trotter")
         dt = p.sys.tau / 16
         u = trotter_step(p, dt)
         u_exact = propagator(build_target_hamiltonian(p), dt)
         assert np.max(np.abs(u - u_exact)) < 1e-12
 
     def test_single_step_third_order(self):
-        p = protocol(decomposition="coarse-trotter")
+        p = protocol(b_field=0.05 * OMEGA, decomposition="coarse-trotter")
         h = build_target_hamiltonian(p)
         errs, dts = [], [p.sys.tau / n for n in (64, 128, 256, 512, 1024)]
         for dt in dts:
@@ -108,7 +108,7 @@ class TestTrotterStep:
         assert slope == pytest.approx(3.0, abs=0.2)
 
     def test_unitarity(self):
-        u = trotter_step(protocol(), 0.001)
+        u = trotter_step(protocol(b_field=0.05 * OMEGA), 0.001)
         assert np.max(np.abs(u.conj().T @ u - np.eye(4))) < 1e-12
 
     def test_cycle_error_second_order(self):
@@ -141,7 +141,7 @@ class TestPulseIdentities:
 
 class TestRunProtocol:
     def test_uncoupled_trivial(self):
-        p = protocol(coupling=0.0)
+        p = protocol(b_field=0.05 * OMEGA, coupling=0.0)
         trace = run_protocol(p)
         np.testing.assert_allclose(trace.r_values, 1.0, atol=1e-12)
         phi0 = np.pi * (1 - np.cos(p.sys.theta))
@@ -169,7 +169,7 @@ class TestRunProtocol:
         assert np.max(np.abs(energies - energies[0])) < 1e-10 * max(1.0, abs(energies[0]))
 
     def test_norms_preserved(self):
-        p = protocol(trotter_steps=64, decomposition="coarse-trotter")
+        p = protocol(b_field=0.05 * OMEGA, trotter_steps=64, decomposition="coarse-trotter")
         u = trotter_step(p, p.sys.tau / p.trotter_steps)
         states = _stepped_states(u, p.trotter_steps, READOUT_SAMPLES, _initial_state(p, np.pi / 2))
         assert states.shape == (READOUT_SAMPLES + 1, 4)
@@ -177,7 +177,8 @@ class TestRunProtocol:
 
     def test_incompatible_sample_grid_rejected(self):
         # the command line refuses this step count before any point runs
-        p = replace(protocol(), trotter_steps=3, decomposition=Decomposition.COARSE_TROTTER)
+        p = replace(protocol(b_field=0.05 * OMEGA), trotter_steps=3,
+                    decomposition=Decomposition.COARSE_TROTTER)
         with pytest.raises(ValidationError):
             run_protocol(p)
 
@@ -213,7 +214,7 @@ class TestRunProtocol:
 
     def test_input_theta_domain(self):
         with pytest.raises(ValidationError):
-            run_protocol(protocol(), input_theta=0.0)
+            run_protocol(protocol(b_field=0.05 * OMEGA), input_theta=0.0)
 
 
 # the paper's 0.3% fidelity budget
@@ -391,7 +392,7 @@ class TestCorrectionExperiment:
         # than pi per interval; the unwrap step check still catches steps >=
         # pi/2 on it (from d = 15.99 Omega up), and a bath that needs a grid past
         # the reach of 2^18 intervals is rejected before any evolution
-        p = protocol(coupling=d_over_omega * OMEGA)
+        p = protocol(b_field=0.05 * OMEGA, coupling=d_over_omega * OMEGA)
         b, g, d = p.bath.b_field, p.bath.delta_gap, p.bath.coupling
         need = (np.hypot(b + d, g) + np.hypot(b - d, g)) * p.sys.tau / np.pi
         assert (need >= 2**18) == (failure == "bandwidth")

@@ -9,7 +9,7 @@ import gphase.two_level
 
 from conftest import OMEGA, field_grid, point, rows, two_level
 from gphase.errors import UnwrapFailure, ValidationError
-from gphase.gp import build_trace, first_grid, trace_from_samples
+from gphase.gp import build_trace, first_grid, geometric_phase, trace_from_samples
 from gphase.reference import X, Z, density_trajectory, gp_from_trajectory
 from gphase.two_level import (
     TwoLevelBathParams,
@@ -248,9 +248,14 @@ class TestCorrectionCurve:
     """The gp-curve correction column (``rows(...)[0, 2]``) across the fields."""
 
     def test_uncoupled_curve_is_zero(self):
+        # sampled on purpose: gp-curve itself returns the closed-form unitary
+        # record at coupling 0, so its rows would pass without any sampling
         bs = field_grid(b_points=5) / 2
-        assert max(abs(rows("gp-curve", coupling=0.0, b_field=b, samples=256)[0, 2])
-                   for b in bs) < 1e-8
+        curve = []
+        for b in bs:
+            sysp, bath = two_level(coupling=0.0, b_field=b)
+            curve.append(geometric_phase(oracle_trace(bath, sysp, 256), sysp).correction)
+        assert max(np.abs(curve)) < 1e-8
 
     def test_peak_at_criticality_and_asymmetry(self):
         bs = field_grid()
