@@ -8,7 +8,8 @@ and its records are built by the CLI's own constructors (``two_level``,
 (``points``, ``rows``, ``field_grid``).  So no test module types the setting
 out again: the cycle Omega, theta = pi/4, Delta = 0.02 Omega, delta =
 0.1 Omega, the fields |B| <= 0.2 Omega and the Trotter budget all come from
-``EXPERIMENTS``.
+``EXPERIMENTS``.  ``ones_sampler``, the r = 1 sampler of an uncoupled bath, is
+shared here too.
 """
 
 import numpy as np
@@ -61,3 +62,8 @@ def trotter(n_steps, **overrides):
 def chain(lam, **overrides):
     """Chain bath and system cycle of an ising-sweep point at field ``lam``."""
     return _chain(point("ising-sweep", **{"lambda": lam, **overrides}))
+
+
+def ones_sampler(t):
+    """The sampler of an uncoupled bath: r = 1 at every time."""
+    return np.ones_like(t, dtype=complex)

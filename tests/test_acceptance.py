@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 from scipy.special import ellipe, ellipk
 
-from conftest import field_grid, point, protocol, rows, trotter, two_level
+from conftest import field_grid, ones_sampler, point, protocol, rows, trotter, two_level
 from gphase.cli import main as cli_main
 from gphase.gp import build_trace, geometric_phase
 from gphase.ising import IsingBathParams, decoherence_product
@@ -27,10 +27,6 @@ from gphase.reference import (
     gp_third_order,
 )
 from gphase.two_level import decoherence_factor_oracle
-
-
-def ones(t):
-    return np.ones_like(t, dtype=complex)
 
 
 class Budget:
@@ -54,7 +50,7 @@ def test_c01_unitary_limit():
         worst = 0.0
         for th in np.linspace(0.02, np.pi - 0.02, 20):
             sp, _ = two_level(theta=th)
-            res = geometric_phase(build_trace(ones, sp, 128), sp)
+            res = geometric_phase(build_trace(ones_sampler, sp, 128), sp)
             worst = max(worst, abs(res.phi_total - np.pi * (1.0 - np.cos(th))))
         assert worst < 1e-8
     print(f"\nC01 unitary limit: PASS (worst {worst:.2e} rad, {b.elapsed:.2f}s)")

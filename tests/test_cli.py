@@ -664,8 +664,10 @@ class TestRejectedBeforeWork:
         assert exit_code(argv) == 2
         assert point_calls == []
 
-    def test_samples_below_trace_floor(self, point_calls):
-        assert main(["gp-curve", "--samples", "10"]) == 3
+    @pytest.mark.parametrize("argv", [["gp-curve", "--samples", "10"],
+                                      ["trace", "--samples", "8"]], ids=" ".join)
+    def test_samples_below_trace_floor(self, argv, point_calls):
+        assert main(argv) == 3
         assert point_calls == []
 
     def test_out_of_range_sweep_point(self, point_calls):

@@ -8,7 +8,7 @@ from gphase.errors import (
     UnwrapFailure,
     ValidationError,
 )
-from conftest import OMEGA, chain, point, two_level
+from conftest import OMEGA, chain, ones_sampler, point, two_level
 from gphase.gp import (
     SystemParams,
     build_trace,
@@ -19,9 +19,6 @@ from gphase.gp import (
 from gphase.ising import IsingBathParams, chain_trace, decoherence_product, phase_rate_bound
 from gphase.reference import EigenbranchCrossing, density_trajectory, gp_from_trajectory
 from gphase.two_level import decoherence_factor_oracle
-
-def ones_sampler(t):
-    return np.ones_like(t, dtype=complex)
 
 
 def counting(sampler, calls):

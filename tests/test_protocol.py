@@ -363,7 +363,7 @@ class TestCorrectionExperiment:
     def test_structure_and_theory_agreement(self):
         dphi, theory = rows("correction").T
         assert np.argmax(np.abs(dphi)) == np.argmin(np.abs(field_grid()))
-        assert np.max(np.abs(dphi - theory)) < 1e-4 * max(1.0, np.max(np.abs(dphi)))
+        assert np.max(np.abs(dphi - theory)) <= 5e-5
 
     def test_point_is_the_phase_of_each_trace(self):
         # the protocol column is the phase of run_protocol's trace, and the
