@@ -242,17 +242,11 @@ class TestExitCodes:
     # point, and at B = +-0.2 omega both columns resolve r(t)
     _BAD = ["correction", "--coupling", str(OMEGA), "--b-points", "3"]
 
-    def test_runtime_failure_without_keep_going(self, tmp_path):
-        rc = main(self._BAD + ["--output", str(tmp_path / "f.csv")])
-        assert rc == 1
-
-    def test_stops_at_first_failed_point(self, tmp_path, point_calls):
-        # B = -0.2 omega runs, B = 0 fails, B = +0.2 omega must not run
+    def test_stops_at_first_failed_point(self, tmp_path, point_calls, caplog):
+        # exit 1 without --keep-going: B = -0.2 omega runs, B = 0 fails and logs
+        # its typed error, B = +0.2 omega must not run
         assert main(self._BAD + ["--output", str(tmp_path / "f.csv")]) == 1
         assert len(point_calls) == 2
-
-    def test_failure_log_names_the_typed_error(self, tmp_path, caplog):
-        assert main(self._BAD + ["--output", str(tmp_path / "f.csv")]) == 1
         assert "UnwrapFailure: " in caplog.text
         assert "GphaseError" not in caplog.text
 
@@ -292,22 +286,18 @@ class TestExitCodes:
 
     def test_aliasing_coupling_fails_every_point(self, tmp_path):
         # r(t) winds about 2e6 times per cycle, far beyond the protocol's
-        # 64-interval readout grid: every field fails in both columns
-        rc, raw = run_cli(["correction", "--coupling", "314159265.3589793", "--b-points", "3",
-                           "--keep-going"], tmp_path, "alias.csv")
-        assert rc == 0
-        rows = [r.split(",") for r in raw.decode().strip().splitlines()[1:]]
-        assert len(rows) == 3
-        assert all(r[1] == "nan" and r[2] == "nan" for r in rows)
-
-    def test_failed_cells_are_json_null(self, tmp_path):
-        # RFC 8259 has no NaN: a failed cell is null, and a strict parser
-        # reads the whole document
+        # 64-interval readout grid: every field fails in both columns.  A failed
+        # cell is nan in CSV and null in JSON, where RFC 8259 has no NaN, so a
+        # strict parser reads the whole document
         def reject(token):
             raise ValueError(f"non-JSON constant {token}")
 
-        rc, raw = run_cli(["correction", "--coupling", "314159265.3589793", "--b-points", "3",
-                           "--keep-going", "--format", "json"], tmp_path, "alias.json")
+        argv = ["correction", "--coupling", "314159265.3589793", "--b-points", "3", "--keep-going"]
+        rc, raw = run_cli(argv, tmp_path, "alias.csv")
+        assert rc == 0
+        rows = [r.split(",") for r in raw.decode().strip().splitlines()[1:]]
+        assert [row[1:3] for row in rows] == [["nan", "nan"]] * 3
+        rc, raw = run_cli(argv + ["--format", "json"], tmp_path, "alias.json")
         assert rc == 0
         doc = json.loads(raw, parse_constant=reject)
         assert [row[1:3] for row in doc["rows"]] == [[None, None]] * 3
@@ -468,6 +458,14 @@ class TestOutputFormats:
         assert doc["provenance"]["version"]
         assert all(len(r) == len(doc["columns"]) for r in doc["rows"])
 
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_stdout_without_output_is_the_file(self, fmt, tmp_path, capsys):
+        argv = ["trace", "--samples", "64", "--format", fmt]
+        rc, raw = run_cli(argv, tmp_path)
+        assert rc == 0 and raw
+        assert main(argv) == 0
+        assert capsys.readouterr().out.encode("ascii") == raw
+
     def test_rows_carry_hash(self, tmp_path):
         rc, raw = run_cli(["trace", "--samples", "64"], tmp_path, "h.csv")
         lines = raw.decode().strip().splitlines()
@@ -614,6 +612,12 @@ def point_calls(monkeypatch):
 
 class TestRejectedBeforeWork:
     """Inputs the experiment table rejects, each with its documented exit code."""
+
+    @pytest.mark.parametrize("workers", ["0", "-1"])
+    def test_workers_below_one(self, workers, point_calls, capsys):
+        assert main(["trace", "--workers", workers]) == 2
+        assert "--workers must be >= 1" in capsys.readouterr().err
+        assert point_calls == []
 
     def test_unknown_sweep_axis(self, point_calls):
         # a misspelt axis used to sweep nothing and print identical rows
