@@ -242,11 +242,17 @@ class TestExitCodes:
     # point, and at B = +-0.2 omega both columns resolve r(t)
     _BAD = ["correction", "--coupling", str(OMEGA), "--b-points", "3"]
 
-    def test_stops_at_first_failed_point(self, tmp_path, point_calls, caplog):
-        # exit 1 without --keep-going: B = -0.2 omega runs, B = 0 fails and logs
-        # its typed error, B = +0.2 omega must not run
+    def test_runtime_failure_without_keep_going(self, tmp_path):
+        rc = main(self._BAD + ["--output", str(tmp_path / "f.csv")])
+        assert rc == 1
+
+    def test_stops_at_first_failed_point(self, tmp_path, point_calls):
+        # B = -0.2 omega runs, B = 0 fails, B = +0.2 omega must not run
         assert main(self._BAD + ["--output", str(tmp_path / "f.csv")]) == 1
         assert len(point_calls) == 2
+
+    def test_failure_log_names_the_typed_error(self, tmp_path, caplog):
+        assert main(self._BAD + ["--output", str(tmp_path / "f.csv")]) == 1
         assert "UnwrapFailure: " in caplog.text
         assert "GphaseError" not in caplog.text
 
@@ -286,18 +292,22 @@ class TestExitCodes:
 
     def test_aliasing_coupling_fails_every_point(self, tmp_path):
         # r(t) winds about 2e6 times per cycle, far beyond the protocol's
-        # 64-interval readout grid: every field fails in both columns.  A failed
-        # cell is nan in CSV and null in JSON, where RFC 8259 has no NaN, so a
-        # strict parser reads the whole document
+        # 64-interval readout grid: every field fails in both columns
+        rc, raw = run_cli(["correction", "--coupling", "314159265.3589793", "--b-points", "3",
+                           "--keep-going"], tmp_path, "alias.csv")
+        assert rc == 0
+        rows = [r.split(",") for r in raw.decode().strip().splitlines()[1:]]
+        assert len(rows) == 3
+        assert all(r[1] == "nan" and r[2] == "nan" for r in rows)
+
+    def test_failed_cells_are_json_null(self, tmp_path):
+        # RFC 8259 has no NaN: a failed cell is null, and a strict parser
+        # reads the whole document
         def reject(token):
             raise ValueError(f"non-JSON constant {token}")
 
-        argv = ["correction", "--coupling", "314159265.3589793", "--b-points", "3", "--keep-going"]
-        rc, raw = run_cli(argv, tmp_path, "alias.csv")
-        assert rc == 0
-        rows = [r.split(",") for r in raw.decode().strip().splitlines()[1:]]
-        assert [row[1:3] for row in rows] == [["nan", "nan"]] * 3
-        rc, raw = run_cli(argv + ["--format", "json"], tmp_path, "alias.json")
+        rc, raw = run_cli(["correction", "--coupling", "314159265.3589793", "--b-points", "3",
+                           "--keep-going", "--format", "json"], tmp_path, "alias.json")
         assert rc == 0
         doc = json.loads(raw, parse_constant=reject)
         assert [row[1:3] for row in doc["rows"]] == [[None, None]] * 3

@@ -8,7 +8,7 @@ from gphase.errors import (
     UnwrapFailure,
     ValidationError,
 )
-from conftest import chain, ones_sampler, point, protocol, two_level
+from conftest import OMEGA, chain, ones_sampler, point, protocol, two_level
 from gphase.gp import (
     SystemParams,
     build_trace,
@@ -418,6 +418,13 @@ class TestBlochPlusAngle:
 
 
 class TestGeometricPhase:
+    def test_unitary_limit_sweep(self):
+        for th in np.linspace(0.05, np.pi - 0.05, 20):
+            sp, _ = two_level(theta=th)
+            res = geometric_phase(build_trace(ones_sampler, sp, 256), sp)
+            assert res.phi_total == pytest.approx(np.pi * (1 - np.cos(th)), abs=1e-8)
+            assert abs(res.correction) < 1e-8
+
     def test_quarter_angle_value(self):
         sp, _ = two_level()
         res = geometric_phase(build_trace(ones_sampler, sp, 256), sp)
@@ -507,6 +514,20 @@ class TestTrajectoryRoute:
         tr = build_trace(ones_sampler, sp, 8192)
         phi = gp_from_trajectory(density_trajectory(tr, sp))
         assert phi == pytest.approx(np.pi / 2, abs=1e-6)
+
+    def test_dual_formula_agreement(self):
+        rng = np.random.default_rng(42)
+        for _ in range(4):
+            th = rng.uniform(0.3, 2.7)
+            b = rng.uniform(-0.2, 0.2) * OMEGA
+            sp, bath = two_level(theta=th, b_field=b)
+            eq3 = geometric_phase(
+                build_trace(lambda t: decoherence_factor_oracle(bath, t), sp, 4096), sp
+            ).phi_total
+            tr = build_trace(lambda t: decoherence_factor_oracle(bath, t), sp, 32768)
+            eq2 = gp_from_trajectory(density_trajectory(tr, sp))
+            diff = (eq3 - eq2 + np.pi) % (2 * np.pi) - np.pi
+            assert abs(diff) < 1e-6
 
     def test_time_reversal_negates(self):
         sp, bath = two_level()

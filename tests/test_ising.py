@@ -303,6 +303,15 @@ class TestDenseOracle:
         with pytest.raises(DimensionTooLarge):
             brute_force_oracle(IsingBathParams(12, 1.0, 0.5, 0.01), 1.0)
 
+    @pytest.mark.parametrize("n", [2, 4, 6, 8])
+    def test_product_oracle_grid(self, n):
+        t = np.linspace(0.0, 2.0, 16)
+        for lam in (0.25, 0.75, 1.0, 1.25):
+            for d in (1e-3, 1e-2, 0.2):
+                p = IsingBathParams(n, 1.0, lam, d)
+                dv = np.abs(decoherence_product(p, t) - brute_force_oracle(p, t))
+                assert np.max(dv) < 1e-6
+
     def test_j_scaling(self):
         # restoring J: r depends on J and t only through J*t
         p1 = IsingBathParams(6, 1.0, 0.8, 0.01)

@@ -4,11 +4,12 @@ from dataclasses import replace
 import numpy as np
 import pytest
 from scipy.integrate import quad
+from scipy.special import ellipe, ellipk
 
 import gphase.perturbative as perturbative
 from conftest import OMEGA, chain, field_grid, point, points, rows, two_level
 from gphase.errors import PerturbativeBreakdown, QuadratureNonconvergence, ValidationError
-from gphase.gp import SystemParams, geometric_phase
+from gphase.gp import SystemParams, build_trace, geometric_phase
 from gphase.ising import IsingBathParams, decoherence_product, dispersion, momenta
 from gphase.perturbative import (
     _INTEGRANDS,
@@ -32,6 +33,28 @@ from gphase.reference import (
     two_level_order2,
 )
 from gphase.two_level import decoherence_factor_oracle, oracle_trace
+
+
+class TestElliptic:
+    """scipy's ellipk and ellipe, the routines G1 calls, against their integrals."""
+
+    def test_against_defining_integrals(self):
+        m = 0.5
+        k_ref, _ = quad(lambda t: 1.0 / np.sqrt(1 - m * np.sin(t) ** 2), 0, np.pi / 2,
+                        epsabs=1e-14, epsrel=1e-14)
+        e_ref, _ = quad(lambda t: np.sqrt(1 - m * np.sin(t) ** 2), 0, np.pi / 2,
+                        epsabs=1e-14, epsrel=1e-14)
+        assert ellipk(m) == pytest.approx(k_ref, abs=1e-12)
+        assert ellipe(m) == pytest.approx(e_ref, abs=1e-12)
+
+    # the other values of m are G1 fields lam = m^(-1/2) of test_g1_against_mpmath
+    @pytest.mark.parametrize("m", [0.5])
+    def test_against_mpmath(self, m):
+        mpmath = pytest.importorskip("mpmath")
+        with mpmath.workdps(40):
+            k_ref, e_ref = mpmath.ellipk(m), mpmath.ellipe(m)
+            assert abs((ellipk(m) - k_ref) / k_ref) <= 1e-15
+            assert abs((ellipe(m) - e_ref) / e_ref) <= 1e-15
 
 
 def two_level_sampler(delta, t):
@@ -111,6 +134,19 @@ class TestThirdOrder:
         out = gp_third_order(co, sp, 0.05 * OMEGA)
         assert out.order2 == pytest.approx(0.0, abs=1e-12)
         assert out.order3 == pytest.approx(0.0, abs=1e-12)
+
+    def test_residual_fourth_order(self):
+        # halving the coupling shrinks the third-order residual ~16x
+        sp, _ = two_level()
+        times = np.linspace(0, sp.tau, 2049)
+        co = extract_coefficients_numeric(two_level_sampler, times, h=1e-4 * OMEGA)
+        res = []
+        for d in (0.02 * OMEGA, 0.01 * OMEGA):
+            _, bath = two_level(coupling=d)
+            tr = build_trace(lambda t: decoherence_factor_oracle(bath, t), sp, 4096)
+            exact = geometric_phase(tr, sp).correction
+            res.append(abs(gp_third_order(co, sp, d).order3 - exact))
+        assert res[0] / res[1] == pytest.approx(16.0, rel=0.35)
 
     def test_grid_must_cover_cycle(self):
         sp, _ = two_level()
@@ -224,8 +260,8 @@ class TestClosedForms:
     @pytest.mark.parametrize("lam", [
         -1e-9, 1e-9, 1e-7, 1e-6, 1e-4, 0.005, 0.3, 0.4999999, 0.5, 0.9, 0.995, 0.999999,
         1.0 - 3e-9, 1.0, 1.0 + 3e-9, 1.2, 1.5, 2.0,
-        # E(1/lam^2) at 1/lam^2 = 1 - 1e-12, 1 - 1e-6, 0.9, 0.5, 0.1, 1e-12 and 0
-        *(m**-0.5 for m in (1.0 - 1e-12, 1.0 - 1e-6, 0.9, 0.5, 0.1, 1e-12)), np.inf])
+        # E(1/lam^2) at 1/lam^2 = 1 - 1e-12, 1 - 1e-6, 0.9, 0.1, 1e-12 and 0
+        *(m**-0.5 for m in (1.0 - 1e-12, 1.0 - 1e-6, 0.9, 0.1, 1e-12)), np.inf])
     def test_g1_against_mpmath(self, lam):
         # (lam+1) E(m) + (lam-1) K(m), m = 4 lam/(1 + lam)^2, cancels to O(lam)
         # at small lam, and m rounds to 1 at 1 -+ 3e-9, where K(m) is infinite;

@@ -6,11 +6,12 @@ import scipy.linalg
 
 from conftest import OMEGA, field_grid, point, points, protocol, rows, trotter, two_level
 from gphase.errors import InvalidDensityMatrix, UnwrapFailure, ValidationError
-from gphase.gp import build_trace, geometric_phase
+from gphase.gp import SystemParams, build_trace, geometric_phase
 from gphase.protocol import (
     READOUT_SAMPLES,
     THEORY_SAMPLES,
     Decomposition,
+    ProtocolParams,
     _exact_states,
     _initial_state,
     _stepped_states,
@@ -35,14 +36,24 @@ from gphase.reference import (
     _rotation,
     build_target_hamiltonian,
     fidelity_bound,
+    find_min_trotter_steps,
     partial_trace_env,
 )
-from gphase.two_level import decoherence_factor_oracle, ground_state
+from gphase.two_level import (
+    TwoLevelBathParams,
+    decoherence_factor_oracle,
+    ground_state,
+)
 
 Y = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex)
 
 # every Pauli string a protocol step exponentiates: the four of H
 STEP_PAULIS = {"ZI": ZI, "ZZ": ZZ, "IZ": IZ, "IX": IX}
+
+
+def random_hermitian(dim, rng):
+    a = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+    return (a + a.conj().T) / 2
 
 
 def random_density(dim, rng):
@@ -58,15 +69,13 @@ def propagator(h, t):
 
 class TestHamiltonian:
     def test_commuting_diagonal(self):
-        # at a vanishing gap H is d diag(1, -1, -1, 1) on top of the field terms;
-        # the last point is the coupling term alone
-        for p in (protocol(b_field=0.3 * OMEGA, coupling=0.0, delta_gap=1e-300),
-                  protocol(b_field=0.3 * OMEGA, delta_gap=1e-300),
-                  protocol(b_field=0.0, omega=1e-300, coupling=0.3, delta_gap=1e-300)):
-            w, b, d = p.sys.omega, p.bath.b_field, p.bath.coupling
-            diag = np.array([w + d + b, w - d - b, -w - d + b, -w + d - b])
-            np.testing.assert_allclose(build_target_hamiltonian(p), np.diag(diag), rtol=0,
-                                       atol=1e-15 * np.max(np.abs(diag)))
+        p = protocol(b_field=0.3 * OMEGA, coupling=0.0, delta_gap=1e-300)
+        h = build_target_hamiltonian(p)
+        b = p.bath.b_field
+        np.testing.assert_allclose(
+            np.diag(h).real, [OMEGA + b, OMEGA - b, -OMEGA + b, -OMEGA - b], atol=1e-9
+        )
+        np.testing.assert_allclose(h - np.diag(np.diag(h)), 0.0, atol=1e-12)
 
     def test_uncoupled_spectrum(self):
         p = protocol(b_field=0.05 * OMEGA, coupling=0.0)
@@ -138,6 +147,13 @@ class TestRunProtocol:
         phi0 = np.pi * (1 - np.cos(p.sys.theta))
         assert geometric_phase(trace, p.sys).phi_total == pytest.approx(phi0, abs=1e-8)
 
+    def test_readout_matches_oracle(self):
+        for b in (-0.15, 0.0, 0.05, 0.2):
+            p = protocol(b_field=b * OMEGA)
+            trace = run_protocol(p)
+            expected = decoherence_factor_oracle(p.bath, trace.times)
+            assert np.max(np.abs(trace.r_values - expected)) < 1e-10
+
     def test_readout_input_angle_independent(self):
         p = protocol(b_field=0.07 * OMEGA)
         traces = [run_protocol(p, input_theta=th) for th in (np.pi / 6, np.pi / 4, np.pi / 2)]
@@ -203,6 +219,19 @@ class TestRunProtocol:
 
 # the paper's 0.3% fidelity budget
 BUDGET = point("trotter-check")["fidelity_threshold"]
+
+
+class TestTrotterPinning:
+    def test_pinned_step_count(self):
+        assert find_min_trotter_steps(*trotter(1)) == PINNED_TROTTER_STEPS
+
+    def test_claim_holds_at_pinned(self):
+        assert worst_cycle_fidelity(*trotter(PINNED_TROTTER_STEPS)) >= BUDGET
+
+    def test_claim_fails_below_pinned(self):
+        if PINNED_TROTTER_STEPS == 1:
+            pytest.skip("pinned count is already the minimum")
+        assert worst_cycle_fidelity(*trotter(PINNED_TROTTER_STEPS // 2)) < BUDGET
 
 
 class TestFidelityBound:
@@ -398,48 +427,82 @@ class TestExpm:
     """The closed-form Pauli rotation e^{-i a P} = cos a - i sin a P of the dense
     Strang product, against scipy's scaling-and-squaring matrix exponential."""
 
+    def test_zero_generator(self):
+        for p in STEP_PAULIS.values():
+            np.testing.assert_array_equal(_rotation(p, 0.0), np.eye(4))
+
+    def test_diagonal_z(self):
+        u = _rotation(Z, np.pi / 2)
+        expected = np.diag([np.exp(-1j * np.pi / 2), np.exp(1j * np.pi / 2)])
+        np.testing.assert_allclose(u, expected, atol=1e-15)
+
     def test_against_pade_oracle(self):
-        # the 2x2 Z and every Pauli string of a step; each angle also checks
-        # unitarity, the norm of a state and the group law with the angle before it
         rng = np.random.default_rng(11)
-        angles = np.concatenate([[0.0, np.pi / 4.0, np.pi / 2.0, 1.7, 2.9],
-                                 rng.uniform(-2.0 * np.pi, 2.0 * np.pi, 20)])
-        for p in (Z, *STEP_PAULIS.values()):
-            eye = np.eye(len(p))
-            np.testing.assert_array_equal(_rotation(p, 0.0), eye)
-            psi = rng.normal(size=len(p)) + 1j * rng.normal(size=len(p))
-            psi /= np.linalg.norm(psi)
-            for a, before in zip(angles, np.roll(angles, 1)):
-                u = _rotation(p, a)
-                np.testing.assert_allclose(u, scipy.linalg.expm(-1j * a * p), rtol=0, atol=1e-15)
-                assert np.max(np.abs(u.conj().T @ u - eye)) < 1e-15
-                assert abs(np.linalg.norm(u @ psi) - 1.0) < 1e-15
-                assert np.max(np.abs(_rotation(p, a + before) - u @ _rotation(p, before))) < 1e-15
+        angles = np.concatenate([[0.0, np.pi / 4.0], rng.uniform(-2.0 * np.pi, 2.0 * np.pi, 20)])
+        for p in STEP_PAULIS.values():
+            for a in angles:
+                np.testing.assert_allclose(
+                    _rotation(p, a), scipy.linalg.expm(-1j * a * p), rtol=0, atol=1e-15
+                )
+
+    def test_unitarity(self):
+        for p in STEP_PAULIS.values():
+            u = _rotation(p, 2.9)
+            assert np.max(np.abs(u.conj().T @ u - np.eye(4))) < 1e-15
+
+    def test_group_property(self):
+        rng = np.random.default_rng(17)
+        for p in STEP_PAULIS.values():
+            s, t = rng.uniform(-2, 2, 2)
+            lhs = _rotation(p, s + t)
+            rhs = _rotation(p, s) @ _rotation(p, t)
+            assert np.max(np.abs(lhs - rhs)) < 1e-15
+
+    def test_norm_preserved(self):
+        psi = np.array([0.6, 0.48, 0.0, 0.64], dtype=complex)
+        for p in STEP_PAULIS.values():
+            out = _rotation(p, 1.7) @ psi
+            assert abs(np.linalg.norm(out) - 1.0) < 1e-15
 
 
 class TestKron:
     """The (system x environment) ordering of ``np.kron`` that the target
     Hamiltonian and ``partial_trace_env`` share."""
 
+    def test_identity(self):
+        # a maximally mixed environment traces out to the system state
+        rho_s = random_density(2, np.random.default_rng(31))
+        np.testing.assert_allclose(partial_trace_env(np.kron(rho_s, I2 / 2)), rho_s, atol=1e-15)
+
+    def test_zz_diagonal(self):
+        # the coupling term alone is d diag(1, -1, -1, 1)
+        bath = TwoLevelBathParams(delta_gap=1e-300, b_field=0.0, coupling=0.3)
+        p = ProtocolParams(sys=SystemParams(omega=1e-300, theta=0.5), bath=bath)
+        np.testing.assert_allclose(build_target_hamiltonian(p), np.diag([0.3, -0.3, -0.3, 0.3]),
+                                   rtol=0, atol=1e-15)
+
     def test_index_formula(self):
-        # (A (x) B)[i*2+k, j*2+l] = A[i,j] B[k,l]; the trace runs over k = l, so a
-        # product A (x) B traces out to A tr B, and a Bell state to I/2
+        # (A (x) B)[i*2+k, j*2+l] = A[i,j] B[k,l]; the trace runs over k = l
         rng = np.random.default_rng(37)
-        up = np.diag([1.0, 0.0])
-        bell = np.array([1, 0, 0, 1], dtype=complex) / np.sqrt(2)
-        products = [(up, up), (random_density(2, rng), I2 / 2),
-                    *((random_density(2, rng), random_density(2, rng)) for _ in range(10))]
-        mixed = random_density(4, rng)
-        cases = [(mixed, mixed[::2, ::2] + mixed[1::2, 1::2]), (np.outer(bell, bell), I2 / 2),
-                 *((np.kron(a, b), a * np.trace(b)) for a, b in products)]
-        for rho, expected in cases:
-            out = partial_trace_env(rho)
-            np.testing.assert_allclose(out, rho[::2, ::2] + rho[1::2, 1::2], rtol=0, atol=1e-16)
-            np.testing.assert_allclose(out, expected, rtol=0, atol=1e-15)
-            assert abs(np.trace(out).real - 1.0) < 1e-10
+        rho = random_density(4, rng)
+        out = partial_trace_env(rho)
+        for i in range(2):
+            for j in range(2):
+                assert out[i, j] == pytest.approx(rho[i * 2, j * 2] + rho[i * 2 + 1, j * 2 + 1],
+                                                  abs=1e-16)
 
 
 class TestPartialTrace:
+    def test_product_state(self):
+        rho = np.zeros((4, 4), dtype=complex)
+        rho[0, 0] = 1.0  # |00><00|
+        np.testing.assert_allclose(partial_trace_env(rho), np.diag([1.0, 0.0]), atol=1e-14)
+
+    def test_bell_state(self):
+        bell = np.array([1, 0, 0, 1], dtype=complex) / np.sqrt(2)
+        rho = np.outer(bell, bell.conj())
+        np.testing.assert_allclose(partial_trace_env(rho), np.eye(2) / 2, atol=1e-14)
+
     def test_dephasing_structure(self):
         # evolving a product state under a dephasing Hamiltonian must give a
         # reduced matrix whose coherence is (sin th / 2) e^{-2i w t} r(t) with
@@ -463,6 +526,22 @@ class TestPartialTrace:
                 * decoherence_factor_oracle(bath, t)
             )
             assert abs(rho_r[0, 1] - expected) < 1e-12
+
+    def test_linearity_on_tensor_products(self):
+        rng = np.random.default_rng(23)
+        for _ in range(10):
+            a, b = random_density(2, rng), random_density(2, rng)
+            out = partial_trace_env(np.kron(a, b))
+            np.testing.assert_allclose(out, a * np.trace(b), atol=1e-12)
+
+    def test_unit_trace_result(self):
+        rng = np.random.default_rng(29)
+        h = random_hermitian(4, rng)
+        w, v = np.linalg.eigh(h)
+        p = np.abs(w) / np.sum(np.abs(w))
+        rho = (v * p) @ v.conj().T
+        out = partial_trace_env(rho)
+        assert abs(np.trace(out).real - 1.0) < 1e-10
 
     def test_rejects_bad_inputs(self):
         with pytest.raises(InvalidDensityMatrix):
